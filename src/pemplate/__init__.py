@@ -22,6 +22,7 @@ from .dynamics import (
     integrate,
     optimize_resistance,
     recover_field,
+    resistance_family,
     unimodal_ic,
 )
 from .element import (

@@ -303,10 +303,11 @@ def local_matrices(geom, mat, quad=None):
 class AssemblyWorkspace:
     """Caches material-independent shape data for repeated assembly.
 
-    The resistance search reassembles the same mesh with many network
-    parameter sets; the per-element shape matrices and strain interpolation
-    do not depend on the material, so they are computed once per
-    (mesh, quadrature) and reused.
+    The per-element shape matrices and strain interpolation do not depend on
+    the material, so they are computed once per (mesh, quadrature) and
+    reused. The resistance search assembles the same mesh twice (R_N = 0 and
+    R_N = 1, see :func:`pemplate.dynamics.resistance_family`); the second
+    assembly skips the geometry stage.
     """
 
     def __init__(self):

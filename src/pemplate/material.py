@@ -215,12 +215,6 @@ def retune_inductance(model, factor):
     return build_material(model.plate, net)
 
 
-def with_resistance(model, resistance):
-    """Rebuild the model with the net resistance replaced."""
-    net = replace(model.network, resistance=float(resistance))
-    return build_material(model.plate, net)
-
-
 def conservative_twin(model):
     """The same model with R_N = G_N = 0 (used for the modal basis)."""
     net = replace(model.network, resistance=0.0, conductance=0.0)

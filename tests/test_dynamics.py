@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,37 @@ def single_oscillator(omega=1.0):
         m2_mech=np.eye(1), k0_mech=np.array([[omega**2]]),
         m2_elec=np.zeros((1, 1)), k0_elec=np.zeros((1, 1)), cross_ratio=0.0,
     )
+
+
+def rk4_reference(rs, ic, t_f, dt):
+    """Stage-by-stage classic RK4 on (z, z'): the oracle for ``integrate``."""
+    steps = max(1, int(round(t_f / dt)))
+    n = rs.n_modes
+    minv = np.linalg.inv(rs.k2red)
+    a_k0 = minv @ rs.k0red
+    a_k1 = minv @ rs.k1red
+    b = minv @ rs.f_red
+
+    def deriv(y):
+        z, zd = y[:n], y[n:]
+        return np.concatenate([zd, b - a_k1 @ zd - a_k0 @ z])
+
+    y = np.concatenate([ic.z0, ic.zdot0]).astype(float)
+    out = np.empty((steps + 1, 2 * n))
+    out[0] = y
+    for i in range(steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * dt * k1)
+        k3 = deriv(y + 0.5 * dt * k2)
+        k4 = deriv(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+    return dynamics.Trajectory(t=dt * np.arange(steps + 1), z=out[:, :n],
+                               zdot=out[:, n:])
+
+
+def relative_drift(en):
+    return np.abs(en.total - en.total[0]).max() / en.total[0]
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +157,53 @@ class TestIntegrate:
             integrate(rs, ic, 2000.0, 1.0)
 
 
+class TestIntegrateOracle:
+    @pytest.mark.parametrize("resistance", [0.0, 0.2])
+    def test_matches_stage_loop_on_tuned_square(self, tuned_square4, resistance):
+        mesh, plate, net, _, basis, _ = tuned_square4
+        sys = assemble(mesh, build_material(plate, replace(net, resistance=resistance)),
+                       bcs_ss())
+        rs = reduce(sys, basis)
+        m1 = basis.mechanical_indices()[0]
+        e1 = basis.electric_indices()[0]
+        T1 = 2 * math.pi / basis.omegas[m1]
+        ic = unimodal_ic(rs, m1, 1.0)
+        t_f, dt = 2 * beat_period(rs, m1, e1), T1 / 100
+        traj = integrate(rs, ic, t_f, dt)
+        ref = rk4_reference(rs, ic, t_f, dt)
+        assert np.array_equal(traj.t, ref.t)
+        assert np.abs(traj.z - ref.z).max() <= 1e-12
+        assert np.abs(traj.zdot - ref.zdot).max() <= 1e-12
+        drift = relative_drift(energies(rs, traj))
+        drift_ref = relative_drift(energies(rs, ref))
+        assert drift == pytest.approx(drift_ref, rel=1e-6)
+
+    def test_constant_load_closed_form(self):
+        # z'' + w^2 z = f from rest: z = f / w^2 (1 - cos w t)
+        omega, f = 2.0, 0.5
+        rs = replace(single_oscillator(omega), f_red=np.array([f]))
+        ic = unimodal_ic(rs, 0, 0.0)
+        T = 2 * math.pi / omega
+        traj = integrate(rs, ic, 10 * T, T / 600)
+        expect = f / omega**2 * (1.0 - np.cos(omega * traj.t))
+        assert np.abs(traj.z[:, 0] - expect).max() <= 1e-8 * f / omega**2
+        assert np.abs(traj.zdot[:, 0] - f / omega * np.sin(omega * traj.t)).max() \
+            <= 1e-8 * f / omega
+        ref = rk4_reference(rs, ic, 10 * T, T / 600)
+        assert np.abs(traj.z - ref.z).max() <= 1e-14
+
+    def test_constant_load_on_coupled_pair(self):
+        # non-identity K2 so the load and both stiffness blocks go through K2^-1
+        rs = two_mode_surrogate(1.0, 0.1, 0.3, 1.0)
+        rs = replace(rs, k2red=np.array([[2.0, 0.1], [0.1, 0.5]]),
+                     f_red=np.array([0.2, -0.1]))
+        ic = unimodal_ic(rs, 0, 1.0)
+        traj = integrate(rs, ic, 50.0, 0.02)
+        ref = rk4_reference(rs, ic, 50.0, 0.02)
+        assert np.abs(traj.z - ref.z).max() <= 1e-12
+        assert np.abs(traj.zdot - ref.zdot).max() <= 1e-12
+
+
 class TestEnergies:
     def test_conservative_drift_and_order(self, tuned_square4):
         _, _, _, _, basis, rs = tuned_square4
@@ -145,8 +224,6 @@ class TestEnergies:
 
     def test_dissipative_monotonicity(self, tuned_square4):
         mesh, plate, net, _, basis, _ = tuned_square4
-        from dataclasses import replace
-
         sys_d = assemble(mesh, build_material(plate, replace(net, resistance=0.2)),
                          bcs_ss())
         rs = reduce(sys_d, basis)
@@ -206,8 +283,6 @@ class TestEnergies:
         # the total must equal the resistor dissipation -R_N |grad alpha|^2,
         # which in reduced coordinates is -(R_N/L_N) z^T K0_elec z (G_N = 0)
         mesh, plate, net, _, basis, _ = tuned_square4
-        from dataclasses import replace
-
         sys_d = assemble(mesh, build_material(plate, replace(net, resistance=0.15)),
                          bcs_ss())
         rs = reduce(sys_d, basis)
@@ -342,6 +417,61 @@ class TestDampingMachinery:
         en = energies(rs, traj)
         fit = fit_damping(traj, en.mech, basis.omegas[m1], beat_period=Tb)
         assert fit.zeta <= 1e-6
+
+    @pytest.mark.parametrize("conductance", [0.0, 0.7])
+    def test_resistance_family_matches_direct_assembly(self, tuned_square4,
+                                                       conductance):
+        mesh, plate, net, _, basis, _ = tuned_square4
+        net = replace(net, conductance=conductance)
+        reduced = dynamics.resistance_family(mesh, plate, net, bcs_ss(), basis)
+        for r in (0.013, 0.4, 3.7):
+            mat = build_material(plate, replace(net, resistance=r))
+            direct = reduce(assemble(mesh, mat, bcs_ss()), basis)
+            affine = reduced(r)
+            for name in ("k2red", "k1red", "k0red", "f_red", "m2_mech",
+                         "k0_mech", "m2_elec", "k0_elec"):
+                got, want = getattr(affine, name), getattr(direct, name)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+            assert affine.cross_ratio == pytest.approx(direct.cross_ratio,
+                                                       rel=1e-15)
+            assert affine.modes is basis
+
+    @pytest.mark.parametrize("conductance", [0.0, 0.7])
+    def test_evaluator_matches_direct_path(self, tuned_square4, conductance,
+                                           monkeypatch):
+        mesh, plate, net, _, basis, rs = tuned_square4
+        net = replace(net, conductance=conductance)
+        m1 = basis.mechanical_indices()[0]
+        e1 = basis.electric_indices()[0]
+        kwargs = dict(t_f=4 * beat_period(rs, m1, e1),
+                      dt=2 * math.pi / basis.omegas[m1] / 60)
+        evaluate = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
+                                              m1, **kwargs)
+
+        def direct_family(mesh, plate, network, bcs, basis, quad_degree):
+            def reduced(r):
+                mat = build_material(plate, replace(network, resistance=r))
+                return reduce(assemble(mesh, mat, bcs, quad_degree), basis)
+            return reduced
+
+        monkeypatch.setattr(dynamics, "resistance_family", direct_family)
+        direct = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
+                                            m1, **kwargs)
+        for r in (0.013, 0.4, 3.7):
+            got, want = evaluate(r), direct(r)
+            assert got.zeta == pytest.approx(want.zeta, rel=1e-9, abs=1e-15)
+            assert got.n_peaks == want.n_peaks
+            assert got.settling_time == pytest.approx(want.settling_time)
+
+    def test_evaluator_rejects_negative_resistance(self, tuned_square4):
+        mesh, plate, net, _, basis, rs = tuned_square4
+        m1 = basis.mechanical_indices()[0]
+        evaluate = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
+                                              m1, t_f=1.0, dt=0.01)
+        with pytest.raises(ValidationError, match="resistance"):
+            evaluate(-0.1)
+        with pytest.raises(ValidationError, match="resistance"):
+            evaluate(float("nan"))
 
     def test_optimize_bracket_validation(self):
         with pytest.raises(ValidationError):
