@@ -18,6 +18,21 @@ blocks skew (B_me = -B_em^T) and the quadratic-form energies conserved.
 Integration uses a cyclically symmetric rule that is exact for all the
 (at most degree 8) polynomial integrands, so the only discretization error
 left is the non-conformity of the bending element.
+
+The element stage works on the derivative slots h = (1, x, y, xx, yy, xy)
+of the local shape functions at the quadrature points. Every local DOF
+belongs to one field, so N_eps = sum_h H_h N_h and core @ N are matmuls of
+the slot rows with structured matrices that hold one nonzero per output
+entry and summed slot, and each form is a batched matmul over the points.
+Every sum runs in a fixed index order and leaves out only terms that are
+zero by the field structure. BLAS kernels that add each product in index
+order (OpenBLAS's do, except its small-matrix kernels, which the batch size
+keeps out of the way) therefore give the same matrices, to the last bit, as
+the plain padded two-field evaluation, whatever the batching. Local
+matrices are summed straight into the free-DOF CSR pattern, in the order in
+which converting the full COO matrix to CSR would add them. Last bits
+matter here: the eigenvalues of the ill-conditioned bending pencil amplify
+a last-bit change of the matrices to ~1e-9 relative.
 """
 
 from __future__ import annotations
@@ -43,8 +58,7 @@ _BC_COMPONENTS = {
     "free": (),
 }
 
-_CHUNK = 512  # elements per batch, bounds the batched-matmul working set
-
+_CHUNK = 64  # elements per batch, keeps the per-batch arrays in cache
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -158,17 +172,37 @@ class LocalMatrices:
     f: np.ndarray
 
 
-def _field_arrays(coords, quad, mu_override=None):
-    """Shape matrices at the quadrature points of an element batch.
+# Local DOFs in the order the element matrices are computed: the nine
+# bending DOFs (w, tx, ty per corner) first, then alpha per corner.
+_FIELD_ORDER = np.r_[0, 1, 2, 4, 5, 6, 8, 9, 10, 3, 7, 11]
+_FIELD = np.r_[np.zeros(9, dtype=int), np.ones(3, dtype=int)]  # 1: electric
 
-    ``coords`` has shape (nel, 3, 2). Returns N, N_x, N_y of shape
-    (nel, npts, 2, 12) and N_eps of shape (nel, npts, 5, 12) with the local
-    DOF order (w, tx, ty, alpha) per corner node. ``mu_override`` replaces
-    the geometric mu parameters (test hook for corrupted elements).
+
+def _monomial_tables(quad):
+    """Value, d/dL_l and d2/dL_l dL_m (l <= m) of the monomials, stacked.
+
+    Shape (10 * npts, 12): row block t is the value (t = 0), the first
+    derivatives (t = 1..3) and the second derivatives in the order (0, 0),
+    (0, 1), (0, 2), (1, 1), (1, 2), (2, 2) (t = 4..9).
+    """
+    m2 = el._monomial_second(quad.points)
+    pairs = [m2[l, m] for l in range(3) for m in range(l, 3)]
+    return np.concatenate([el._monomials(quad.points)[None],
+                           el._monomial_first(quad.points),
+                           np.stack(pairs)]).reshape(-1, 12)
+
+
+def _chunk_slots(coords, quad, tables, mu_override=None):
+    """Derivative slots of the local shape functions over one element chunk.
+
+    ``coords`` has shape (nel, 3, 2). Returns ``slots`` of shape
+    (nel, npts, 6, 12): slot h = (1, x, y, xx, yy, xy) of the shape function
+    of each local DOF (in ``_FIELD_ORDER``) at the quadrature points, and the
+    element areas. ``mu_override`` replaces the geometric mu parameters
+    (test hook for corrupted elements).
     """
     nel = len(coords)
-    pts = quad.points
-    npts = len(pts)
+    npts = len(quad.points)
 
     x, y = coords[:, :, 0], coords[:, :, 1]
     jj, kk = [1, 2, 0], [2, 0, 1]
@@ -181,96 +215,108 @@ def _field_arrays(coords, quad, mu_override=None):
     l2 = (x[:, jj] - x[:, kk]) ** 2 + (y[:, jj] - y[:, kk]) ** 2
     mu = (l2[:, kk] - l2[:, jj]) / l2 if mu_override is None else mu_override
 
-    comb = np.empty((nel, 9, 12))
-    for e in range(nel):
-        geom = el.TriangleGeometry(
-            x=x[e], y=y[e], area=float(area[e]), b=b[e], c=c[e],
-            lengths=np.sqrt(l2[e]), mu=mu[e],
-        )
-        comb[e] = el.shape_combination(geom) @ el.p_coefficients(geom.mu)
-
-    m0 = el._monomials(pts)
-    m1 = el._monomial_first(pts)
-    m2 = el._monomial_second(pts)
+    geom = el.TriangleGeometry(x=x, y=y, area=area, b=b, c=c,
+                               lengths=np.sqrt(l2), mu=mu)
+    comb = el.shape_combination(geom) @ el.p_coefficients(geom.mu)
     gx = b / (2.0 * area[:, None])
     gy = c / (2.0 * area[:, None])
 
-    # batched matmuls: first/second area-coordinate derivatives of the nine
-    # bending shapes, then chain rule through the constant gradients of L
+    # area-coordinate derivatives of the nine bending shapes, one batched
+    # matmul over all tables; then the chain rule through the constant
+    # gradients of L, term by term in a fixed order
     combt = np.ascontiguousarray(comb.transpose(0, 2, 1))  # (nel, 12, 9)
-    val = np.matmul(m0[None, :, :], combt)
-    d1 = np.stack([np.matmul(m1[l][None, :, :], combt) for l in range(3)])
-    dx = np.einsum("el,lepi->epi", gx, d1)
-    dy = np.einsum("el,lepi->epi", gy, d1)
-    dxx = np.zeros_like(val)
-    dyy = np.zeros_like(val)
-    dxy = np.zeros_like(val)
-    for l in range(3):
-        for m in range(l, 3):
-            d2 = np.matmul(m2[l, m][None, :, :], combt)
-            sym = 1.0 if l == m else 2.0
-            dxx += (sym * gx[:, l] * gx[:, m])[:, None, None] * d2
-            dyy += (sym * gy[:, l] * gy[:, m])[:, None, None] * d2
-            if l == m:
-                dxy += (gx[:, l] * gy[:, m])[:, None, None] * d2
-            else:
-                dxy += (gx[:, l] * gy[:, m]
-                        + gx[:, m] * gy[:, l])[:, None, None] * d2
+    d = np.matmul(tables[None], combt).reshape(nel, 10, npts, 9)
+    pairs = [(l, m) for l in range(3) for m in range(l, 3)]
+    sym = np.array([1.0 if l == m else 2.0 for l, m in pairs])
+    l_, m_ = np.array(pairs).T
+    cross = gx[:, l_] * gy[:, m_]
+    off = l_ != m_
+    cross[:, off] += gx[:, m_[off]] * gy[:, l_[off]]
+    second = d[:, 4:]
+    bending = (d[:, 0],
+               np.einsum("el,elpi->epi", gx, d[:, 1:4]),
+               np.einsum("el,elpi->epi", gy, d[:, 1:4]),
+               np.einsum("et,etpi->epi", sym * gx[:, l_] * gx[:, m_], second),
+               np.einsum("et,etpi->epi", sym * gy[:, l_] * gy[:, m_], second),
+               np.einsum("et,etpi->epi", cross, second))
 
-    bend = np.arange(12).reshape(3, 4)[:, :3].ravel()  # local dofs of the w field
-    alpha = np.array([3, 7, 11])
-
-    def place(pack_b, pack_a):
-        out = np.zeros((nel, npts, 2, 12))
-        out[:, :, 0, bend] = pack_b
-        if pack_a is not None:
-            out[:, :, 1, alpha] = pack_a
-        return out
-
-    lin_val = np.broadcast_to(pts, (nel, npts, 3))
-    n = place(val, lin_val)
-    n1 = place(dx, np.broadcast_to(gx[:, None, :], (nel, npts, 3)))
-    n2 = place(dy, np.broadcast_to(gy[:, None, :], (nel, npts, 3)))
-    n11 = place(dxx, None)
-    n22 = place(dyy, None)
-    n12 = place(dxy, None)
-
-    return n, n1, n2, n11, n22, n12, area
+    slots = np.empty((nel, npts, 6, 12))
+    for h, values in enumerate(bending):
+        slots[:, :, h, :9] = values
+    slots[:, :, 0, 9:] = quad.points
+    slots[:, :, 1, 9:] = gx[:, None, :]
+    slots[:, :, 2, 9:] = gy[:, None, :]
+    slots[:, :, 3:, 9:] = 0.0
+    return slots, area
 
 
-def _strain_matrix(h_stack, derivative_stack):
-    """N_eps = sum_h H_h * (h-th derivative of N) via the selector stack."""
-    nd = np.stack(derivative_stack)  # (6, nel, npts, 2, 12)
-    return np.einsum("hsf,hepfd->epsd", h_stack, nd, optimize=True)
+def _entrywise(scale):
+    """(12, f * 12) map taking a row of 12 DOF values v to scale[f, j] v[j].
+
+    Each output column has a single nonzero coefficient, so its matmul is
+    one exact product per entry.
+    """
+    out = np.zeros((12, len(scale), 12))
+    out[np.arange(12), :, np.arange(12)] = scale.T
+    return out.reshape(12, -1)
 
 
-def _chunk_geometry(coords, quad, h_stack, mu_override=None):
-    """Material-independent shape data of one element chunk."""
-    n, n1, n2, n11, n22, n12, area = _field_arrays(coords, quad, mu_override)
-    neps = _strain_matrix(h_stack, (n, n1, n2, n11, n22, n12))
-    return n, n1, n2, neps, area
+def _slot_contraction(coef):
+    """(k * 12, f * 12) map of slot-major DOF rows through coef[k, f, j].
+
+    Output column (f, j) sums coef[k, f, j] times slot k of DOF j over k in
+    ascending order, one term per slot.
+    """
+    k, f, _ = coef.shape
+    out = np.zeros((k, 12, f, 12))
+    for j in range(12):
+        out[:, j, :, j] = coef[:, :, j]
+    return out.reshape(k * 12, f * 12)
 
 
-def _local_matrix_batch(coords, mat, quad, mu_override=None, geometry=None):
-    if geometry is None:
-        geometry = _chunk_geometry(coords, quad, mat.H, mu_override)
-    n, n1, n2, neps, area = geometry
+def _local_matrix_batch(slots, area, mat, quad):
+    """Local K2, K1, K0 (nel, 12, 12), DOFs in ``_FIELD_ORDER``.
+
+    Every DOF lives in one field, so the two-field shape matrix N of slot h
+    is the slot's values spread over the field rows; N_eps = sum_h H_h N_h
+    and core @ N are then small structured matmuls of the slot rows, and
+    each form is one batched matmul over the points (and strain rows, for an
+    N_eps test side). Sums run over slots, points and fields in ascending
+    order; terms that are zero by the field structure are left out.
+    """
+    nel, npts = slots.shape[:2]
+    rows = slots.reshape(nel * npts, -1)
+
+    def slot(h):
+        return rows[:, 12 * h:12 * h + 12]
+
+    eps = rows @ _slot_contraction(mat.H[:, :, _FIELD])
+    n, n1, n2, neps = range(4)
 
     l_n = mat.network.inductance
     w_u = np.diag([1.0, l_n])
     w_eps = np.diag([1.0, 1.0, 1.0, l_n, l_n])
-
-    w = quad.weights
+    w = quad.weights[None, :, None]
 
     def bilin(test, core, trial):
-        # integral of (W test)^T core trial; output rows are test DOFs.
-        # Contract the small core first, then one batched matmul over the
-        # merged (point, field) axis.
-        tb = np.tensordot(core, trial, axes=([1], [2]))  # (f, nel, npts, 12)
-        tb = np.moveaxis(tb, 0, 2) * w[None, :, None, None]
-        nel, npts, f, q = tb.shape
-        lhs = test.reshape(nel, npts * f, test.shape[-1]).transpose(0, 2, 1)
-        out = np.matmul(lhs, tb.reshape(nel, npts * f, q))
+        # integral of (W test)^T core trial; output rows are test DOFs
+        f = len(core)
+        if trial == neps:
+            tb = eps @ _slot_contraction(np.repeat(core.T[:, :, None], 12, 2))
+        else:
+            tb = slot(trial) @ _entrywise(core[:, _FIELD])
+        tb = tb.reshape(nel, npts, f * 12)
+        tb *= w
+        if test == neps:
+            lhs = eps.reshape(nel, npts * 5, 12).transpose(0, 2, 1)
+            out = np.matmul(lhs, tb.reshape(nel, npts * f, 12))
+        else:
+            # a DOF's N row is its slot value in its own field's row only
+            v = slot(test).reshape(nel, npts, 12).transpose(0, 2, 1)
+            tb = tb.reshape(nel, npts, f, 12)
+            out = np.empty((nel, 12, 12))
+            out[:, :9] = np.matmul(v[:, :9], tb[:, :, 0])
+            out[:, 9:] = np.matmul(v[:, 9:], tb[:, :, 1])
         return out * area[:, None, None]
 
     k2 = -(bilin(n, w_u @ mat.G, n)
@@ -291,32 +337,124 @@ def local_matrices(geom, mat, quad=None):
     ``geom`` is a :class:`~pemplate.element.TriangleGeometry`; its mu values
     are honored even when they disagree with the vertex coordinates, so tests
     can probe deliberately corrupted elements. Distributed loads are out of
-    scope, so the local load vector is zero.
+    scope, so the local load vector is zero. A single element is too small
+    for BLAS's regular kernels, so the entries can differ from the
+    assembled ones in the last bit.
     """
     if quad is None:
         quad = el.triangle_quadrature(DEFAULT_QUADRATURE_DEGREE)
     coords = np.stack([geom.x, geom.y], axis=1)[None, :, :]
-    k2, k1, k0 = _local_matrix_batch(coords, mat, quad, geom.mu[None, :])
-    return LocalMatrices(k2=k2[0], k1=k1[0], k0=k0[0], f=np.zeros(12))
+    slots, area = _chunk_slots(coords, quad, _monomial_tables(quad),
+                               geom.mu[None, :])
+    back = np.argsort(_FIELD_ORDER)
+    k2, k1, k0 = (k[0][np.ix_(back, back)]
+                  for k in _local_matrix_batch(slots, area, mat, quad))
+    return LocalMatrices(k2=k2, k1=k1, k0=k0, f=np.zeros(12))
+
+
+@dataclass(frozen=True)
+class _ScatterPlan:
+    """Element entries -> free-DOF CSR, summed in scipy's COO -> CSR order.
+
+    Runs of entries that meet in one matrix position are summed left to
+    right, the i-th addend of every run of length > i at once: ``gather[i]``
+    holds those addends' element-entry indices for the ``gather[i]``-long
+    head of the runs ordered by decreasing length, and ``position`` puts each
+    run's sum at its CSR slot.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: tuple
+    position: np.ndarray
+    n_free: int
+
+    def collect(self, entries):
+        total = entries[self.gather[0]]
+        for idx in self.gather[1:]:
+            total[:len(idx)] += entries[idx]
+        data = np.empty_like(total)
+        data[self.position] = total
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_free, self.n_free))
+
+
+def _scatter_plan(mesh, dof_map):
+    """The CSR pattern of the free-DOF system and how to sum into it.
+
+    The summation order is the one ``coo_matrix.tocsr`` gives the full
+    matrix (a stable bucket sort by row, then scipy's sort of each row by
+    column, then left-to-right sums of equal columns), so the sums are the
+    same to the last bit as assembling the full matrix and slicing out the
+    free DOFs.
+    """
+    n_full = dof_map.n_full
+    gdofs = (DOFS_PER_NODE * mesh.triangles[:, :, None]
+             + np.arange(DOFS_PER_NODE, dtype=mesh.triangles.dtype)).ravel()
+    # COO entry (e, i, j) sits at (gdofs[12 e + i], gdofs[12 e + j]) in the
+    # order e, i, j; bucketing by row keeps the order of appearance
+    incidence = np.argsort(gdofs, kind="stable")
+    indptr = np.zeros(n_full + 1, dtype=np.int32)
+    np.cumsum(12 * np.bincount(gdofs, minlength=n_full), out=indptr[1:])
+    cols = gdofs.reshape(-1, 12)[incidence // 12].ravel()
+    # tag each entry with its index in the element matrices, whose DOFs are
+    # stored in _FIELD_ORDER
+    pos = np.argsort(_FIELD_ORDER)
+    row_start = 12.0 * (incidence - incidence % 12 + pos[incidence % 12])
+    tags = (row_start[:, None] + pos).ravel()
+    full = sp.csr_matrix((tags, cols.astype(np.int32), indptr),
+                         shape=(n_full, n_full))
+    full.sort_indices()
+    entry = full.data.astype(np.int64)
+    col = full.indices
+
+    new_run = np.empty(len(col), dtype=bool)
+    new_run[0] = True
+    np.not_equal(col[1:], col[:-1], out=new_run[1:])
+    new_run[indptr[1:-1]] = True
+    first = np.flatnonzero(new_run)
+    length = np.diff(np.r_[first, len(col)])
+    row = np.repeat(np.arange(n_full), np.diff(indptr))
+    free_row = dof_map.full_to_free[row[first]]
+    free_col = dof_map.full_to_free[col[first]]
+    keep = (free_row >= 0) & (free_col >= 0)
+    first, length = first[keep], length[keep]
+    free_row, free_col = free_row[keep], free_col[keep]
+
+    n_free = dof_map.n_free
+    out_ptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.bincount(free_row, minlength=n_free), out=out_ptr[1:])
+    by_length = np.argsort(-length.astype(np.int16), kind="stable")
+    first, length = first[by_length], length[by_length]
+    depth = length[0] if len(length) else 1
+    gather = tuple(entry[first[length > i] + i] for i in range(depth))
+    return _ScatterPlan(indptr=out_ptr, indices=free_col.astype(np.int32),
+                        gather=gather, position=by_length, n_free=n_free)
 
 
 class AssemblyWorkspace:
-    """Caches material-independent shape data for repeated assembly.
+    """Reuses the mesh-dependent stages of assembly across repeated calls.
 
-    The per-element shape matrices and strain interpolation do not depend on
-    the material, so they are computed once per (mesh, quadrature) and
-    reused. The resistance search assembles the same mesh twice (R_N = 0 and
-    R_N = 1, see :func:`pemplate.dynamics.resistance_family`); the second
-    assembly skips the geometry stage.
+    One workspace serves one mesh: it keeps the free-DOF sparsity pattern
+    and summation plan of each boundary-condition set, so a repeated
+    assembly (the R_N = 0 / R_N = 1 pair of
+    :func:`pemplate.dynamics.resistance_family`) only computes the local
+    matrices.
     """
 
     def __init__(self):
-        self._chunks = {}
+        self._mesh = None
+        self._plans = {}
 
-    def chunk(self, key, build):
-        if key not in self._chunks:
-            self._chunks[key] = build()
-        return self._chunks[key]
+    def scatter_plan(self, mesh, bcs, dof_map):
+        if self._mesh is None:
+            self._mesh = mesh
+        elif mesh is not self._mesh:
+            raise ValidationError("an AssemblyWorkspace serves a single mesh")
+        key = tuple(bcs)
+        if key not in self._plans:
+            self._plans[key] = _scatter_plan(mesh, dof_map)
+        return self._plans[key]
 
 
 def assemble(mesh, mat, bcs=(), quad_degree=DEFAULT_QUADRATURE_DEGREE,
@@ -325,7 +463,7 @@ def assemble(mesh, mat, bcs=(), quad_degree=DEFAULT_QUADRATURE_DEGREE,
 
     ``point_loads`` is an optional sequence of (node, component, value)
     nodal forces feeding the load vector F. Pass an
-    :class:`AssemblyWorkspace` to reuse the geometry stage across repeated
+    :class:`AssemblyWorkspace` to reuse the sparsity pattern across repeated
     assemblies of the same mesh.
     """
     if quad_degree < DEFAULT_QUADRATURE_DEGREE:
@@ -335,50 +473,29 @@ def assemble(mesh, mat, bcs=(), quad_degree=DEFAULT_QUADRATURE_DEGREE,
         )
     quad = el.triangle_quadrature(quad_degree)
     dof_map = build_dof_map(mesh, bcs)
+    if workspace is None:
+        workspace = AssemblyWorkspace()
+    plan = workspace.scatter_plan(mesh, bcs, dof_map)
 
-    gdofs = (DOFS_PER_NODE * mesh.triangles[:, :, None]
-             + np.arange(DOFS_PER_NODE)[None, None, :]).reshape(-1, 12)
+    tables = _monomial_tables(quad)
+    entries = np.empty((3, mesh.n_triangles, 12, 12))
+    # near-equal batches: a much smaller last batch would go through BLAS's
+    # small-matrix kernels, which need not add products in index order
+    n_batches = -(-mesh.n_triangles // _CHUNK)
+    edges = np.linspace(0, mesh.n_triangles, n_batches + 1).round().astype(int)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        coords = mesh.nodes[mesh.triangles[start:stop]]
+        slots, area = _chunk_slots(coords, quad, tables)
+        entries[:, start:stop] = _local_matrix_batch(slots, area, mat, quad)
+    k2, k1, k0 = (plan.collect(e.ravel()) for e in entries)
 
-    n_full = dof_map.n_full
-    h_stack = mat.H
-    mats = {"k2": [], "k1": [], "k0": []}
-    rows_all, cols_all = [], []
-    for start in range(0, mesh.n_triangles, _CHUNK):
-        stop = min(start + _CHUNK, mesh.n_triangles)
-
-        def build(start=start, stop=stop):
-            coords = mesh.nodes[mesh.triangles[start:stop]]
-            return _chunk_geometry(coords, quad, h_stack)
-
-        if workspace is not None:
-            geometry = workspace.chunk((quad_degree, start, stop), build)
-        else:
-            geometry = build()
-        k2, k1, k0 = _local_matrix_batch(None, mat, quad, geometry=geometry)
-        g = gdofs[start:stop]
-        rows_all.append(np.repeat(g, 12, axis=1).ravel())
-        cols_all.append(np.tile(g, (1, 12)).ravel())
-        mats["k2"].append(k2.ravel())
-        mats["k1"].append(k1.ravel())
-        mats["k0"].append(k0.ravel())
-
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    free = dof_map.free_to_full
-
-    def collect(chunks):
-        full = sp.coo_matrix(
-            (np.concatenate(chunks), (rows, cols)), shape=(n_full, n_full)
-        ).tocsr()
-        return full[free][:, free].tocsr()
-
-    f_full = np.zeros(n_full)
+    f_full = np.zeros(dof_map.n_full)
     for node, comp, value in point_loads:
         f_full[DOFS_PER_NODE * node + comp] += value
 
     return AssembledSystem(
-        k2=collect(mats["k2"]), k1=collect(mats["k1"]), k0=collect(mats["k0"]),
-        f=f_full[free], dof_map=dof_map, mesh=mesh, material=mat,
+        k2=k2, k1=k1, k0=k0, f=f_full[dof_map.free_to_full], dof_map=dof_map,
+        mesh=mesh, material=mat,
     )
 
 
@@ -437,13 +554,12 @@ def patch_test(mat, tol=1e-9, rigid_tol=1e-12, corrupt_mu=False):
         free = sys.dof_map.free_to_full
     else:
         # negative control: rebuild local matrices with mu sign flipped
-        quad = el.triangle_quadrature(DEFAULT_QUADRATURE_DEGREE)
         n_full = DOFS_PER_NODE * mesh.n_nodes
         k0 = np.zeros((n_full, n_full))
         for tri in mesh.triangles:
             geom = el.triangle_geometry(mesh.nodes[tri])
             geom = replace(geom, mu=-geom.mu)
-            loc = local_matrices(geom, mat, quad)
+            loc = local_matrices(geom, mat)
             g = (DOFS_PER_NODE * tri[:, None] + np.arange(4)[None, :]).ravel()
             k0[np.ix_(g, g)] += loc.k0
         free = np.arange(n_full)

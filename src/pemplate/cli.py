@@ -389,26 +389,12 @@ def _package_version():
         return "unknown"
 
 
-def _set_threads(k):
-    if k is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=k)
-    except ImportError:
-        print("warning: threadpoolctl not available; --threads ignored",
-              file=sys.stderr)
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="pemplate",
         description="Coupled-plate eigenanalysis, network tuning and "
                     "electric vibration damping.",
     )
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap the BLAS/LAPACK thread count")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, needs_config=True, **kw):
@@ -447,7 +433,6 @@ def _config_path(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         if args.command == "patch-test":
             return cmd_patch_test(corrupt_mu=args.corrupt_mu)

@@ -1,14 +1,17 @@
 """Run-configuration parsing for the batch front-end.
 
 Grammar: a flat structured-text file of ``[section]`` headers followed by
-``key = value`` lines. ``#`` starts a comment, values may be quoted, and a
-section name may repeat (each ``[bc]`` block declares one boundary
-condition). Every numeric parameter is validated against the owning module's
-invariants before any computation starts.
+``key = value`` lines. ``#`` starts a comment, values may be quoted (a
+quoted value may contain ``#``), and only the ``[bc]`` section may repeat
+(each block declares one boundary condition). Every numeric parameter is
+validated against the owning module's invariants before any computation
+starts, and an unknown section or a key the run does not read is an error
+naming its line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,16 +23,36 @@ from .errors import ValidationError
 from .material import NetworkParams, PlateParams, build_material
 
 
+# Every section the parser reads; any other section name is a typo.
+_SECTIONS = ("mesh", "material", "network", "bc", "modal", "tuning",
+             "simulation", "search")
+
+# a quoted value, which may contain '#', after 'key ='
+_QUOTED = re.compile(r"""^([^=#]*=\s*)("[^"]*"|'[^']*')(.*)$""")
+
+
+def _strip_comment(raw):
+    """``raw`` without its ``#`` comment; a quoted value keeps its ``#``."""
+    m = _QUOTED.match(raw)
+    if m:
+        return m.group(1) + m.group(2) + m.group(3).split("#", 1)[0]
+    return raw.split("#", 1)[0]
+
+
 def parse_sections(text, origin="<config>"):
-    """Parse the raw text into an ordered list of (section, {key: value})."""
+    """Parse the raw text into an ordered list of sections.
+
+    Each is a :class:`_Section`: a ``{key: value}`` dict that also records
+    the line of its header and of every key.
+    """
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = (line[1:-1].strip(), {})
+            current = _Section(line[1:-1].strip(), {}, lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -41,14 +64,20 @@ def parse_sections(text, origin="<config>"):
         value = value.strip().strip('"').strip("'")
         if not key:
             raise ValidationError(f"{origin}:{lineno}: empty key")
-        current[1][key] = value
+        if key in current:
+            raise ValidationError(
+                f"{origin}:{lineno}: duplicate key '{key}' in [{current.name}]")
+        current[key] = value
+        current.key_lines[key] = lineno
     return sections
 
 
 class _Section(dict):
-    def __init__(self, name, data):
+    def __init__(self, name, data, lineno=None):
         super().__init__(data)
         self.name = name
+        self.lineno = lineno
+        self.key_lines = {}
         self.used = set()
 
     def get_str(self, key, default=None):
@@ -153,13 +182,16 @@ def parse_config(text, origin="<config>", base_dir=None):
     raw_sections = parse_sections(text, origin)
     singles = {}
     bc_sections = []
-    for name, data in raw_sections:
-        if name == "bc":
-            bc_sections.append(_Section(name, data))
-        elif name in singles:
-            raise ValidationError(f"{origin}: duplicate section [{name}]")
+    for sec in raw_sections:
+        if sec.name not in _SECTIONS:
+            raise ValidationError(
+                f"{origin}:{sec.lineno}: unknown section [{sec.name}]")
+        if sec.name == "bc":
+            bc_sections.append(sec)
+        elif sec.name in singles:
+            raise ValidationError(f"{origin}: duplicate section [{sec.name}]")
         else:
-            singles[name] = _Section(name, data)
+            singles[sec.name] = sec
 
     def section(name):
         return singles.get(name, _Section(name, {}))
@@ -269,6 +301,16 @@ def parse_config(text, origin="<config>", base_dir=None):
         search_hi = search.get_float("r_hi")
         if not 0 < search_lo < search_hi:
             raise ValidationError("[search] needs 0 < r_lo < r_hi")
+
+    unused = sorted((sec.key_lines[key], sec.name, key)
+                    for sec in raw_sections for key in sec
+                    if key not in sec.used)
+    if unused:
+        lineno, name, key = unused[0]
+        raise ValidationError(
+            f"{origin}:{lineno}: unknown key '{key}' in [{name}] (misspelled, "
+            "or not used with the other settings of this file)"
+        )
 
     return RunConfig(
         mesh_kind=kind, mesh_n=n, mesh_side=side, mesh_pattern=pattern,

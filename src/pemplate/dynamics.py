@@ -302,8 +302,9 @@ def resistance_family(mesh, plate, network, bcs, basis,
     R_N enters the material only linearly (the damping and stiffness
     couplings S, T and R), so every reduced matrix is affine in it. The
     system is assembled and reduced at R_N = 0 and R_N = 1 with the rest of
-    ``network`` (G_N included); a candidate R is then rs0 + R (rs1 - rs0),
-    with the cross-energy ratio R / L_N.
+    ``network`` (G_N included), the second assembly reusing the first one's
+    sparsity pattern; a candidate R is then rs0 + R (rs1 - rs0), with the
+    cross-energy ratio R / L_N.
     """
     workspace = asm.AssemblyWorkspace()
 

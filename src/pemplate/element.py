@@ -87,25 +87,24 @@ def p_coefficients(mu):
 
         P7 = L1^2 L2 + (1/2) L1L2L3 {3(1-mu3)L1 - (1+3mu3)L2 + (1+3mu3)L3}
 
-    and its cyclic permutations (with mu1 for P8, mu2 for P9).
+    and its cyclic permutations (with mu1 for P8, mu2 for P9). ``mu`` of
+    shape (..., 3) gives coefficients of shape (..., 9, 12).
     """
-    m1, m2, m3 = mu
-    coef = np.zeros((9, 12))
-    coef[0, 0] = coef[1, 1] = coef[2, 2] = 1.0
-    coef[3, 3] = coef[4, 4] = coef[5, 5] = 1.0
+    mu = np.asarray(mu, dtype=float)
+    m1, m2, m3 = mu[..., 0], mu[..., 1], mu[..., 2]
+    coef = np.zeros(mu.shape[:-1] + (9, 12))
+    diag = np.arange(9)
+    coef[..., diag, diag] = 1.0
     # columns 6..8: L1^2 L2, L2^2 L3, L3^2 L1; columns 9..11: L1L2L3 * (L1, L2, L3)
-    coef[6, 6] = 1.0
-    coef[6, 9] = 1.5 * (1.0 - m3)
-    coef[6, 10] = -0.5 * (1.0 + 3.0 * m3)
-    coef[6, 11] = 0.5 * (1.0 + 3.0 * m3)
-    coef[7, 7] = 1.0
-    coef[7, 10] = 1.5 * (1.0 - m1)
-    coef[7, 11] = -0.5 * (1.0 + 3.0 * m1)
-    coef[7, 9] = 0.5 * (1.0 + 3.0 * m1)
-    coef[8, 8] = 1.0
-    coef[8, 11] = 1.5 * (1.0 - m2)
-    coef[8, 9] = -0.5 * (1.0 + 3.0 * m2)
-    coef[8, 10] = 0.5 * (1.0 + 3.0 * m2)
+    coef[..., 6, 9] = 1.5 * (1.0 - m3)
+    coef[..., 6, 10] = -0.5 * (1.0 + 3.0 * m3)
+    coef[..., 6, 11] = 0.5 * (1.0 + 3.0 * m3)
+    coef[..., 7, 10] = 1.5 * (1.0 - m1)
+    coef[..., 7, 11] = -0.5 * (1.0 + 3.0 * m1)
+    coef[..., 7, 9] = 0.5 * (1.0 + 3.0 * m1)
+    coef[..., 8, 11] = 1.5 * (1.0 - m2)
+    coef[..., 8, 9] = -0.5 * (1.0 + 3.0 * m2)
+    coef[..., 8, 10] = 0.5 * (1.0 + 3.0 * m2)
     return coef
 
 
@@ -165,28 +164,27 @@ def shape_combination(geom):
     Row order is (w, dw/dx, dw/dy) for each corner node. The raw printed
     combination produces rotation-type slope rows with unit y-slope resp.
     negative unit x-slope at the owning vertex; the rows are remapped here so
-    that the DOFs are the Cartesian slopes directly.
+    that the DOFs are the Cartesian slopes directly. A geometry with a
+    leading element axis gives a (nel, 9, 9) stack.
     """
-    S = np.zeros((9, 9))
+    b, c = np.asarray(geom.b), np.asarray(geom.c)
+    S = np.zeros(b.shape[:-1] + (9, 9))
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        w = np.zeros(9)
-        w[i] = 1.0
-        w[i + 3] -= 1.0
-        w[k + 3] += 1.0
-        w[i + 6] += 2.0
-        w[k + 6] -= 2.0
-        rot_b = np.zeros(9)  # unit dw/dy at vertex i
-        rot_b[k + 6] -= geom.b[j]
-        rot_b[k + 3] += geom.b[j]
-        rot_b[i + 6] -= geom.b[k]
-        rot_c = np.zeros(9)  # unit -dw/dx at vertex i
-        rot_c[k + 6] -= geom.c[j]
-        rot_c[k + 3] += geom.c[j]
-        rot_c[i + 6] -= geom.c[k]
-        S[3 * i + 0] = w
-        S[3 * i + 1] = -rot_c
-        S[3 * i + 2] = rot_b
+        w, dx, dy = 3 * i, 3 * i + 1, 3 * i + 2
+        S[..., w, i] = 1.0
+        S[..., w, i + 3] = -1.0
+        S[..., w, k + 3] = 1.0
+        S[..., w, i + 6] = 2.0
+        S[..., w, k + 6] = -2.0
+        # dw/dx row: the negated rotation row with unit -dw/dx at vertex i
+        S[..., dx, k + 6] = c[..., j]
+        S[..., dx, k + 3] = -c[..., j]
+        S[..., dx, i + 6] = c[..., k]
+        # dw/dy row: the rotation row with unit dw/dy at vertex i
+        S[..., dy, k + 6] = -b[..., j]
+        S[..., dy, k + 3] = b[..., j]
+        S[..., dy, i + 6] = -b[..., k]
     return S
 
 

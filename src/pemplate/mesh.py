@@ -23,9 +23,13 @@ _AREA_TOL = 1e-14
 
 
 def triangle_signed_area(coords):
-    """Signed area of a triangle given a (3, 2) coordinate array."""
-    (x1, y1), (x2, y2), (x3, y3) = coords
-    return 0.5 * ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+    """Signed area of a triangle given a (3, 2) coordinate array.
+
+    A (ntri, 3, 2) stack gives the (ntri,) signed areas.
+    """
+    p = np.asarray(coords)
+    return 0.5 * ((p[..., 1, 0] - p[..., 0, 0]) * (p[..., 2, 1] - p[..., 0, 1])
+                  - (p[..., 2, 0] - p[..., 0, 0]) * (p[..., 1, 1] - p[..., 0, 1]))
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,31 @@ class Mesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValidationError("triangle array must have shape (n_triangles, 3)")
         n = len(self.nodes)
-        for e, tri in enumerate(self.triangles):
-            if len(set(int(i) for i in tri)) != 3:
+        tris = self.triangles
+        # per-triangle checks in order: repeated node, dangling node, zero
+        # area, clockwise; the first triangle failing any of them is reported
+        repeated = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
+                    | (tris[:, 0] == tris[:, 2]))
+        dangling = ((tris < 0) | (tris >= n)).any(axis=1)
+        area = np.zeros(len(tris))
+        ok = ~(repeated | dangling)
+        area[ok] = triangle_signed_area(self.nodes[tris[ok]])
+        bad = np.flatnonzero(~ok | (np.abs(area) <= _AREA_TOL) | (area < 0))
+        if bad.size:
+            e = int(bad[0])
+            tri = tris[e]
+            if repeated[e]:
                 raise ValidationError(f"triangle {e} repeats a node: {tuple(tri)}")
-            for i in tri:
-                if not 0 <= i < n:
-                    raise DanglingNodeError(
-                        f"triangle {e} references node {int(i)} of {n}"
-                    )
-            area = triangle_signed_area(self.nodes[tri])
-            if abs(area) <= _AREA_TOL:
-                raise ZeroAreaTriangleError(f"triangle {e} has zero area")
-            if area < 0:
-                raise ValidationError(
-                    f"triangle {e} is clockwise (signed area {area:g})"
+            if dangling[e]:
+                i = next(i for i in tri if not 0 <= i < n)
+                raise DanglingNodeError(
+                    f"triangle {e} references node {int(i)} of {n}"
                 )
+            if abs(area[e]) <= _AREA_TOL:
+                raise ZeroAreaTriangleError(f"triangle {e} has zero area")
+            raise ValidationError(
+                f"triangle {e} is clockwise (signed area {area[e]:g})"
+            )
         referenced = np.zeros(n, dtype=bool)
         referenced[self.triangles.ravel()] = True
         if not referenced.all():
@@ -104,11 +118,7 @@ class Mesh:
         )
 
     def triangle_areas(self):
-        p = self.nodes[self.triangles]
-        return 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return triangle_signed_area(self.nodes[self.triangles])
 
     def total_area(self):
         return float(self.triangle_areas().sum())

@@ -104,9 +104,18 @@ def _solve_pencil(k0, k2, n):
             raise NumericalError(f"sparse eigensolve failed: {exc}") from None
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        # enforce K2-orthonormality (ARPACK returns it only approximately)
+        # enforce K2-orthonormality (ARPACK returns it only approximately);
+        # the Ritz Gram fails to factor exactly when K2 is not definite
         gram = vecs.T @ (s2 @ vecs)
-        vecs = vecs @ np.linalg.inv(np.linalg.cholesky(gram).T)
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "K2 is not positive definite (Ritz Gram matrix of the sparse "
+                "eigensolve); check boundary conditions and material "
+                "parameters"
+            ) from None
+        vecs = vecs @ np.linalg.inv(chol.T)
     if vals[0] <= 0:
         raise NumericalError(
             f"smallest eigenvalue {vals[0]:g} is not positive; K0 appears "

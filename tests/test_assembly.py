@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+from pemplate import assembly
+from pemplate import element as el
 from pemplate.assembly import (
     AssemblyWorkspace,
     BoundaryCondition,
@@ -13,7 +17,12 @@ from pemplate.assembly import (
     patch_test,
     patch_test_mesh,
 )
-from pemplate.element import triangle_geometry
+from pemplate.element import (
+    linear_shape_functions,
+    specht_shape_functions,
+    triangle_geometry,
+    triangle_quadrature,
+)
 from pemplate.errors import ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
 from pemplate.mesh import Mesh, generate_structured_square
@@ -167,6 +176,149 @@ def oracle_bending_k2(geom, mass, rotary):
     return k
 
 
+def quadrature_oracle(geom, mat):
+    """K2, K1, K0 of one element from the weak forms, point by point.
+
+    Evaluates N, its derivatives and N_eps at the points of the degree-8
+    rule (exact for every integrand) from ``specht_shape_functions`` and
+    sums the three forms directly, without the assembly's slot arrays and
+    structured matmuls.
+    """
+    q = triangle_quadrature(8)
+    ev = specht_shape_functions(geom, q.points)
+    lin, grad = linear_shape_functions(geom, q.points)
+    bend, alpha = [0, 1, 2, 4, 5, 6, 8, 9, 10], [3, 7, 11]
+
+    def field(bending, electric=0.0):
+        out = np.zeros((len(q.weights), 2, 12))
+        out[:, 0, bend] = bending
+        out[:, 1, alpha] = electric
+        return out
+
+    slots = [field(ev.value, lin), field(ev.dx, grad[:, 0]),
+             field(ev.dy, grad[:, 1]), field(ev.dxx), field(ev.dyy),
+             field(ev.dxy)]
+    n, nx, ny = slots[:3]
+    neps = sum(np.einsum("sf,pfi->psi", mat.H[h], slots[h]) for h in range(6))
+    l_n = mat.network.inductance
+    w_u = np.diag([1.0, l_n])
+    w_eps = np.diag([1.0, 1.0, 1.0, l_n, l_n])
+
+    def form(test, core, trial):
+        return geom.area * np.einsum("p,pfi,fg,pgj->ij", q.weights, test, core,
+                                     trial)
+
+    k2 = -(form(n, w_u @ mat.G, n) + form(nx, w_u @ mat.G_B1, nx)
+           + form(ny, w_u @ mat.G_B2, ny))
+    k1 = -(form(n, w_u @ mat.S, n) + form(n, w_u @ mat.V, neps)
+           - form(neps, w_eps @ mat.C, n))
+    k0 = -(form(n, w_u @ mat.T, n) - form(neps, w_eps @ mat.E, neps)
+           - form(neps, w_eps @ mat.R, n))
+    return k2, k1, k0
+
+
+def dense_random_material(rng):
+    """A material whose every weak-form matrix is dense and random."""
+    mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
+    names = ("G", "S", "T", "V", "E", "C", "R", "G_B1", "G_B2")
+    return dataclasses.replace(
+        mat, **{k: rng.normal(size=getattr(mat, k).shape) for k in names})
+
+
+def assert_matches_oracle(loc, geom, mat, rel=1e-13):
+    for got, want in zip((loc.k2, loc.k1, loc.k0), quadrature_oracle(geom, mat)):
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def assembly_geometry(coords):
+    """triangle_geometry with mu from squared edge lengths summed directly.
+
+    That is how the assembly computes mu; via hypot it can differ in the
+    last bit.
+    """
+    edge = coords[[1, 2, 0]] - coords[[2, 0, 1]]
+    l2 = edge[:, 0] ** 2 + edge[:, 1] ** 2
+    mu = (l2[[2, 0, 1]] - l2[[1, 2, 0]]) / l2
+    return dataclasses.replace(triangle_geometry(coords), mu=mu)
+
+
+def padded_field_local_matrices(coords, mat):
+    """K2, K1, K0 (nel, 12, 12) by the padded two-field formulation.
+
+    Builds N, N_x, N_y, N_xx, N_yy, N_xy as (nel, npts, 2, 12) arrays with
+    zeros off each DOF's field, N_eps through the full selector stack, and
+    each form as core-then-points products over the merged (point, field)
+    axis, every sum in index order. The assembly leaves out the structural
+    zeros and uses other array layouts; with a BLAS that sums each product
+    in index order (as OpenBLAS does) the results agree to the last bit,
+    which keeps outputs reproducible against stored references.
+    """
+    quad = triangle_quadrature(8)
+    nel, pts = len(coords), quad.points
+    npts = len(pts)
+    x, y = coords[:, :, 0], coords[:, :, 1]
+    jj, kk = [1, 2, 0], [2, 0, 1]
+    b = y[:, jj] - y[:, kk]
+    c = x[:, kk] - x[:, jj]
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    l2 = (x[:, jj] - x[:, kk]) ** 2 + (y[:, jj] - y[:, kk]) ** 2
+    mu = (l2[:, kk] - l2[:, jj]) / l2
+    comb = np.stack([
+        el.shape_combination(triangle_geometry(coords[e]))
+        @ el.p_coefficients(mu[e]) for e in range(nel)])
+    combt = np.ascontiguousarray(comb.transpose(0, 2, 1))
+    gx = b / (2.0 * area[:, None])
+    gy = c / (2.0 * area[:, None])
+    val = np.matmul(el._monomials(pts)[None], combt)
+    d1 = np.stack([np.matmul(m[None], combt)
+                   for m in el._monomial_first(pts)])
+    dx = np.einsum("el,lepi->epi", gx, d1)
+    dy = np.einsum("el,lepi->epi", gy, d1)
+    m2 = el._monomial_second(pts)
+    dxx, dyy, dxy = (np.zeros_like(val) for _ in range(3))
+    for l in range(3):
+        for m in range(l, 3):
+            d2 = np.matmul(m2[l, m][None], combt)
+            sym = 1.0 if l == m else 2.0
+            dxx += (sym * gx[:, l] * gx[:, m])[:, None, None] * d2
+            dyy += (sym * gy[:, l] * gy[:, m])[:, None, None] * d2
+            cross = (gx[:, l] * gy[:, m] if l == m
+                     else gx[:, l] * gy[:, m] + gx[:, m] * gy[:, l])
+            dxy += cross[:, None, None] * d2
+    bend, alpha = [0, 1, 2, 4, 5, 6, 8, 9, 10], [3, 7, 11]
+
+    def place(bending, electric=None):
+        out = np.zeros((nel, npts, 2, 12))
+        out[:, :, 0, bend] = bending
+        if electric is not None:
+            out[:, :, 1, alpha] = electric
+        return out
+
+    n = place(val, np.broadcast_to(pts, (nel, npts, 3)))
+    n1 = place(dx, np.broadcast_to(gx[:, None, :], (nel, npts, 3)))
+    n2 = place(dy, np.broadcast_to(gy[:, None, :], (nel, npts, 3)))
+    slots = np.stack([n, n1, n2, place(dxx), place(dyy), place(dxy)])
+    neps = np.einsum("hsf,hepfd->epsd", mat.H, slots, optimize=True)
+    l_n = mat.network.inductance
+    w_u = np.diag([1.0, l_n])
+    w_eps = np.diag([1.0, 1.0, 1.0, l_n, l_n])
+
+    def form(test, core, trial):
+        tb = np.tensordot(core, trial, axes=([1], [2]))
+        tb = np.moveaxis(tb, 0, 2) * quad.weights[None, :, None, None]
+        f = tb.shape[2]
+        lhs = test.reshape(nel, npts * f, 12).transpose(0, 2, 1)
+        return np.matmul(lhs, tb.reshape(nel, npts * f, 12)) * area[:, None, None]
+
+    k2 = -(form(n, w_u @ mat.G, n) + form(n1, w_u @ mat.G_B1, n1)
+           + form(n2, w_u @ mat.G_B2, n2))
+    k1 = -(form(n, w_u @ mat.S, n) + form(n, w_u @ mat.V, neps)
+           - form(neps, w_eps @ mat.C, n))
+    k0 = -(form(n, w_u @ mat.T, n) - form(neps, w_eps @ mat.E, neps)
+           - form(neps, w_eps @ mat.R, n))
+    return k2, k1, k0
+
+
 class TestLocalMatrices:
     def test_electric_stiffness_is_laplacian(self):
         g = triangle_geometry(np.array([[0.0, 0], [1, 0], [0, 1]]))
@@ -218,6 +370,45 @@ class TestLocalMatrices:
         b_me = loc.k1[np.ix_(bend, ai)]
         b_em = loc.k1[np.ix_(ai, bend)]
         assert np.abs(b_me + b_em.T).max() < 1e-12
+
+    def test_quadrature_oracle_five_random_triangles(self):
+        rng = np.random.default_rng(7)
+        coupled_damped = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        for _ in range(5):
+            g = triangle_geometry(random_ccw(rng))
+            for mat in (coupled_damped, dense_random_material(rng)):
+                assert_matches_oracle(local_matrices(g, mat), g, mat)
+
+    def test_padded_field_formulation_bitwise(self):
+        # a batch large enough for BLAS's regular kernels; dense random
+        # matrices, selectors included, make every sum a long one
+        rng = np.random.default_rng(12)
+        coords = np.stack([random_ccw(rng) for _ in range(24)])
+        coupled_damped = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        random_h = dense_random_material(rng)
+        random_h = dataclasses.replace(
+            random_h, H=rng.normal(size=random_h.H.shape))
+        quad = triangle_quadrature(8)
+        slots, area = assembly._chunk_slots(
+            coords, quad, assembly._monomial_tables(quad))
+        back = np.argsort(assembly._FIELD_ORDER)
+        for mat in (coupled_damped, random_h):
+            want = padded_field_local_matrices(coords, mat)
+            got = assembly._local_matrix_batch(slots, area, mat, quad)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[:, back][:, :, back], w)
+
+    def test_mu_override_is_honored(self):
+        # the corrupt_mu negative control feeds mu values that disagree with
+        # the vertices; the local matrices must follow geom.mu, not recompute it
+        rng = np.random.default_rng(9)
+        g = triangle_geometry(random_ccw(rng))
+        mat = dense_random_material(rng)
+        for mu in (-g.mu, rng.uniform(-1.0, 1.0, size=3)):
+            bad = dataclasses.replace(g, mu=mu)
+            loc = local_matrices(bad, mat)
+            assert_matches_oracle(loc, bad, mat)
+            assert np.abs(loc.k0 - local_matrices(g, mat).k0).max() > 1e-3
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValidationError):
@@ -343,10 +534,79 @@ class TestAssemble:
         assert (a.k0 - b.k0).nnz == 0
         assert np.abs((b.k0 - c.k0)).max() == 0.0
 
+    def test_workspace_serves_one_mesh(self):
+        ws = AssemblyWorkspace()
+        assemble(generate_structured_square(2, 1.0), material(), bcs_ss(),
+                 workspace=ws)
+        with pytest.raises(ValidationError):
+            assemble(generate_structured_square(3, 1.0), material(), bcs_ss(),
+                     workspace=ws)
+
     def test_low_quadrature_degree_rejected(self):
         mesh = generate_structured_square(2, 1.0)
         with pytest.raises(ValidationError):
             assemble(mesh, material(), bcs_ss(), quad_degree=4)
+
+    def test_bits_match_full_coo_assembly(self, monkeypatch):
+
+        # element by element, summed by scipy's COO -> CSR on all DOFs, then
+        # the free rows and columns sliced out: the batched assembly and its
+        # direct free-DOF summation must agree to the last bit, whatever the
+        # batch size
+        rng = np.random.default_rng(11)
+        base = generate_structured_square(3, 1.0, "crossed")
+        nodes = base.nodes.copy()
+        inner = [i for i in range(base.n_nodes)
+                 if i not in base.edge_groups["boundary"]]
+        nodes[inner] += rng.uniform(-0.04, 0.04, size=(len(inner), 2))
+        mesh = Mesh(nodes, base.triangles, base.edge_groups)
+        mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        bcs = [BoundaryCondition("boundary", "clamped")]
+        local = [local_matrices(assembly_geometry(mesh.nodes[t]), mat)
+                 for t in mesh.triangles]
+        g = (4 * mesh.triangles[:, :, None] + np.arange(4)).reshape(-1, 12)
+        rows = np.repeat(g, 12, axis=1).ravel()
+        cols = np.tile(g, (1, 12)).ravel()
+        n_full = 4 * mesh.n_nodes
+        for chunk in (5, 512):
+            monkeypatch.setattr(assembly, "_CHUNK", chunk)
+            sys = assemble(mesh, mat, bcs)
+            free = sys.dof_map.free_to_full
+            for name in ("k2", "k1", "k0"):
+                data = np.concatenate([getattr(loc, name).ravel()
+                                       for loc in local])
+                want = sp.coo_matrix((data, (rows, cols)),
+                                     shape=(n_full, n_full)).tocsr()
+                want = want[free][:, free].tocsr()
+                got = getattr(sys, name)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+
+    def test_free_scatter_matches_oracle_sum(self):
+        # dense sum of the per-element oracle, then the constrained rows and
+        # columns dropped: the direct free-DOF scatter must agree
+        rng = np.random.default_rng(10)
+        base = generate_structured_square(2, 1.0, "crossed")
+        nodes = base.nodes.copy()
+        inner = [i for i in range(base.n_nodes)
+                 if i not in base.edge_groups["boundary"]]
+        nodes[inner] += rng.uniform(-0.05, 0.05, size=(len(inner), 2))
+        mesh = Mesh(nodes, base.triangles, base.edge_groups)
+        mat = dense_random_material(rng)
+        bcs = [BoundaryCondition("boundary", "simply_supported")]
+        sys = assemble(mesh, mat, bcs)
+        n_full = 4 * mesh.n_nodes
+        want = [np.zeros((n_full, n_full)) for _ in range(3)]
+        for tri in mesh.triangles:
+            g = (4 * tri[:, None] + np.arange(4)[None, :]).ravel()
+            local = quadrature_oracle(triangle_geometry(mesh.nodes[tri]), mat)
+            for full, loc in zip(want, local):
+                full[np.ix_(g, g)] += loc
+        free = sys.dof_map.free_to_full
+        for got, full in zip((sys.k2, sys.k1, sys.k0), want):
+            ref = full[np.ix_(free, free)]
+            assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestPatchTest:

@@ -4,6 +4,7 @@ import pytest
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import ValidationError
+from pemplate.mesh import generate_structured_square, save_mesh
 
 SMALL_CFG = """
 [mesh]
@@ -97,6 +98,58 @@ class TestConfigParsing:
                            "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
         assert cfg.mesh_path.exists()
 
+    def test_typo_key_names_file_and_line(self, tmp_path):
+        text = SMALL_CFG.replace("side = 1.0", "sied = 2.0")
+        path = write_cfg(tmp_path, text)
+        line = text.splitlines().index("sied = 2.0") + 1
+        with pytest.raises(ValidationError,
+                           match=rf"run\.cfg:{line}: unknown key 'sied' in \[mesh\]"):
+            load_config(path)
+
+    def test_typo_section_names_file_and_line(self, tmp_path):
+        text = SMALL_CFG + "\n[serach]\nr_lo = 0.01\nr_hi = 1.0\n"
+        path = write_cfg(tmp_path, text)
+        line = text.splitlines().index("[serach]") + 1
+        with pytest.raises(ValidationError,
+                           match=rf"run\.cfg:{line}: unknown section \[serach\]"):
+            load_config(path)
+
+    def test_typo_exits_1_naming_the_line(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("inductance = 1.0", "inductnce = -5")
+        cfg = write_cfg(tmp_path, text)
+        line = text.splitlines().index("inductnce = -5") + 1
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"run.cfg:{line}: unknown key 'inductnce'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_unused_by_this_run_rejected(self):
+        # [simulation] point is read only for impulse initial conditions
+        text = SMALL_CFG.replace("ic = unimodal", "ic = unimodal\npoint = 0.5 0.5")
+        with pytest.raises(ValidationError, match="unknown key 'point'"):
+            parse_config(text)
+
+    def test_duplicate_key_rejected(self):
+        text = SMALL_CFG.replace("n = 4", "n = 4\nn = 8")
+        with pytest.raises(ValidationError, match="duplicate key 'n'"):
+            parse_config(text)
+
+    def test_hash_inside_quoted_value_kept(self, tmp_path):
+        mesh_dir = tmp_path / "run#1"
+        mesh_dir.mkdir()
+        save_mesh(generate_structured_square(2, 1.0), mesh_dir / "plate.mesh")
+        text = SMALL_CFG.replace(
+            "kind = structured\nn = 4\nside = 1.0\npattern = crossed",
+            'kind = file\npath = "run#1/plate.mesh"  # a # after the quotes')
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert cfg.mesh_path == tmp_path / "run#1" / "plate.mesh"
+        # single quotes too, and an unquoted value still ends at '#'
+        cfg = parse_config(text.replace('"run#1/plate.mesh"', "'run#1/plate.mesh'")
+                           .replace("n_mech = 4", "n_mech = 3 # three"),
+                           base_dir=tmp_path)
+        assert cfg.mesh_path == tmp_path / "run#1" / "plate.mesh"
+        assert cfg.n_mech == 3
+
     def test_bad_syntax_line_number(self):
         with pytest.raises(ValidationError, match=":2"):
             parse_config("[mesh]\nthis is not a key value line\n")
@@ -141,9 +194,6 @@ class TestCommands:
         assert "PASSED" in capsys.readouterr().out
         assert main(["patch-test", "--corrupt-mu"]) == 2
         assert "FAILED" in capsys.readouterr().out
-
-    def test_threads_flag(self):
-        assert main(["--threads", "1", "patch-test"]) == 0
 
     def test_simulate_csv_columns(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CFG)

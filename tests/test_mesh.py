@@ -93,6 +93,41 @@ class TestMeshValidation:
         with pytest.raises(ValidationError):
             Mesh(np.array([[0.0, 0], [1, 0], [0, 1]]), np.array([[0, 1, 1]]))
 
+    @staticmethod
+    def _faulty(faults):
+        """The 2x2 diagonal square with some triangles replaced."""
+        base = generate_structured_square(2, 1.0, "diagonal")
+        nodes = np.vstack([base.nodes, [[0.25, 0.0]]])  # node 9 on edge 0-1
+        tris = base.triangles.copy()
+        for e, tri in faults.items():
+            tris[e] = tri
+        return nodes, tris
+
+    # each fault sits in triangle 5, with a different fault behind it in
+    # triangle 6: the message must name the first offender
+    @pytest.mark.parametrize("fault, error, message", [
+        ((3, 4, 3), ValidationError, r"triangle 5 repeats a node"),
+        ((3, 4, 12), DanglingNodeError, r"triangle 5 references node 12 of 10"),
+        ((0, 9, 1), ZeroAreaTriangleError, r"triangle 5 has zero area"),
+        ((3, 7, 4), ValidationError, r"triangle 5 is clockwise"),
+    ])
+    def test_first_offender_named(self, fault, error, message):
+        later = (0, 9, 1) if fault != (0, 9, 1) else (3, 7, 4)
+        nodes, tris = self._faulty({5: fault, 6: later})
+        with pytest.raises(error, match=message):
+            Mesh(nodes, tris)
+
+    def test_checks_run_in_order_within_a_triangle(self):
+        # a repeated node is reported before the dangling index beside it
+        nodes, tris = self._faulty({2: (4, 4, 99)})
+        with pytest.raises(ValidationError, match="triangle 2 repeats") as exc:
+            Mesh(nodes, tris)
+        assert not isinstance(exc.value, DanglingNodeError)
+        # a dangling index is reported before the area checks
+        nodes, tris = self._faulty({2: (4, -1, 0)})
+        with pytest.raises(DanglingNodeError, match="node -1 of 10"):
+            Mesh(nodes, tris)
+
     def test_unreferenced_node_rejected(self):
         nodes = np.array([[0.0, 0], [1, 0], [0, 1], [5, 5]])
         with pytest.raises(ValidationError, match="node 3"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,16 @@ class TestSolveModes:
         sys = assemble(mesh, material(r_n=0.5), bcs_ss())
         with pytest.raises(NumericalError, match="conservative twin"):
             solve_modes(sys, 4)
+
+    @pytest.mark.parametrize("family", ["mechanical", "electric"])
+    def test_sparse_path_rejects_indefinite_k2(self, square4, monkeypatch,
+                                               family):
+        # the sparse branch has no up-front factorization of K2; the failed
+        # Cholesky of the Ritz Gram must surface as a NumericalError (exit 2)
+        monkeypatch.setattr(modal, "_DENSE_LIMIT", 10)
+        bad = dataclasses.replace(square4, k2=-square4.k2)
+        with pytest.raises(NumericalError, match="K2 is not positive definite"):
+            solve_family_modes(bad, family, 3)
 
     def test_degenerate_pairs_on_crossed_mesh(self, square8):
         mech = solve_family_modes(square8, "mechanical", 8)
