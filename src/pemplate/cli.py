@@ -2,9 +2,22 @@
 
 Subcommands: ``modes``, ``tune``, ``simulate``, ``optimize-r``, ``coupling``,
 ``patch-test``, ``pipeline``. Exit codes: 0 success, 1 validation error,
-2 numerical failure. All floating output is written with 17 significant
-digits so that re-running a configuration reproduces byte-identical CSV
-bodies.
+2 numerical failure. Floats are written with 17 significant digits, so a
+re-run of a configuration reproduces byte-identical CSV bodies.
+
+Each subcommand but ``patch-test`` asks one :class:`Run`, a memoized stage
+graph, for the stages it reports; a stage runs once per run (``system``,
+``modes`` and ``coupling`` once per network)::
+
+    mesh -> system(net) -> modes(net) -> network (L_N tuned by [tuning])
+         -> basis (retained basis + reduced system) -> simulation, search
+
+``modes`` asks for modes(untuned), ``coupling`` for coupling(untuned),
+``tune`` for network and modes(tuned), ``simulate`` for simulation,
+``optimize-r`` for search, ``pipeline`` for mesh, modes(tuned),
+coupling(tuned), simulation and search. Without [tuning] the tuned network
+is the configured one. The search always drives the tuned mechanical mode
+against the tuned electric mode ([tuning] mech_mode / elec_mode).
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import metadata
+from importlib import metadata, resources
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +36,7 @@ from . import dynamics, modal, reference
 from .assembly import assemble, patch_test
 from .config import is_square_benchmark, load_config
 from .errors import NumericalError, PemplateError, ValidationError
-from .material import build_material, conservative_twin
+from .material import NetworkParams, PlateParams, build_material, conservative_twin
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
 
@@ -37,268 +50,234 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-class _Stage:
-    """Re-raises stage errors with the stage name prefixed."""
+def _stage(name):
+    """Memoizes a :class:`Run` stage per argument and prefixes its errors
+    with ``[stage name]``; an upstream stage's error keeps its own prefix."""
 
-    def __init__(self, name):
-        self.name = name
+    def wrap(method):
+        def staged(self, *args):
+            key = (method.__name__, *args)
+            if key not in self._memo:
+                try:
+                    self._memo[key] = method(self, *args)
+                except PemplateError as exc:
+                    if getattr(exc, "stage", None):
+                        raise
+                    err = exc.__class__(f"[stage {name}] {exc}")
+                    err.stage = name
+                    raise err from exc
+            return self._memo[key]
 
-    def __enter__(self):
-        return self
+        return staged
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, PemplateError):
-            raise exc.__class__(f"[stage {self.name}] {exc}") from exc
-        return False
-
-
-def _build_mesh(cfg):
-    with _Stage("mesh"):
-        if cfg.mesh_kind == "structured":
-            return generate_structured_square(cfg.mesh_n, cfg.mesh_side,
-                                              cfg.mesh_pattern)
-        return load_mesh(cfg.mesh_path)
-
-
-def _conservative_system(cfg, mesh, network=None):
-    net = network if network is not None else cfg.network
-    mat = conservative_twin(build_material(cfg.plate, net))
-    with _Stage("assembly"):
-        return assemble(mesh, mat, cfg.bcs)
+    return wrap
 
 
-def _family_modes(cfg, sys):
-    with _Stage("modal"):
-        mech = solve_family_modes(sys, "mechanical", cfg.n_mech)
-        elec = solve_family_modes(sys, "electric", cfg.n_elec)
-    return mech, elec
+class Run:
+    """The stage graph of one configuration."""
 
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._memo = {}
 
-def _tuned_network(cfg, mech, elec):
-    if cfg.tune_mech is None:
-        return cfg.network, False
-    with _Stage("tuning"):
-        net = tune_inductance(mech, elec, cfg.network,
-                              cfg.tune_mech - 1, cfg.tune_elec - 1)
-    return net, True
+    @_stage("mesh")
+    def mesh(self):
+        c = self.cfg
+        if c.mesh_kind == "file":
+            return load_mesh(c.mesh_path)
+        return generate_structured_square(c.mesh_n, c.mesh_side, c.mesh_pattern)
 
+    @_stage("assembly")
+    def system(self, net):
+        mat = conservative_twin(build_material(self.cfg.plate, net))
+        return assemble(self.mesh(), mat, self.cfg.bcs)
 
-def _modes_rows(cfg, mech, elec):
-    catalog = reference.catalog_for({bc.kind for bc in cfg.bcs},
-                                    is_square_benchmark(cfg))
-    rows = []
-    notices = []
-    index = 1
-    for family, modes in (("electric", elec), ("mechanical", mech)):
-        ratios = modes.omegas / modes.omegas[0]
-        analytic = catalog[family]
-        table = analytic(len(ratios)) if analytic is not None else None
-        if table is None:
-            notices.append(
-                f"analytic catalog does not cover the {family} family here; "
-                "analytical columns omitted"
-            )
-        for k in range(len(ratios)):
-            row = [index, modes.omegas[k], ratios[k], modes.labels[k]]
-            if table is not None:
-                err = 100.0 * abs(ratios[k] - table[k]) / table[k]
-                row += [table[k], err]
-            rows.append(row)
-            index += 1
-    header = ["index", "omega", "omega_normalized", "classification"]
-    if any(len(r) > 4 for r in rows):
-        header += ["analytic_normalized", "error_percent"]
-        for r in rows:
-            while len(r) < 6:
-                r.append("")
-    return header, rows, notices
+    @_stage("modal")
+    def modes(self, net):
+        """(mechanical, electric) family modes of the conservative system."""
+        sys = self.system(net)
+        return (solve_family_modes(sys, "mechanical", self.cfg.n_mech),
+                solve_family_modes(sys, "electric", self.cfg.n_elec))
 
+    @_stage("tuning")
+    def network(self):
+        c = self.cfg
+        if c.tune_mech is None:
+            return c.network
+        return tune_inductance(*self.modes(c.network), c.network,
+                               c.tune_mech - 1, c.tune_elec - 1)
 
-def cmd_modes(cfg, out_dir):
-    mesh = _build_mesh(cfg)
-    sys = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys)
-    header, rows, notices = _modes_rows(cfg, mech, elec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "modes.csv", header, rows)
-    for n in notices:
-        print(f"note: {n}")
-    print(f"wrote {out_dir / 'modes.csv'}")
-    _print_mode_table(header, rows)
-    return 0
+    @_stage("coupling")
+    def coupling(self, net):
+        return modal.coupling_table(*self.modes(net), self.system(net))
 
+    @_stage("modal")
+    def basis(self):
+        """Retained basis of the tuned network and its reduced system."""
+        net = self.network()
+        basis = build_modal_basis(*self.modes(net))
+        return basis, reduce(self.system(net), basis)
 
-def _print_mode_table(header, rows):
-    print(" ".join(f"{h:>20s}" for h in header))
-    for row in rows:
-        print(" ".join(f"{_fmt(v):>20s}" for v in row))
-
-
-def cmd_tune(cfg, out_dir):
-    if cfg.tune_mech is None:
-        raise ValidationError("config has no [tuning] section")
-    mesh = _build_mesh(cfg)
-    sys = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys)
-    net, _ = _tuned_network(cfg, mech, elec)
-    print(f"net inductance: {_fmt(cfg.network.inductance)} -> "
-          f"{_fmt(net.inductance)}")
-    sys2 = _conservative_system(cfg, mesh, net)
-    mech2, elec2 = _family_modes(cfg, sys2)
-    wm = mech2.omegas[cfg.tune_mech - 1]
-    we = elec2.omegas[cfg.tune_elec - 1]
-    print(f"mechanical mode {cfg.tune_mech}: omega = {_fmt(wm)}")
-    print(f"electric  mode {cfg.tune_elec}: omega = {_fmt(we)}")
-    print(f"relative mismatch after retune: {_fmt(abs(we - wm) / wm)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows, _ = _modes_rows(cfg, mech2, elec2)
-    write_csv(out_dir / "modes_tuned.csv", header, rows)
-    print(f"wrote {out_dir / 'modes_tuned.csv'}")
-    return 0
-
-
-def _simulation_run(cfg, mesh, net):
-    sys = _conservative_system(cfg, mesh, net)
-    with _Stage("modal"):
-        basis = build_modal_basis(sys, cfg.n_mech, cfg.n_elec)
-        rs = reduce(sys, basis)
-    sim = cfg.simulation
-    fam_idx = (basis.mechanical_indices() if sim.family == "mechanical"
-               else basis.electric_indices())
-    if sim.mode > len(fam_idx):
-        raise ValidationError(
-            f"[simulation] mode {sim.mode} exceeds the {len(fam_idx)} retained "
-            f"{sim.family} modes"
-        )
-    drive = fam_idx[sim.mode - 1]
-
-    with _Stage("simulation"):
+    @_stage("simulation")
+    def simulation(self):
+        sim = self.cfg.simulation
+        basis, rs = self.basis()
+        drive = (basis.mechanical_indices() if sim.family == "mechanical"
+                 else basis.electric_indices())[sim.mode - 1]
         if sim.ic == "unimodal":
             ic = dynamics.unimodal_ic(rs, drive, sim.amplitude, sim.on)
         else:
-            ic = dynamics.impulse_ic(sys, basis, sim.point, sim.magnitude)
-        omega1 = basis.omegas[drive]
-        t1 = 2.0 * np.pi / omega1
-        partner = min(
-            (i for i in range(basis.n_modes)
-             if i != drive and basis.labels[i] != basis.labels[drive]),
-            key=lambda i: abs(basis.omegas[i] - omega1),
-            default=None,
-        )
-        beat = (dynamics.beat_period(rs, drive, partner)
-                if partner is not None else np.inf)
+            ic = dynamics.impulse_ic(self.system(self.network()), basis,
+                                     sim.point, sim.magnitude)
+        t_f, dt = dynamics.default_horizon(rs, drive, sim.beats,
+                                           sim.steps_per_period)
+        traj = dynamics.integrate(rs, ic, sim.t_f or t_f, sim.dt or dt)
+        return traj, dynamics.energies(rs, traj)
+
+    @_stage("resistance-search")
+    def search(self):
+        c = self.cfg
+        basis, rs = self.basis()
+        drive = basis.mechanical_indices()[c.tune_mech - 1]
+        beat = dynamics.beat_period(rs, drive,
+                                    basis.electric_indices()[c.tune_elec - 1])
         if not np.isfinite(beat):
-            beat = 20.0 * t1
-        t_f = sim.t_f if sim.t_f else sim.beats * beat
-        # default step: the driven-mode fraction, capped by the shortest
-        # retained period over 40 (impulses put energy on the high modes)
-        dt = sim.dt if sim.dt else min(t1 / sim.steps_per_period,
-                                       dynamics.suggested_dt(rs))
-        traj = dynamics.integrate(rs, ic, t_f, dt)
-        en = dynamics.energies(rs, traj)
-    return sys, basis, rs, traj, en, drive
-
-
-def _trajectory_rows(rs, traj, en):
-    n = rs.n_modes
-    header = ["t"] + [f"z_{k + 1}" for k in range(n)] + \
-        ["E_mech", "E_elec", "E_total"]
-    rows = []
-    for i in range(len(traj.t)):
-        rows.append([traj.t[i], *traj.z[i], en.mech[i], en.elec[i], en.total[i]])
-    return header, rows
-
-
-def cmd_simulate(cfg, out_dir):
-    mesh = _build_mesh(cfg)
-    sys = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys)
-    net, _ = _tuned_network(cfg, mech, elec)
-    _, _, rs, traj, en, _ = _simulation_run(cfg, mesh, net)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = _trajectory_rows(rs, traj, en)
-    write_csv(out_dir / "trajectory.csv", header, rows)
-    drift = float(np.abs(en.total - en.total[0]).max() / en.total[0])
-    print(f"steps: {len(traj.t) - 1}, total-energy drift: {_fmt(drift)}")
-    print(f"min E_mech / E_mech(0): {_fmt(float(en.mech.min() / en.mech[0]))}")
-    print(f"wrote {out_dir / 'trajectory.csv'}")
-    return 0
-
-
-def cmd_coupling(cfg, out_dir):
-    mesh = _build_mesh(cfg)
-    sys = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys)
-    with _Stage("coupling"):
-        table = modal.coupling_table(mech, elec, sys)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
-    rows = [[i + 1, *table.normalized[i]] for i in range(table.raw.shape[0])]
-    write_csv(out_dir / "coupling.csv", header, rows)
-    rows_raw = [[i + 1, *table.raw[i]] for i in range(table.raw.shape[0])]
-    write_csv(out_dir / "coupling_raw.csv", header, rows_raw)
-    print(f"wrote {out_dir / 'coupling.csv'} (max-normalized) and coupling_raw.csv")
-    return 0
-
-
-def cmd_optimize_r(cfg, out_dir):
-    if cfg.search_lo is None:
-        raise ValidationError("config has no [search] section")
-    mesh = _build_mesh(cfg)
-    sys = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys)
-    net, tuned = _tuned_network(cfg, mech, elec)
-    if not tuned:
-        raise ValidationError("resistance optimization requires a [tuning] section")
-    sys_t = _conservative_system(cfg, mesh, net)
-    with _Stage("modal"):
-        basis = build_modal_basis(sys_t, cfg.n_mech, cfg.n_elec)
-        rs = reduce(sys_t, basis)
-    drive = basis.mechanical_indices()[cfg.tune_mech - 1]
-    e_part = basis.electric_indices()[cfg.tune_elec - 1]
-    t1 = 2.0 * np.pi / basis.omegas[drive]
-    beat = dynamics.beat_period(rs, drive, e_part)
-    if not np.isfinite(beat):
-        raise ValidationError("zero electromechanical coupling: nothing to damp")
-    with _Stage("resistance-search"):
+            raise ValidationError("zero electromechanical coupling: nothing to damp")
         evaluate = dynamics.damping_evaluator(
-            mesh, cfg.plate, net, cfg.bcs, basis, drive,
-            t_f=4.0 * beat, dt=t1 / 60.0,
+            self.mesh(), c.plate, self.network(), c.bcs, basis, drive,
+            t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0,
         )
-        report = dynamics.optimize_resistance(
-            evaluate, (cfg.search_lo, cfg.search_hi)
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out_dir / "damping.csv",
-        ["R_N", "zeta", "settling_time"],
-        [[s.resistance, s.zeta, s.settling_time] for s in report.samples],
-    )
+        return dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
+
+
+def _write_modes(run, net, path):
+    """Writes the mode table of ``net``; returns (header, rows, notices)."""
+    header, rows, notices = reference.mode_table(
+        *run.modes(net), {bc.kind for bc in run.cfg.bcs},
+        is_square_benchmark(run.cfg))
+    write_csv(path, header, rows)
+    return header, rows, notices
+
+
+def _write_coupling(run, net, out_dir, names=("coupling.csv",)):
+    """Writes the max-normalized (then the raw) modal coupling table."""
+    table = run.coupling(net)
+    header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
+    for name, values in zip(names, (table.normalized, table.raw)):
+        write_csv(out_dir / name, header,
+                  [[i + 1, *row] for i, row in enumerate(values)])
+
+
+def _write_trajectory(path, traj, en):
+    header = ["t", *(f"z_{k + 1}" for k in range(traj.z.shape[1])),
+              "E_mech", "E_elec", "E_total"]
+    write_csv(path, header, [[traj.t[i], *traj.z[i], en.mech[i], en.elec[i],
+                              en.total[i]] for i in range(len(traj.t))])
+
+
+def _write_simulation(run, out_dir):
+    """Writes trajectory.csv; returns (steps, drift, min E_mech / E_mech(0))."""
+    traj, en = run.simulation()
+    _write_trajectory(out_dir / "trajectory.csv", traj, en)
+    drift = float(np.abs(en.total - en.total[0]).max() / en.total[0])
+    return len(traj.t) - 1, drift, float(en.mech.min() / en.mech[0])
+
+
+def _write_search(run, out_dir):
+    report = run.search()
+    write_csv(out_dir / "damping.csv", ["R_N", "zeta", "settling_time"],
+              [[s.resistance, s.zeta, s.settling_time] for s in report.samples])
     for name, sample in report.regimes.items():
-        header, rows = _trajectory_rows(rs, sample.trajectory,
-                                        sample.trajectory.energies)
-        write_csv(out_dir / f"trajectory_{name}.csv", header, rows)
+        _write_trajectory(out_dir / f"trajectory_{name}.csv",
+                          sample.trajectory, sample.trajectory.energies)
+    return report
+
+
+def cmd_modes(run, out_dir):
+    header, rows, notices = _write_modes(run, run.cfg.network,
+                                         out_dir / "modes.csv")
+    for n in notices:
+        print(f"note: {n}")
+    print(f"wrote {out_dir / 'modes.csv'}")
+    for row in [header, *rows]:
+        print(" ".join(f"{_fmt(v):>20s}" for v in row))
+
+
+def cmd_tune(run, out_dir):
+    c = run.cfg
+    if c.tune_mech is None:
+        raise ValidationError("config has no [tuning] section")
+    net = run.network()
+    print(f"net inductance: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}")
+    mech, elec = run.modes(net)
+    wm, we = mech.omegas[c.tune_mech - 1], elec.omegas[c.tune_elec - 1]
+    print(f"mechanical mode {c.tune_mech}: omega = {_fmt(wm)}")
+    print(f"electric  mode {c.tune_elec}: omega = {_fmt(we)}")
+    print(f"relative mismatch after retune: {_fmt(abs(we - wm) / wm)}")
+    _write_modes(run, net, out_dir / "modes_tuned.csv")
+    print(f"wrote {out_dir / 'modes_tuned.csv'}")
+
+
+def cmd_simulate(run, out_dir):
+    steps, drift, mech_min = _write_simulation(run, out_dir)
+    print(f"steps: {steps}, total-energy drift: {_fmt(drift)}")
+    print(f"min E_mech / E_mech(0): {_fmt(mech_min)}")
+    print(f"wrote {out_dir / 'trajectory.csv'}")
+
+
+def cmd_coupling(run, out_dir):
+    _write_coupling(run, run.cfg.network, out_dir,
+                    ("coupling.csv", "coupling_raw.csv"))
+    print(f"wrote {out_dir / 'coupling.csv'} (max-normalized) and coupling_raw.csv")
+
+
+def cmd_optimize_r(run, out_dir):
+    if run.cfg.search_lo is None:
+        raise ValidationError("config has no [search] section")
+    report = _write_search(run, out_dir)
     for w in report.warnings:
         print(f"warning: {w}")
     print(f"best net resistance R* = {_fmt(report.best.resistance)} with "
           f"damping ratio zeta = {_fmt(report.best.zeta)}")
     print(f"wrote {out_dir / 'damping.csv'} and regime trajectories")
-    return 0
+
+
+def cmd_pipeline(run, out_dir):
+    c = run.cfg
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stats = mesh_statistics(run.mesh())
+    summary = [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
+               f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]
+    net = run.network()
+    if c.tune_mech is not None:
+        summary.append(
+            f"tuned L_N: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}")
+    _, _, notices = _write_modes(run, net, out_dir / "modes.csv")
+    summary.extend(f"note: {n}" for n in notices)
+    _write_coupling(run, net, out_dir)
+    steps, drift, mech_min = _write_simulation(run, out_dir)
+    summary.append(f"simulation: {steps} steps, drift {_fmt(drift)}, "
+                   f"min E_mech/E_0 {_fmt(mech_min)}")
+    if c.search_lo is not None:
+        report = _write_search(run, out_dir)
+        summary.append(f"optimal resistance R* {_fmt(report.best.resistance)}, "
+                       f"zeta {_fmt(report.best.zeta)}")
+        summary.extend(f"warning: {w}" for w in report.warnings)
+    manifest = json.dumps(_manifest(c.source_text), indent=2)
+    (out_dir / "manifest.json").write_text(manifest + "\n")
+    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
+    print("\n".join(summary))
+    print(f"pipeline outputs in {out_dir}")
 
 
 def cmd_patch_test(corrupt_mu=False):
-    from .material import NetworkParams, PlateParams
-
-    mat = build_material(
-        PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3),
-        NetworkParams(inductance=1.0),
-    )
+    mat = build_material(PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3),
+                         NetworkParams(inductance=1.0))
     report = patch_test(mat, corrupt_mu=corrupt_mu)
     for state, err in report.per_state.items():
         print(f"{state:12s} max relative error {_fmt(err)}")
@@ -307,86 +286,25 @@ def cmd_patch_test(corrupt_mu=False):
     return 0 if report.passed else 2
 
 
-def cmd_pipeline(cfg, out_dir, config_text):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = []
-
-    mesh = _build_mesh(cfg)
-    stats = mesh_statistics(mesh)
-    summary.append(
-        f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
-        f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"
-    )
-
-    sys0 = _conservative_system(cfg, mesh)
-    mech, elec = _family_modes(cfg, sys0)
-    net, tuned = _tuned_network(cfg, mech, elec)
-    if tuned:
-        summary.append(
-            f"tuned L_N: {_fmt(cfg.network.inductance)} -> {_fmt(net.inductance)}"
-        )
-        sys_t = _conservative_system(cfg, mesh, net)
-        mech_t, elec_t = _family_modes(cfg, sys_t)
-    else:
-        sys_t, mech_t, elec_t = sys0, mech, elec
-
-    header, rows, notices = _modes_rows(cfg, mech_t, elec_t)
-    write_csv(out_dir / "modes.csv", header, rows)
-    summary.extend(f"note: {n}" for n in notices)
-
-    with _Stage("coupling"):
-        table = modal.coupling_table(mech_t, elec_t, sys_t)
-    ch = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
-    write_csv(out_dir / "coupling.csv", ch,
-              [[i + 1, *table.normalized[i]] for i in range(table.raw.shape[0])])
-
-    _, basis, rs, traj, en, drive = _simulation_run(cfg, mesh, net)
-    th, trows = _trajectory_rows(rs, traj, en)
-    write_csv(out_dir / "trajectory.csv", th, trows)
-    drift = float(np.abs(en.total - en.total[0]).max() / en.total[0])
-    summary.append(f"simulation: {len(traj.t) - 1} steps, drift {_fmt(drift)}, "
-                   f"min E_mech/E_0 {_fmt(float(en.mech.min() / en.mech[0]))}")
-
-    if cfg.search_lo is not None and tuned:
-        with _Stage("resistance-search"):
-            evaluate = dynamics.damping_evaluator(
-                mesh, cfg.plate, net, cfg.bcs, basis, drive,
-                t_f=4.0 * dynamics.beat_period(
-                    rs, drive, basis.electric_indices()[cfg.tune_elec - 1]),
-                dt=2.0 * np.pi / basis.omegas[drive] / 60.0,
-            )
-            report = dynamics.optimize_resistance(
-                evaluate, (cfg.search_lo, cfg.search_hi)
-            )
-        write_csv(out_dir / "damping.csv", ["R_N", "zeta", "settling_time"],
-                  [[s.resistance, s.zeta, s.settling_time]
-                   for s in report.samples])
-        for name, sample in report.regimes.items():
-            sh, srows = _trajectory_rows(rs, sample.trajectory,
-                                         sample.trajectory.energies)
-            write_csv(out_dir / f"trajectory_{name}.csv", sh, srows)
-        summary.append(f"optimal resistance R* {_fmt(report.best.resistance)}, "
-                       f"zeta {_fmt(report.best.zeta)}")
-        summary.extend(f"warning: {w}" for w in report.warnings)
-
-    manifest = {
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-        "package": _package_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    print(f"pipeline outputs in {out_dir}")
-    return 0
-
-
-def _package_version():
+def _manifest(config_text):
     try:
-        return metadata.version("pemplate")
+        package = metadata.version("pemplate")
     except metadata.PackageNotFoundError:
-        return "unknown"
+        package = "unknown"
+    return {"config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+            "package": package, "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+COMMANDS = {  # subcommand -> (function, help)
+    "modes": (cmd_modes, "eigenfrequency tables (Fig. 4 style)"),
+    "tune": (cmd_tune, "retune the net inductance to a mechanical mode"),
+    "simulate": (cmd_simulate, "integrate the reduced dynamics"),
+    "coupling": (cmd_coupling, "modal coupling table (Fig. 5 style)"),
+    "optimize-r": (cmd_optimize_r, "search the optimal net resistance"),
+    "pipeline": (cmd_pipeline,
+                 "full run: modes, tuning, coupling, simulation, damping"),
+}
 
 
 def build_parser():
@@ -396,39 +314,27 @@ def build_parser():
                     "electric vibration damping.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_config=True, **kw):
-        sp = sub.add_parser(name, **kw)
-        if needs_config:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("--config", help="run configuration file")
-            g.add_argument("--preset", choices=["paper-square", "clamped-demo"],
-                           help="bundled run configuration")
+    for name, (_, help_text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--config", help="run configuration file")
+        g.add_argument("--preset", choices=["paper-square", "clamped-demo"],
+                       help="bundled run configuration")
         sp.add_argument("--out", default="out", help="output directory")
-        return sp
-
-    add("modes", help="eigenfrequency tables (Fig. 4 style)")
-    add("tune", help="retune the net inductance to a mechanical mode")
-    add("simulate", help="integrate the reduced dynamics")
-    add("coupling", help="modal coupling table (Fig. 5 style)")
-    add("optimize-r", help="search the optimal net resistance")
-    add("pipeline", help="full run: modes, tuning, coupling, simulation, damping")
-    pt = add("patch-test", needs_config=False,
-             help="constant-curvature patch test of the bending element")
+    pt = sub.add_parser("patch-test",
+                        help="constant-curvature patch test of the bending element")
+    pt.add_argument("--out", default="out", help="output directory")
     pt.add_argument("--corrupt-mu", action="store_true",
                     help="negative control: flip the element mu parameters")
     return p
 
 
 def _config_path(args):
-    if getattr(args, "preset", None):
-        from importlib import resources
-
-        ref = resources.files("pemplate").joinpath("presets") \
-            .joinpath(args.preset + ".cfg")
-        with resources.as_file(ref) as concrete:
-            return Path(concrete)
-    return Path(args.config)
+    if args.preset is None:
+        return Path(args.config)
+    ref = resources.files("pemplate") / "presets" / f"{args.preset}.cfg"
+    with resources.as_file(ref) as concrete:
+        return Path(concrete)
 
 
 def main(argv=None):
@@ -436,20 +342,8 @@ def main(argv=None):
     try:
         if args.command == "patch-test":
             return cmd_patch_test(corrupt_mu=args.corrupt_mu)
-        cfg = load_config(_config_path(args))
-        out_dir = Path(args.out)
-        if args.command == "modes":
-            return cmd_modes(cfg, out_dir)
-        if args.command == "tune":
-            return cmd_tune(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "coupling":
-            return cmd_coupling(cfg, out_dir)
-        if args.command == "optimize-r":
-            return cmd_optimize_r(cfg, out_dir)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg, out_dir, cfg.source_text)
+        run = Run(load_config(_config_path(args)))
+        COMMANDS[args.command][0](run, Path(args.out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -291,6 +291,11 @@ def parse_config(text, origin="<config>", base_dir=None):
     )
     if simulation.mode < 1:
         raise ValidationError("[simulation] mode is 1-based (>= 1)")
+    retained = n_mech if family == "mechanical" else n_elec
+    if simulation.mode > retained:
+        raise ValidationError(
+            f"[simulation] mode {simulation.mode} exceeds the {retained} "
+            f"retained {family} modes")
     if simulation.steps_per_period < 4:
         raise ValidationError("[simulation] steps_per_period must be >= 4")
 
@@ -301,6 +306,10 @@ def parse_config(text, origin="<config>", base_dir=None):
         search_hi = search.get_float("r_hi")
         if not 0 < search_lo < search_hi:
             raise ValidationError("[search] needs 0 < r_lo < r_hi")
+        if tune_mech is None:
+            raise ValidationError(
+                "[search] needs a [tuning] section: the resistance search "
+                "damps the tuned mechanical/electric pair")
 
     unused = sorted((sec.key_lines[key], sec.name, key)
                     for sec in raw_sections for key in sec

@@ -124,10 +124,14 @@ def integrate(rs, ic, t_f, dt):
     the stage-by-stage scheme.
 
     Raises :class:`IntegrationError` naming the step if the state stops
-    being finite.
+    being finite, and naming ``t_f``, ``dt`` and the step count if the
+    trajectory cannot be allocated.
     """
     if dt <= 0 or t_f <= 0:
         raise ValidationError("time step and final time must be positive")
+    if not math.isfinite(t_f / dt):
+        raise ValidationError(
+            f"step count t_f / dt = {t_f:g} / {dt:g} is not finite")
     steps = max(1, int(round(t_f / dt)))
     n = rs.n_modes
     m = 2 * n + 1
@@ -141,7 +145,13 @@ def integrate(rs, ic, t_f, dt):
     eye = np.eye(m)
     d = ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
 
-    out = np.empty((steps + 1, m))
+    try:
+        out = np.empty((steps + 1, m))
+    except (MemoryError, ValueError):
+        raise IntegrationError(
+            f"cannot allocate {steps} steps of {m} states "
+            f"(t_f = {t_f:g}, dt = {dt:g})"
+        ) from None
     out[0, :2 * n] = np.concatenate([ic.z0, ic.zdot0])
     out[0, 2 * n] = 1.0
     y = out[0]
@@ -211,6 +221,27 @@ def beat_period(rs, index_a, index_b):
 def suggested_dt(rs, fraction=1.0 / 40.0):
     """Default step: the shortest retained modal period times ``fraction``."""
     return float(2.0 * math.pi / rs.modes.omegas.max() * fraction)
+
+
+def default_horizon(rs, drive, beats, steps_per_period):
+    """Default (t_f, dt) of a run that starts on basis vector ``drive``.
+
+    t_f spans ``beats`` beat periods of the drive with the nearest mode of
+    the other family (a beat counts 20 drive periods when the pair does not
+    exchange energy). dt is the drive period over ``steps_per_period``,
+    capped by :func:`suggested_dt` (impulses put energy on the high modes).
+    """
+    modes = rs.modes
+    omega = modes.omegas[drive]
+    period = 2.0 * math.pi / omega
+    others = [i for i in range(modes.n_modes)
+              if modes.labels[i] != modes.labels[drive]]
+    partner = min(others, key=lambda i: abs(modes.omegas[i] - omega),
+                  default=None)
+    beat = math.inf if partner is None else beat_period(rs, drive, partner)
+    if not math.isfinite(beat):
+        beat = 20.0 * period
+    return beats * beat, min(period / steps_per_period, suggested_dt(rs))
 
 
 def envelope_peaks(values):

@@ -24,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 
-DEFAULT_RETAINED_PER_FAMILY = 8
 CLUSTER_RELATIVE_GAP = 1e-6
 MECHANICAL_FRACTION_THRESHOLD = 0.9
 _DENSE_LIMIT = 2600
@@ -242,15 +241,14 @@ def solve_family_modes(sys, family, n):
     return _mode_set(sys, omegas, vectors)
 
 
-def build_modal_basis(sys, n_mech=DEFAULT_RETAINED_PER_FAMILY,
-                      n_elec=DEFAULT_RETAINED_PER_FAMILY):
-    """Family-balanced retained basis: n_mech bending + n_elec electric modes.
+def build_modal_basis(mech, elec):
+    """Family-balanced retained basis: the merge of two family mode sets.
 
-    Matches the reporting depth of the benchmark tables (8 + 8 by default).
+    ``mech`` and ``elec`` are :func:`solve_family_modes` results of the same
+    system (8 + 8 modes match the reporting depth of the benchmark tables).
     The merged set is sorted by frequency with mechanical modes first on ties.
     """
-    mech = solve_family_modes(sys, "mechanical", n_mech)
-    elec = solve_family_modes(sys, "electric", n_elec)
+    n_mech, n_elec = mech.n_modes, elec.n_modes
     omegas = np.concatenate([mech.omegas, elec.omegas])
     family = np.concatenate([np.zeros(n_mech, dtype=int), np.ones(n_elec, dtype=int)])
     vectors = np.concatenate([mech.vectors, elec.vectors], axis=1)

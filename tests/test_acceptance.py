@@ -79,7 +79,8 @@ def tuned8():
     elec = solve_family_modes(sys0, "electric", 8)
     net = tune_inductance(mech, elec, net0, 0, 0)
     sys_t = assemble(mesh, build_material(plate, net), bcs_ss())
-    basis = build_modal_basis(sys_t, 8, 8)
+    basis = build_modal_basis(solve_family_modes(sys_t, "mechanical", 8),
+                              solve_family_modes(sys_t, "electric", 8))
     rs = reduce(sys_t, basis)
     return mesh, plate, net, sys_t, basis, rs
 
@@ -293,7 +294,8 @@ def test_retained_mode_count_stability(tuned8):
     # supplementary: the beating conclusion is insensitive to the retained
     # basis depth (8+8 vs 12+12)
     mesh, plate, net, sys_t, basis, rs = tuned8
-    basis12 = build_modal_basis(sys_t, 12, 12)
+    basis12 = build_modal_basis(solve_family_modes(sys_t, "mechanical", 12),
+                                solve_family_modes(sys_t, "electric", 12))
     rs12 = reduce(sys_t, basis12)
     for b, r in ((basis, rs), (basis12, rs12)):
         m1 = b.mechanical_indices()[0]

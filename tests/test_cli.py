@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pemplate import cli
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import ValidationError
@@ -43,6 +44,9 @@ mode = 1
 beats = 2
 steps_per_period = 60
 """
+
+SEARCH = "\n[search]\nr_lo = 0.02\nr_hi = 2.0\n"
+UNTUNED_CFG = SMALL_CFG.replace("[tuning]\nmech_mode = 1\nelec_mode = 1\n", "")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -154,6 +158,23 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=":2"):
             parse_config("[mesh]\nthis is not a key value line\n")
 
+    def test_simulation_mode_outside_retained(self):
+        text = SMALL_CFG.replace("family = mechanical\nmode = 1",
+                                 "family = electric\nmode = 5")
+        with pytest.raises(ValidationError,
+                           match="mode 5 exceeds the 4 retained electric"):
+            parse_config(text)
+
+    def test_search_without_tuning_rejected(self, tmp_path, capsys):
+        assert "[tuning]" not in UNTUNED_CFG
+        with pytest.raises(ValidationError, match=r"\[search\].*\[tuning\]"):
+            parse_config(UNTUNED_CFG + SEARCH)
+        cfg = write_cfg(tmp_path, UNTUNED_CFG + SEARCH)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "[tuning]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCommands:
     def test_modes_command_csv(self, tmp_path):
@@ -246,3 +267,71 @@ class TestCommands:
         omega = float(rows[0].split(",")[1])
         # 17 significant digits reproduce the double exactly
         assert f"{omega:.17g}" == rows[0].split(",")[1]
+
+
+def run_cli(command, cfg, out):
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+class TestStageGraph:
+    def test_subcommands_match_pipeline_files(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+        pipe = run_cli("pipeline", cfg, tmp_path / "pipeline")
+        for command, names in (
+            ("tune", {"modes_tuned.csv": "modes.csv"}),
+            ("simulate", {"trajectory.csv": "trajectory.csv"}),
+            ("optimize-r", {"damping.csv": "damping.csv",
+                            "trajectory_critical.csv": "trajectory_critical.csv"}),
+        ):
+            out = run_cli(command, cfg, tmp_path / command)
+            for name, pipe_name in names.items():
+                assert (out / name).read_bytes() == (pipe / pipe_name).read_bytes()
+
+    def test_pipeline_assembles_and_solves_each_network_once(
+            self, tmp_path, monkeypatch):
+        counts = {"assemble": 0, "solve_family_modes": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("assemble")
+        counted("solve_family_modes")
+        run_cli("pipeline", write_cfg(tmp_path, SMALL_CFG + SEARCH),
+                tmp_path / "out")
+        # untuned and tuned conservative systems, two families each
+        assert counts == {"assemble": 2, "solve_family_modes": 4}
+
+    def test_pipeline_search_drives_tuned_mechanical_mode(self, tmp_path):
+        # the simulation drives an electric mode; the search still damps the
+        # tuned mechanical/electric pair, as optimize-r does
+        text = SMALL_CFG.replace("family = mechanical", "family = electric")
+        cfg = write_cfg(tmp_path, text + SEARCH)
+        pipe = run_cli("pipeline", cfg, tmp_path / "pipeline")
+        opt = run_cli("optimize-r", cfg, tmp_path / "opt")
+        assert (pipe / "damping.csv").read_bytes() == \
+            (opt / "damping.csv").read_bytes()
+
+    def test_pipeline_zero_coupling_fails_cleanly(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("g_me = 0.1 0.1 0.0", "g_me = 0 0 0")
+        cfg = write_cfg(tmp_path, text + SEARCH)
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "zero electromechanical coupling: nothing to damp" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_simulation_exits_2(self, tmp_path, capsys):
+        # untuned, the driven mode's beat partner is far off resonance and
+        # the default horizon of two beats needs ~3e16 steps
+        cfg = write_cfg(tmp_path, UNTUNED_CFG)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[stage simulation]" in err and "t_f" in err

@@ -85,7 +85,8 @@ def tuned_square4():
     elec = modal.solve_family_modes(sys0, "electric", 6)
     net = tune_inductance(mech, elec, NetworkParams(inductance=1.0), 0, 0)
     sys_t = assemble(mesh, build_material(plate, net), bcs_ss())
-    basis = build_modal_basis(sys_t, 6, 6)
+    basis = build_modal_basis(modal.solve_family_modes(sys_t, "mechanical", 6),
+                              modal.solve_family_modes(sys_t, "electric", 6))
     rs = reduce(sys_t, basis)
     return mesh, plate, net, sys_t, basis, rs
 
@@ -155,6 +156,25 @@ class TestIntegrate:
         ic = unimodal_ic(rs, 0, 1.0)
         with pytest.raises(IntegrationError, match="step"):
             integrate(rs, ic, 2000.0, 1.0)
+
+    def test_non_finite_step_count_rejected(self):
+        rs = single_oscillator()
+        ic = unimodal_ic(rs, 0, 1.0)
+        with pytest.raises(ValidationError, match="not finite"):
+            integrate(rs, ic, math.inf, 0.01)
+        with pytest.raises(ValidationError, match="not finite"):
+            integrate(rs, ic, 1e300, 1e-300)
+
+    def test_unallocatable_horizon_names_t_f_dt_and_steps(self):
+        # 2e17 steps of 3 states are 4.2 EiB, beyond any address space, so
+        # the trajectory allocation fails at once
+        rs = single_oscillator()
+        ic = unimodal_ic(rs, 0, 1.0)
+        with pytest.raises(IntegrationError) as exc:
+            integrate(rs, ic, 2e17, 1.0)
+        msg = str(exc.value)
+        assert "200000000000000000 steps" in msg
+        assert "t_f = 2e+17" in msg and "dt = 1" in msg
 
 
 class TestIntegrateOracle:
@@ -321,7 +341,8 @@ class TestImpulse:
         # whose discrete eigenvectors are +/- combinations.
         mesh = generate_structured_square(8, 1.0, "crossed")
         sys = assemble(mesh, material(), bcs_ss())
-        basis = build_modal_basis(sys, 6, 6)
+        basis = build_modal_basis(modal.solve_family_modes(sys, "mechanical", 6),
+                                  modal.solve_family_modes(sys, "electric", 6))
         ic = impulse_ic(sys, basis, (0.38, 0.42))
         m_idx = basis.mechanical_indices()
         mech_amp = np.abs(ic.zdot0[m_idx])
@@ -369,8 +390,11 @@ class TestRecoverField:
         mesh = generate_structured_square(2, 1.0, "crossed")
         sys = assemble(mesh, material(), bcs_ss())
         dm = sys.dof_map
-        basis = build_modal_basis(sys, int(dm.mechanical_mask.sum()),
-                                  int(dm.electric_mask.sum()))
+        basis = build_modal_basis(
+            modal.solve_family_modes(sys, "mechanical",
+                                     int(dm.mechanical_mask.sum())),
+            modal.solve_family_modes(sys, "electric",
+                                     int(dm.electric_mask.sum())))
         t = basis.projection
         k2 = sys.k2.toarray()
         # rows are K2-orthonormal, so the K2-weighted round trip is exact
@@ -399,6 +423,18 @@ class TestDampingMachinery:
         traj = dynamics.Trajectory(t=t, z=None, zdot=None)
         fit = fit_damping(traj, energy, omega, beat_period=2 * math.pi / kappa)
         assert fit.zeta == pytest.approx(zeta, rel=0.05)
+
+    def test_default_horizon_spans_beats_of_nearest_partner(self, tuned_square4):
+        *_, basis, rs = tuned_square4
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
+        period = 2 * math.pi / basis.omegas[m1]
+        t_f, dt = dynamics.default_horizon(rs, m1, 3.0, 50)
+        assert t_f == 3.0 * dynamics.beat_period(rs, m1, e1)
+        assert dt == min(period / 50, dynamics.suggested_dt(rs))
+        # no energy exchange: a beat counts 20 drive periods
+        rs0 = replace(rs, k1red=np.zeros_like(rs.k1red))
+        assert dynamics.default_horizon(rs0, m1, 3.0, 50)[0] == \
+            pytest.approx(60 * period)
 
     def test_settling_time(self):
         t = np.linspace(0, 10, 101)

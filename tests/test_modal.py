@@ -127,7 +127,8 @@ class TestSolveModes:
 
 class TestReduce:
     def test_identity_mass_and_diagonal_stiffness(self, square8):
-        basis = build_modal_basis(square8, 6, 6)
+        basis = build_modal_basis(solve_family_modes(square8, "mechanical", 6),
+                                  solve_family_modes(square8, "electric", 6))
         rs = reduce(square8, basis)
         assert np.abs(rs.k2red - np.eye(12)).max() < 1e-10
         off = rs.k0red - np.diag(np.diag(rs.k0red))
@@ -137,7 +138,8 @@ class TestReduce:
     def test_uncoupled_k1red_zero(self):
         mesh = generate_structured_square(4, 1.0, "crossed")
         sys = assemble(mesh, material(coupling=(0, 0, 0)), bcs_ss())
-        basis = build_modal_basis(sys, 4, 4)
+        basis = build_modal_basis(solve_family_modes(sys, "mechanical", 4),
+                                  solve_family_modes(sys, "electric", 4))
         rs = reduce(sys, basis)
         assert np.abs(rs.k1red).max() < 1e-12
 
@@ -147,7 +149,8 @@ class TestReduce:
         dm = sys.dof_map
         n_mech = int(dm.mechanical_mask.sum())
         n_elec = int(dm.electric_mask.sum())
-        basis = build_modal_basis(sys, n_mech, n_elec)
+        basis = build_modal_basis(solve_family_modes(sys, "mechanical", n_mech),
+                                  solve_family_modes(sys, "electric", n_elec))
         rs = reduce(sys, basis)
         # reduced eigensolve reproduces the retained frequencies exactly
         import scipy.linalg as sla
@@ -157,7 +160,8 @@ class TestReduce:
             <= 1e-9 * basis.omegas.max()
 
     def test_projection_idempotent(self, square8):
-        basis = build_modal_basis(square8, 6, 6)
+        basis = build_modal_basis(solve_family_modes(square8, "mechanical", 6),
+                                  solve_family_modes(square8, "electric", 6))
         rs = reduce(square8, basis)
         # re-reducing the reduced pencil with its own eigenbasis returns the
         # same diagonal within 1e-12
@@ -168,14 +172,16 @@ class TestReduce:
         assert np.abs(again - np.diag(w2)).max() < 1e-12 * np.abs(w2).max()
 
     def test_dimension_mismatch(self, square8, square4):
-        basis = build_modal_basis(square4, 4, 4)
+        basis = build_modal_basis(solve_family_modes(square4, "mechanical", 4),
+                                  solve_family_modes(square4, "electric", 4))
         with pytest.raises(ValidationError, match="rows"):
             reduce(square8, basis)
 
 
 class TestBasis:
     def test_family_counts(self, square8):
-        basis = build_modal_basis(square8, 8, 8)
+        basis = build_modal_basis(solve_family_modes(square8, "mechanical", 8),
+                                  solve_family_modes(square8, "electric", 8))
         assert basis.labels.count("mechanical") == 8
         assert basis.labels.count("electric") == 8
         assert np.all(np.diff(basis.omegas) >= -1e-12)
