@@ -38,13 +38,11 @@ from .element import (
 )
 from .errors import NumericalError, PemplateError, ValidationError
 from .material import (
-    FieldLayout,
     MaterialModel,
     NetworkParams,
     PlateParams,
     build_material,
     conservative_twin,
-    retune_inductance,
 )
 from .mesh import (
     Mesh,

@@ -49,7 +49,7 @@ from .mesh import Mesh
 DOFS_PER_NODE = 4  # (w, theta_x, theta_y, alpha)
 MECH_COMPONENTS = (0, 1, 2)
 ELEC_COMPONENT = 3
-DEFAULT_QUADRATURE_DEGREE = 8
+QUADRATURE_DEGREE = 8  # exact for the degree-8 mass-type integrands
 
 _BC_COMPONENTS = {
     "simply_supported": (0,),
@@ -342,7 +342,7 @@ def local_matrices(geom, mat, quad=None):
     assembled ones in the last bit.
     """
     if quad is None:
-        quad = el.triangle_quadrature(DEFAULT_QUADRATURE_DEGREE)
+        quad = el.triangle_quadrature(QUADRATURE_DEGREE)
     coords = np.stack([geom.x, geom.y], axis=1)[None, :, :]
     slots, area = _chunk_slots(coords, quad, _monomial_tables(quad),
                                geom.mu[None, :])
@@ -427,9 +427,13 @@ def _scatter_plan(mesh, dof_map):
     by_length = np.argsort(-length.astype(np.int16), kind="stable")
     first, length = first[by_length], length[by_length]
     depth = length[0] if len(length) else 1
-    gather = tuple(entry[first[length > i] + i] for i in range(depth))
+    # int32 (entry indices stay below 144 n_triangles): a run keeps its
+    # plan for as long as it keeps its systems
+    gather = tuple(entry[first[length > i] + i].astype(np.int32)
+                   for i in range(depth))
     return _ScatterPlan(indptr=out_ptr, indices=free_col.astype(np.int32),
-                        gather=gather, position=by_length, n_free=n_free)
+                        gather=gather, position=by_length.astype(np.int32),
+                        n_free=n_free)
 
 
 class AssemblyWorkspace:
@@ -437,9 +441,8 @@ class AssemblyWorkspace:
 
     One workspace serves one mesh: it keeps the free-DOF sparsity pattern
     and summation plan of each boundary-condition set, so a repeated
-    assembly (the R_N = 0 / R_N = 1 pair of
-    :func:`pemplate.dynamics.resistance_family`) only computes the local
-    matrices.
+    assembly only computes the local matrices. The CLI keeps one per run
+    (:class:`pemplate.cli.Run`), shared by every network that run assembles.
     """
 
     def __init__(self):
@@ -457,8 +460,7 @@ class AssemblyWorkspace:
         return self._plans[key]
 
 
-def assemble(mesh, mat, bcs=(), quad_degree=DEFAULT_QUADRATURE_DEGREE,
-             point_loads=(), workspace=None):
+def assemble(mesh, mat, bcs=(), point_loads=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
     ``point_loads`` is an optional sequence of (node, component, value)
@@ -466,12 +468,7 @@ def assemble(mesh, mat, bcs=(), quad_degree=DEFAULT_QUADRATURE_DEGREE,
     :class:`AssemblyWorkspace` to reuse the sparsity pattern across repeated
     assemblies of the same mesh.
     """
-    if quad_degree < DEFAULT_QUADRATURE_DEGREE:
-        raise ValidationError(
-            f"quadrature degree must be >= {DEFAULT_QUADRATURE_DEGREE} to keep "
-            "the mass-type integrands exact"
-        )
-    quad = el.triangle_quadrature(quad_degree)
+    quad = el.triangle_quadrature(QUADRATURE_DEGREE)
     dof_map = build_dof_map(mesh, bcs)
     if workspace is None:
         workspace = AssemblyWorkspace()

@@ -6,7 +6,9 @@ quoted value may contain ``#``), and only the ``[bc]`` section may repeat
 (each block declares one boundary condition). Every numeric parameter is
 validated against the owning module's invariants before any computation
 starts, and an unknown section or a key the run does not read is an error
-naming its line.
+naming its line. The optional ``[tuning]`` and ``[search]`` blocks are
+switched on by their header alone: an empty ``[tuning]`` tunes mode 1 to
+mode 1, and ``[search]`` must give ``r_lo`` and ``r_hi``.
 """
 
 from __future__ import annotations
@@ -252,9 +254,9 @@ def parse_config(text, origin="<config>", base_dir=None):
     if n_mech < 1 or n_elec < 1:
         raise ValidationError("retained mode counts must be >= 1")
 
-    tuning = section("tuning")
     tune_mech = tune_elec = None
-    if "mech_mode" in tuning or "elec_mode" in tuning:
+    if "tuning" in singles:
+        tuning = singles["tuning"]
         tune_mech = tuning.get_int("mech_mode", 1)
         tune_elec = tuning.get_int("elec_mode", 1)
         if tune_mech < 1 or tune_elec < 1:
@@ -299,9 +301,9 @@ def parse_config(text, origin="<config>", base_dir=None):
     if simulation.steps_per_period < 4:
         raise ValidationError("[simulation] steps_per_period must be >= 4")
 
-    search = section("search")
     search_lo = search_hi = None
-    if "r_lo" in search or "r_hi" in search:
+    if "search" in singles:
+        search = singles["search"]
         search_lo = search.get_float("r_lo")
         search_hi = search.get_float("r_hi")
         if not 0 < search_lo < search_hi:

@@ -16,8 +16,8 @@ increment matrix once and then steps with one matrix-vector product.
 The net-resistance search wraps an evaluator (one evaluation = reduced system
 at the candidate R_N -> integrate -> log-decrement fit) with a coarse scan
 plus golden-section refinement. The reduced matrices are affine in R_N, so
-:func:`resistance_family` assembles and reduces twice (R_N = 0 and 1) and
-every candidate is a linear combination of those two reductions.
+:func:`resistance_family` turns the caller's two reductions (R_N = 0 and 1)
+into every candidate as a linear combination; nothing here assembles.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from . import assembly as asm
 from . import modal
 from .element import specht_shape_functions, triangle_geometry
 from .errors import IntegrationError, ValidationError
-from .material import build_material
+# unused here; kept importable because benchmarks/tracer.py patches it
+from .material import build_material  # noqa: F401
 from .mesh import _barycentric
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -326,26 +327,15 @@ class DampingReport:
 _RESISTIVE_FIELDS = ("k1red", "k0red", "k0_mech", "k0_elec")
 
 
-def resistance_family(mesh, plate, network, bcs, basis,
-                      quad_degree=asm.DEFAULT_QUADRATURE_DEGREE):
-    """Map R_N -> ReducedSystem on a fixed basis, from two assemblies.
+def resistance_family(rs0, rs1, inductance):
+    """Map R_N -> ReducedSystem from the reductions at R_N = 0 and 1.
 
     R_N enters the material only linearly (the damping and stiffness
-    couplings S, T and R), so every reduced matrix is affine in it. The
-    system is assembled and reduced at R_N = 0 and R_N = 1 with the rest of
-    ``network`` (G_N included), the second assembly reusing the first one's
-    sparsity pattern; a candidate R is then rs0 + R (rs1 - rs0), with the
-    cross-energy ratio R / L_N.
+    couplings S, T and R), so every reduced matrix is affine in it. ``rs0``
+    and ``rs1`` are one network (G_N included) at R_N = 0 and R_N = 1,
+    reduced on one basis; a candidate R is rs0 + R (rs1 - rs0), with the
+    cross-energy ratio R / ``inductance`` (the network's L_N).
     """
-    workspace = asm.AssemblyWorkspace()
-
-    def reduced_at(resistance):
-        mat = build_material(plate, replace(network, resistance=resistance))
-        sys = asm.assemble(mesh, mat, bcs, quad_degree, workspace=workspace)
-        return modal.reduce(sys, basis)
-
-    rs0 = reduced_at(0.0)
-    rs1 = reduced_at(1.0)
     slopes = {name: getattr(rs1, name) - getattr(rs0, name)
               for name in _RESISTIVE_FIELDS}
 
@@ -355,7 +345,7 @@ def resistance_family(mesh, plate, network, bcs, basis,
             raise ValidationError(
                 f"net resistance must be non-negative, got {resistance}")
         return replace(
-            rs0, cross_ratio=r / network.inductance,
+            rs0, cross_ratio=r / inductance,
             **{name: getattr(rs0, name) + r * slope
                for name, slope in slopes.items()},
         )
@@ -363,16 +353,13 @@ def resistance_family(mesh, plate, network, bcs, basis,
     return reduced
 
 
-def damping_evaluator(mesh, plate, network, bcs, basis, mode_index, *,
-                      t_f, dt, amplitude=1.0,
-                      quad_degree=asm.DEFAULT_QUADRATURE_DEGREE,
+def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
                       max_extensions=3):
     """Evaluator R_N -> DampingSample for the resistance search.
 
-    ``basis`` is the retained conservative basis (fixed across evaluations)
-    and ``mode_index`` the driven basis vector. The reduced system at each
-    candidate resistance comes from :func:`resistance_family`, which
-    assembles twice when the evaluator is built and never again. Every call
+    ``reduced`` maps a candidate resistance to its reduced system (a
+    :func:`resistance_family`), ``basis`` is the retained conservative basis
+    it was reduced on and ``mode_index`` the driven basis vector. Every call
     integrates an initial-displacement run and fits the log decrement of the
     mechanical-energy envelope; the horizon doubles automatically until at
     least four envelope peaks carrying a visible secular decay (at least
@@ -383,7 +370,6 @@ def damping_evaluator(mesh, plate, network, bcs, basis, mode_index, *,
                 if lab == "electric" and i != mode_index]
     partner = min(partners, key=lambda i: abs(basis.omegas[i] - omega_ref),
                   default=None)
-    reduced = resistance_family(mesh, plate, network, bcs, basis, quad_degree)
 
     def evaluate(resistance, keep_trajectory=False):
         rs = reduced(resistance)

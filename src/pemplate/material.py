@@ -28,26 +28,6 @@ STRAIN_DIM = 5
 
 
 @dataclass(frozen=True)
-class FieldLayout:
-    """DOF bookkeeping for n4 fourth-order and n2 second-order fields."""
-
-    n4: int = 1
-    n2: int = 1
-
-    @property
-    def dofs_per_node(self):
-        return 3 * self.n4 + self.n2
-
-    @property
-    def dofs_per_element(self):
-        return 3 * self.dofs_per_node
-
-    @property
-    def strain_dim(self):
-        return 3 * self.n4 + 2 * self.n2
-
-
-@dataclass(frozen=True)
 class PlateParams:
     """Host-plate and piezo-layer constitutive data.
 
@@ -109,7 +89,6 @@ class MaterialModel:
 
     plate: PlateParams
     network: NetworkParams
-    layout: FieldLayout
     c_n: float
     G: np.ndarray
     S: np.ndarray
@@ -202,20 +181,11 @@ def build_material(plate, net):
     H = compatibility_selectors()
     H.setflags(write=False)
 
-    return MaterialModel(plate=plate, network=net, layout=FieldLayout(),
-                         c_n=float(c_n), G=G, S=S, T=T, V=V, E=E, C=C, R=R,
-                         G_B1=G_B, G_B2=G_B, H=H)
+    return MaterialModel(plate=plate, network=net, c_n=float(c_n), G=G, S=S,
+                         T=T, V=V, E=E, C=C, R=R, G_B1=G_B, G_B2=G_B, H=H)
 
 
-def retune_inductance(model, factor):
-    """Rebuild the model with L_N scaled by ``factor`` (> 0)."""
-    if factor <= 0:
-        raise ValidationError(f"inductance factor must be positive, got {factor}")
-    net = replace(model.network, inductance=model.network.inductance * factor)
-    return build_material(model.plate, net)
-
-
-def conservative_twin(model):
-    """The same model with R_N = G_N = 0 (used for the modal basis)."""
-    net = replace(model.network, resistance=0.0, conductance=0.0)
-    return build_material(model.plate, net)
+def conservative_twin(net):
+    """The same network with R_N = G_N = 0: the one the modal basis and the
+    simulation are built from."""
+    return replace(net, resistance=0.0, conductance=0.0)

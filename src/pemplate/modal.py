@@ -231,8 +231,10 @@ def solve_family_modes(sys, family, n):
         raise ValidationError(
             f"retained mode count {n} out of range 1..{len(idx)} for {family}"
         )
-    k0 = sys.k0.tocsr()[idx][:, idx]
-    k2 = sys.k2.tocsr()[idx][:, idx]
+    # CSC, the form the sparse solve factors, so no second copy of a block
+    # stays alive through the solve
+    k0 = sp.csc_matrix(sys.k0.tocsr()[idx][:, idx])
+    k2 = sp.csc_matrix(sys.k2.tocsr()[idx][:, idx])
     if len(idx) <= _DENSE_LIMIT:
         k0, k2 = k0.toarray(), k2.toarray()
     omegas, sub = _solve_pencil(k0, k2, n)

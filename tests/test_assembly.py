@@ -542,11 +542,6 @@ class TestAssemble:
             assemble(generate_structured_square(3, 1.0), material(), bcs_ss(),
                      workspace=ws)
 
-    def test_low_quadrature_degree_rejected(self):
-        mesh = generate_structured_square(2, 1.0)
-        with pytest.raises(ValidationError):
-            assemble(mesh, material(), bcs_ss(), quad_degree=4)
-
     def test_bits_match_full_coo_assembly(self, monkeypatch):
 
         # element by element, summed by scipy's COO -> CSR on all DOFs, then

@@ -165,6 +165,24 @@ class TestConfigParsing:
                            match="mode 5 exceeds the 4 retained electric"):
             parse_config(text)
 
+    def test_empty_tuning_section_uses_defaults(self):
+        text = SMALL_CFG.replace("[tuning]\nmech_mode = 1\nelec_mode = 1\n",
+                                 "[tuning]\n")
+        cfg = parse_config(text)
+        assert (cfg.tune_mech, cfg.tune_elec) == (1, 1)
+
+    @pytest.mark.parametrize("keys, missing", [("", "r_lo"),
+                                               ("r_lo = 0.02\n", "r_hi")],
+                             ids=["empty", "no-r_hi"])
+    def test_search_section_needs_bracket(self, tmp_path, capsys, keys,
+                                          missing):
+        cfg = write_cfg(tmp_path, SMALL_CFG + "\n[search]\n" + keys)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"missing config field [search] {missing}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_search_without_tuning_rejected(self, tmp_path, capsys):
         assert "[tuning]" not in UNTUNED_CFG
         with pytest.raises(ValidationError, match=r"\[search\].*\[tuning\]"):
@@ -305,8 +323,41 @@ class TestStageGraph:
         counted("solve_family_modes")
         run_cli("pipeline", write_cfg(tmp_path, SMALL_CFG + SEARCH),
                 tmp_path / "out")
-        # untuned and tuned conservative systems, two families each
-        assert counts == {"assemble": 2, "solve_family_modes": 4}
+        # untuned and tuned conservative systems (the tuned one is also the
+        # search's R_N = 0 system) and the search's R_N = 1 system; one
+        # mechanical family for every network, one electric family each
+        assert counts == {"assemble": 3, "solve_family_modes": 3}
+
+    def test_pipeline_with_conductance_assembles_r0_separately(
+            self, tmp_path, monkeypatch):
+        assembled = []
+        assemble = cli.assemble
+
+        def recording(mesh, mat, *args, **kwargs):
+            assembled.append(mat.network)
+            return assemble(mesh, mat, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble", recording)
+        text = SMALL_CFG.replace("capacitance = 1.0",
+                                 "capacitance = 1.0\nconductance = 0.3")
+        out = run_cli("pipeline", write_cfg(tmp_path, text + SEARCH),
+                      tmp_path / "out")
+        assert [(n.resistance, n.conductance) for n in assembled] == \
+            [(0.0, 0.0), (0.0, 0.0), (0.0, 0.3), (1.0, 0.3)]
+        assert assembled[1].inductance == assembled[2].inductance
+        assert "optimal resistance R*" in (out / "summary.txt").read_text()
+
+    def test_electric_simulation_reports_electric_energy(self, tmp_path,
+                                                         capsys):
+        text = SMALL_CFG.replace("family = mechanical", "family = electric")
+        cfg = write_cfg(tmp_path, text)
+        out = run_cli("pipeline", cfg, tmp_path / "pipeline")
+        line, = [l for l in (out / "summary.txt").read_text().splitlines()
+                 if l.startswith("simulation:")]
+        assert "min E_elec/E_0" in line
+        assert np.isfinite(float(line.rsplit(" ", 1)[1]))
+        run_cli("simulate", cfg, tmp_path / "sim")
+        assert "min E_elec / E_elec(0): " in capsys.readouterr().out
 
     def test_pipeline_search_drives_tuned_mechanical_mode(self, tmp_path):
         # the simulation drives an electric mode; the search still damps the

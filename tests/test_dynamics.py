@@ -71,6 +71,20 @@ def rk4_reference(rs, ic, t_f, dt):
                                zdot=out[:, n:])
 
 
+def direct_family(mesh, plate, net, basis):
+    """R_N -> ReducedSystem by a full assembly at each R_N: the oracle."""
+    def reduced(r):
+        mat = build_material(plate, replace(net, resistance=r))
+        return reduce(assemble(mesh, mat, bcs_ss()), basis)
+    return reduced
+
+
+def affine_family(mesh, plate, net, basis):
+    """The search's family: the reductions at R_N = 0 and 1, combined."""
+    direct = direct_family(mesh, plate, net, basis)
+    return dynamics.resistance_family(direct(0.0), direct(1.0), net.inductance)
+
+
 def relative_drift(en):
     return np.abs(en.total - en.total[0]).max() / en.total[0]
 
@@ -459,10 +473,9 @@ class TestDampingMachinery:
                                                        conductance):
         mesh, plate, net, _, basis, _ = tuned_square4
         net = replace(net, conductance=conductance)
-        reduced = dynamics.resistance_family(mesh, plate, net, bcs_ss(), basis)
+        reduced = affine_family(mesh, plate, net, basis)
         for r in (0.013, 0.4, 3.7):
-            mat = build_material(plate, replace(net, resistance=r))
-            direct = reduce(assemble(mesh, mat, bcs_ss()), basis)
+            direct = direct_family(mesh, plate, net, basis)(r)
             affine = reduced(r)
             for name in ("k2red", "k1red", "k0red", "f_red", "m2_mech",
                          "k0_mech", "m2_elec", "k0_elec"):
@@ -473,26 +486,17 @@ class TestDampingMachinery:
             assert affine.modes is basis
 
     @pytest.mark.parametrize("conductance", [0.0, 0.7])
-    def test_evaluator_matches_direct_path(self, tuned_square4, conductance,
-                                           monkeypatch):
+    def test_evaluator_matches_direct_path(self, tuned_square4, conductance):
         mesh, plate, net, _, basis, rs = tuned_square4
         net = replace(net, conductance=conductance)
         m1 = basis.mechanical_indices()[0]
         e1 = basis.electric_indices()[0]
         kwargs = dict(t_f=4 * beat_period(rs, m1, e1),
                       dt=2 * math.pi / basis.omegas[m1] / 60)
-        evaluate = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
-                                              m1, **kwargs)
-
-        def direct_family(mesh, plate, network, bcs, basis, quad_degree):
-            def reduced(r):
-                mat = build_material(plate, replace(network, resistance=r))
-                return reduce(assemble(mesh, mat, bcs, quad_degree), basis)
-            return reduced
-
-        monkeypatch.setattr(dynamics, "resistance_family", direct_family)
-        direct = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
-                                            m1, **kwargs)
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1, **kwargs)
+        direct = dynamics.damping_evaluator(
+            direct_family(mesh, plate, net, basis), basis, m1, **kwargs)
         for r in (0.013, 0.4, 3.7):
             got, want = evaluate(r), direct(r)
             assert got.zeta == pytest.approx(want.zeta, rel=1e-9, abs=1e-15)
@@ -502,8 +506,8 @@ class TestDampingMachinery:
     def test_evaluator_rejects_negative_resistance(self, tuned_square4):
         mesh, plate, net, _, basis, rs = tuned_square4
         m1 = basis.mechanical_indices()[0]
-        evaluate = dynamics.damping_evaluator(mesh, plate, net, bcs_ss(), basis,
-                                              m1, t_f=1.0, dt=0.01)
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1, t_f=1.0, dt=0.01)
         with pytest.raises(ValidationError, match="resistance"):
             evaluate(-0.1)
         with pytest.raises(ValidationError, match="resistance"):

@@ -3,25 +3,16 @@ import pytest
 
 from pemplate.errors import ValidationError
 from pemplate.material import (
-    FieldLayout,
     NetworkParams,
     PlateParams,
     build_material,
     conservative_twin,
-    retune_inductance,
 )
 
 
 def benchmark_plate(coupling=(0.1, 0.1, 0.0)):
     return PlateParams.isotropic(half_thickness=1e-3, density=500.0,
                                  rigidity=1.0, poisson=0.3, coupling=coupling)
-
-
-def test_field_layout_dof_counts():
-    layout = FieldLayout(n4=1, n2=1)
-    assert layout.dofs_per_node == 4
-    assert layout.dofs_per_element == 12
-    assert layout.strain_dim == 5
 
 
 class TestBuildMaterial:
@@ -115,30 +106,9 @@ class TestBuildMaterial:
             )
 
 
-class TestRetune:
-    def test_factor_one_identity(self):
-        m = build_material(benchmark_plate(), NetworkParams(inductance=1.0))
-        m2 = retune_inductance(m, 1.0)
-        assert np.array_equal(m.G, m2.G) and np.array_equal(m.C, m2.C)
-
-    def test_factor_four_scales_electric_entries(self):
-        m = build_material(benchmark_plate(), NetworkParams(inductance=1.0))
-        m4 = retune_inductance(m, 4.0)
-        assert m4.G[1, 1] == pytest.approx(4.0 * m.G[1, 1])
-        assert m4.G[0, 0] == m.G[0, 0]
-        assert np.allclose(m4.C[:3, 1], 4.0 * m.C[:3, 1])
-
-    def test_invalid_factor(self):
-        m = build_material(benchmark_plate(), NetworkParams(inductance=1.0))
-        with pytest.raises(ValidationError):
-            retune_inductance(m, 0.0)
-        with pytest.raises(ValidationError):
-            retune_inductance(m, -2.0)
-
-
 def test_conservative_twin_strips_dissipation():
     net = NetworkParams(inductance=1.5, resistance=0.7, conductance=0.3)
-    m = conservative_twin(build_material(benchmark_plate(), net))
+    m = build_material(benchmark_plate(), conservative_twin(net))
     assert m.network.resistance == 0.0 and m.network.conductance == 0.0
     assert m.network.inductance == 1.5
     assert np.allclose(m.S, 0) and np.allclose(m.T, 0) and np.allclose(m.R, 0)

@@ -125,6 +125,25 @@ class TestSolveModes:
         assert m2.omegas[0] == pytest.approx(m1.omegas[0] / np.sqrt(10), rel=1e-10)
 
 
+    def test_mechanical_modes_ignore_the_network(self):
+        # no network parameter reaches the bending block of K2 and K0, so
+        # one bending family serves every network of a run, bit for bit
+        mesh = generate_structured_square(4, 1.0, "crossed")
+        plate = PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3,
+                                      coupling=(0.1, 0.1, 0.0))
+        ref, *others = (
+            solve_family_modes(assemble(mesh, build_material(plate, net),
+                                        bcs_ss()), "mechanical", 6)
+            for net in (NetworkParams(inductance=1.0),
+                        NetworkParams(inductance=0.05),
+                        NetworkParams(inductance=1.0, resistance=0.4),
+                        NetworkParams(inductance=1.0, conductance=0.7)))
+        for modes in others:
+            for name in ("omegas", "vectors", "mech_fraction"):
+                assert np.array_equal(getattr(modes, name), getattr(ref, name))
+            assert modes.labels == ref.labels
+
+
 class TestReduce:
     def test_identity_mass_and_diagonal_stiffness(self, square8):
         basis = build_modal_basis(solve_family_modes(square8, "mechanical", 6),
