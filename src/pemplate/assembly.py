@@ -95,12 +95,9 @@ class DofMap:
     def n_free(self):
         return len(self.free_to_full)
 
-    def full_index(self, node, component):
-        return DOFS_PER_NODE * node + component
-
     def free_index(self, node, component):
         """Free index of a nodal DOF, or -1 if constrained."""
-        return int(self.full_to_free[self.full_index(node, component)])
+        return int(self.full_to_free[DOFS_PER_NODE * node + component])
 
     @property
     def free_components(self):

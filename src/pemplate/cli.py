@@ -2,7 +2,8 @@
 
 Subcommands: ``modes``, ``tune``, ``simulate``, ``optimize-r``, ``coupling``,
 ``patch-test``, ``pipeline``. Exit codes: 0 success, 1 validation error,
-2 numerical failure. Floats are written with 17 significant digits, so a
+2 numerical failure. Every CSV table is one array, written by
+:func:`write_csv` with ``%.17g`` (the mode table as text cells), so a
 re-run of a configuration reproduces byte-identical CSV bodies.
 
 Each subcommand but ``patch-test`` asks one :class:`Run`, a memoized stage
@@ -17,12 +18,12 @@ only place where a network is assembled or solved::
 Modes, coupling, basis and simulation use the conservative network
 (``conservative_twin``: R_N = G_N = 0); the search combines the tuned
 network reduced at R_N = 0 and 1 (with G_N = 0 the first is the basis
-system). ``modes`` asks for modes(untuned), ``coupling`` for
-coupling(untuned), ``tune`` for network and modes(tuned), ``simulate`` for
-simulation, ``optimize-r`` for search, ``pipeline`` for mesh, modes(tuned),
-coupling(tuned), simulation and search. Without [tuning] the tuned network
-is the configured one. The search always drives the tuned mechanical mode
-against the tuned electric mode ([tuning] mech_mode / elec_mode).
+system); its evaluations compute E_mech alone, and all four energy traces
+only for the three regime trajectories written. ``modes`` and ``coupling``
+report the untuned network, the other subcommands the tuned one (without
+[tuning], the configured one). The search always drives the tuned
+mechanical mode against the tuned electric mode ([tuning] mech_mode /
+elec_mode).
 """
 
 from __future__ import annotations
@@ -46,19 +47,21 @@ from .material import NetworkParams, PlateParams, build_material, conservative_t
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 
 
 def _fmt(x):
     if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT.format(float(x))
+        return FLOAT_FMT % x
     return str(x)
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    """Writes ``header`` and the 2-D array ``rows``, one line per row:
+    numbers with ``FLOAT_FMT``, text cells as they are."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, rows, fmt="%s" if rows.dtype.kind == "U" else FLOAT_FMT,
+               delimiter=",", header=",".join(header), comments="")
 
 
 def _stage(name):
@@ -178,28 +181,29 @@ class Run:
 
 
 def _write_modes(run, net, path):
-    """Writes the mode table of ``net``; returns (header, rows, notices)."""
+    """Writes the mode table of ``net``; returns (header, cells, notices)."""
     header, rows, notices = reference.mode_table(
         *run.modes(net), {bc.kind for bc in run.cfg.bcs},
         is_square_benchmark(run.cfg))
-    write_csv(path, header, rows)
-    return header, rows, notices
+    cells = np.array([[_fmt(v) for v in row] for row in rows])
+    write_csv(path, header, cells)
+    return header, cells, notices
 
 
 def _write_coupling(run, net, out_dir, names=("coupling.csv",)):
     """Writes the max-normalized (then the raw) modal coupling table."""
     table = run.coupling(net)
     header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
+    index = np.arange(1, table.raw.shape[0] + 1)
     for name, values in zip(names, (table.normalized, table.raw)):
-        write_csv(out_dir / name, header,
-                  [[i + 1, *row] for i, row in enumerate(values)])
+        write_csv(out_dir / name, header, np.column_stack([index, values]))
 
 
 def _write_trajectory(path, traj, en):
     header = ["t", *(f"z_{k + 1}" for k in range(traj.z.shape[1])),
               "E_mech", "E_elec", "E_total"]
-    write_csv(path, header, [[traj.t[i], *traj.z[i], en.mech[i], en.elec[i],
-                              en.total[i]] for i in range(len(traj.t))])
+    write_csv(path, header, np.column_stack(
+        [traj.t, traj.z, en.mech, en.elec, en.total]))
 
 
 def _write_simulation(run, out_dir):
@@ -219,7 +223,8 @@ def _write_simulation(run, out_dir):
 def _write_search(run, out_dir):
     report = run.search()
     write_csv(out_dir / "damping.csv", ["R_N", "zeta", "settling_time"],
-              [[s.resistance, s.zeta, s.settling_time] for s in report.samples])
+              np.array([[s.resistance, s.zeta, s.settling_time]
+                        for s in report.samples]))
     for name, sample in report.regimes.items():
         _write_trajectory(out_dir / f"trajectory_{name}.csv",
                           sample.trajectory, sample.trajectory.energies)
@@ -227,13 +232,13 @@ def _write_search(run, out_dir):
 
 
 def cmd_modes(run, out_dir):
-    header, rows, notices = _write_modes(run, run.cfg.network,
-                                         out_dir / "modes.csv")
+    header, cells, notices = _write_modes(run, run.cfg.network,
+                                          out_dir / "modes.csv")
     for n in notices:
         print(f"note: {n}")
     print(f"wrote {out_dir / 'modes.csv'}")
-    for row in [header, *rows]:
-        print(" ".join(f"{_fmt(v):>20s}" for v in row))
+    for row in [header, *cells]:
+        print(" ".join(f"{v:>20s}" for v in row))
 
 
 def cmd_tune(run, out_dir):
@@ -277,7 +282,6 @@ def cmd_optimize_r(run, out_dir):
 
 def cmd_pipeline(run, out_dir):
     c = run.cfg
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats = mesh_statistics(run.mesh())
     summary = [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
                f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class InitialCondition:
 
     z0: np.ndarray
     zdot0: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
 
 
 def unimodal_ic(rs, mode_index, amplitude=1.0, on="displacement"):
@@ -61,9 +59,7 @@ def unimodal_ic(rs, mode_index, amplitude=1.0, on="displacement"):
     z0 = np.zeros(n)
     zd0 = np.zeros(n)
     (z0 if on == "displacement" else zd0)[mode_index] = amplitude
-    return InitialCondition(z0=z0, zdot0=zd0, kind="unimodal",
-                            meta={"mode": mode_index, "on": on,
-                                  "amplitude": amplitude})
+    return InitialCondition(z0=z0, zdot0=zd0)
 
 
 def impulse_ic(sys, modes, point, magnitude=1.0):
@@ -83,17 +79,11 @@ def impulse_ic(sys, modes, point, magnitude=1.0):
     L = _barycentric(coords, x, y, tol=1e-9)
     ev = specht_shape_functions(geom, L)
 
-    p_full = np.zeros(asm.DOFS_PER_NODE * sys.mesh.n_nodes)
-    for local, node in enumerate(tri):
-        for comp in range(3):
-            p_full[asm.DOFS_PER_NODE * node + comp] = (
-                magnitude * ev.value[3 * local + comp]
-            )
-    p_free = p_full[sys.dof_map.free_to_full]
-    zd0 = modes.vectors.T @ p_free
-    return InitialCondition(z0=np.zeros(modes.n_modes), zdot0=zd0, kind="impulse",
-                            meta={"point": (float(x), float(y)),
-                                  "magnitude": magnitude, "element": int(e)})
+    p_full = np.zeros((sys.mesh.n_nodes, asm.DOFS_PER_NODE))
+    p_full[tri, :3] = magnitude * ev.value.reshape(3, 3)
+    p_free = p_full.ravel()[sys.dof_map.free_to_full]
+    return InitialCondition(z0=np.zeros(modes.n_modes),
+                            zdot0=modes.vectors.T @ p_free)
 
 
 @dataclass
@@ -172,13 +162,19 @@ def integrate(rs, ic, t_f, dt):
     return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:2 * n])
 
 
+def mechanical_energy(rs, traj):
+    """Bending-family energy trace, the one the damping fit reads."""
+    z, zd = traj.z, traj.zdot
+    return 0.5 * (np.einsum("ti,ij,tj->t", zd, rs.m2_mech, zd)
+                  + np.einsum("ti,ij,tj->t", z, rs.k0_mech, z))
+
+
 def energies(rs, traj):
     """Per-family energy traces; the result is cached on the trajectory."""
     if traj.energies is not None:
         return traj.energies
     z, zd = traj.z, traj.zdot
-    mech = 0.5 * (np.einsum("ti,ij,tj->t", zd, rs.m2_mech, zd)
-                  + np.einsum("ti,ij,tj->t", z, rs.k0_mech, z))
+    mech = mechanical_energy(rs, traj)
     elec = 0.5 * (np.einsum("ti,ij,tj->t", zd, rs.m2_elec, zd)
                   + np.einsum("ti,ij,tj->t", z, rs.k0_elec, z))
     r = rs.cross_ratio
@@ -248,9 +244,17 @@ def default_horizon(rs, drive, beats, steps_per_period):
 def envelope_peaks(values):
     """Indices of strict local maxima (left-inclusive on plateaus)."""
     v = np.asarray(values)
-    idx = [i for i in range(1, len(v) - 1)
-           if v[i] >= v[i - 1] and v[i] > v[i + 1]]
-    return np.array(idx, dtype=int)
+    return np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
+
+
+def beat_crests(t, energy, peaks, half_width):
+    """The ``peaks`` that no sample within ``half_width`` exceeds (t rising)."""
+    lo = np.searchsorted(t, t[peaks] - half_width, side="left")
+    hi = np.searchsorted(t, t[peaks] + half_width, side="right")
+    # max over each [lo, hi); the -inf tail keeps every hi a valid index
+    window_max = np.maximum.reduceat(np.append(energy, -np.inf),
+                                     np.column_stack([lo, hi]).ravel())[::2]
+    return peaks[energy[peaks] >= window_max]
 
 
 def settling_time(t, energy, fraction=SETTLING_FRACTION):
@@ -268,8 +272,6 @@ def settling_time(t, energy, fraction=SETTLING_FRACTION):
 class DampingFit:
     zeta: float
     n_peaks: int
-    slope: float
-    span: float = 0.0
     realized_decay: float = 1.0
 
 
@@ -285,24 +287,16 @@ def fit_damping(traj, energy_trace, omega_ref, beat_period=None):
     peaks = envelope_peaks(energy_trace)
     peaks = peaks[energy_trace[peaks] > 1e-300]
     if beat_period is not None and math.isfinite(beat_period) and len(peaks) > 1:
-        half = 0.45 * beat_period
-        tt = traj.t
-        crests = [
-            p for p in peaks
-            if energy_trace[p] >= energy_trace[
-                (tt >= tt[p] - half) & (tt <= tt[p] + half)
-            ].max()
-        ]
+        crests = beat_crests(traj.t, energy_trace, peaks, 0.45 * beat_period)
         if len(crests) >= 2:
-            peaks = np.array(crests, dtype=int)
+            peaks = crests
     if len(peaks) < 2:
-        return DampingFit(zeta=0.0, n_peaks=len(peaks), slope=0.0)
+        return DampingFit(zeta=0.0, n_peaks=len(peaks))
     tt = traj.t[peaks]
     vals = energy_trace[peaks]
     slope = np.polyfit(tt, np.log(vals), 1)[0]
     return DampingFit(zeta=max(0.0, -slope / (2.0 * omega_ref)),
-                      n_peaks=len(peaks), slope=float(slope),
-                      span=float(tt[-1] - tt[0]),
+                      n_peaks=len(peaks),
                       realized_decay=float(vals[-1] / vals[0]))
 
 
@@ -313,6 +307,7 @@ class DampingSample:
     settling_time: float
     n_peaks: int
     trajectory: Trajectory | None = None
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -363,7 +358,9 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
     integrates an initial-displacement run and fits the log decrement of the
     mechanical-energy envelope; the horizon doubles automatically until at
     least four envelope peaks carrying a visible secular decay (at least
-    30 percent over the fit window) are available.
+    30 percent over the fit window) are available, at most
+    ``max_extensions`` times (else the sample is not ``converged``). Only
+    kept trajectories get every energy trace; the fit needs E_mech alone.
     """
     omega_ref = float(basis.omegas[mode_index])
     partners = [i for i, lab in enumerate(basis.labels)
@@ -378,16 +375,21 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
         horizon = t_f
         for _ in range(max_extensions + 1):
             traj = integrate(rs, ic, horizon, dt)
-            en = energies(rs, traj)
-            fit = fit_damping(traj, en.mech, omega_ref, beat_period=tb)
-            if fit.n_peaks >= MIN_ENVELOPE_PEAKS and fit.realized_decay < 0.7:
+            mech = mechanical_energy(rs, traj)
+            fit = fit_damping(traj, mech, omega_ref, beat_period=tb)
+            converged = (fit.n_peaks >= MIN_ENVELOPE_PEAKS
+                         and fit.realized_decay < 0.7)
+            if converged:
                 break
             horizon *= 2.0
+        if keep_trajectory:
+            energies(rs, traj)
         return DampingSample(
             resistance=float(resistance), zeta=fit.zeta,
-            settling_time=settling_time(traj.t, en.mech),
+            settling_time=settling_time(traj.t, mech),
             n_peaks=fit.n_peaks,
             trajectory=traj if keep_trajectory else None,
+            converged=converged,
         )
 
     return evaluate
@@ -401,7 +403,8 @@ def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
     refines it to the requested relative width. When the scan is not
     single-peaked (or peaks at an endpoint) the search falls back to a fine
     grid scan and records a warning. The report carries sub-critical,
-    near-critical and super-critical sample runs at R*/10, R* and 10 R*.
+    near-critical and super-critical sample runs at R*/10, R* and 10 R*,
+    and a warning naming every resistance whose fit did not converge.
     """
     r_lo, r_hi = bracket
     if not 0 < r_lo < r_hi:
@@ -454,6 +457,12 @@ def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
         "super_critical": evaluate(best_r * 10.0, keep_trajectory=True),
     }
     ordered = tuple(sorted(samples.values(), key=lambda s: s.resistance))
+    unconverged = sorted({s.resistance for s in (*ordered, *regimes.values())
+                          if not s.converged})
+    if unconverged:
+        notes.append("damping fit not converged (too few envelope peaks or "
+                     "too little decay) at R_N = "
+                     + ", ".join(f"{r:.17g}" for r in unconverged))
     return DampingReport(samples=ordered, best=best, regimes=regimes,
                          warnings=tuple(notes))
 

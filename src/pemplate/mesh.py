@@ -111,12 +111,6 @@ class Mesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    def node_groups(self, node_id):
-        """Names of the edge groups containing ``node_id`` (empty = interior)."""
-        return tuple(
-            name for name, members in self.edge_groups.items() if node_id in members
-        )
-
     def triangle_areas(self):
         return triangle_signed_area(self.nodes[self.triangles])
 
@@ -139,9 +133,6 @@ class Mesh:
                 raise ValidationError(
                     f"edge {edge} is shared by {count} triangles (non-conforming)"
                 )
-
-    def boundary_edges(self):
-        return [e for e, c in self.edge_incidence().items() if c == 1]
 
     def contains_point(self, x, y, tol=1e-12):
         """Index of a triangle containing (x, y), or None."""

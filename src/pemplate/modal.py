@@ -327,8 +327,6 @@ class CouplingTable:
 
     raw: np.ndarray
     normalized: np.ndarray
-    mech_omegas: np.ndarray
-    elec_omegas: np.ndarray
 
 
 def coupling_table(mech_modes, elec_modes, sys):
@@ -340,9 +338,7 @@ def coupling_table(mech_modes, elec_modes, sys):
     raw = np.abs(elec_modes.vectors.T @ (sys.k1 @ mech_modes.vectors))
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
-    return CouplingTable(raw=raw, normalized=normalized,
-                         mech_omegas=mech_modes.omegas.copy(),
-                         elec_omegas=elec_modes.omegas.copy())
+    return CouplingTable(raw=raw, normalized=normalized)
 
 
 def tuning_factor(mech_modes, elec_modes, mech_index, elec_index):

@@ -287,6 +287,56 @@ class TestCommands:
         assert f"{omega:.17g}" == rows[0].split(",")[1]
 
 
+def write_csv_reference(path, header, rows):
+    """The former per-cell writer (ints as ``str``, floats as ``{:.17g}``):
+    the oracle for ``write_csv``."""
+    def fmt(x):
+        return "{:.17g}".format(float(x)) if isinstance(x, float) else str(x)
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestWriter:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e20,
+               1e-20, -1e20, -1e-20, float("inf"), float("-inf"), float("nan"),
+               1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, np.pi,
+               1.7976931348623157e308]
+
+    def test_array_writer_matches_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        values = np.concatenate([self.SPECIAL, noise]).reshape(-1, 4)
+        # an integer first column, as the coupling tables' mode index
+        rows = [[i + 1, *map(float, row)] for i, row in enumerate(values)]
+        header = ["index", "a", "b", "c", "d"]
+        write_csv_reference(tmp_path / "old.csv", header, rows)
+        table = np.column_stack([np.arange(1, len(values) + 1), values])
+        cli.write_csv(tmp_path / "new" / "table.csv", header, table)
+        assert (tmp_path / "new" / "table.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_text_cells_written_as_given(self, tmp_path):
+        rows = [[1, 2.5, "mechanical", ""], [2, -0.0, "electric", 1e-20]]
+        write_csv_reference(tmp_path / "old.csv", list("abcd"), rows)
+        cells = np.array([[cli._fmt(v) for v in row] for row in rows])
+        cli.write_csv(tmp_path / "new.csv", list("abcd"), cells)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_trajectory_reads_back_exactly(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_CFG)
+        out = run_cli("simulate", cfg, tmp_path / "sim")
+        traj, en = cli.Run(load_config(cfg)).simulation()
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in lines[1:]])
+        n = traj.z.shape[1]
+        assert np.array_equal(table[:, 0], traj.t)
+        assert np.array_equal(table[:, 1:n + 1], traj.z)
+        assert np.array_equal(table[:, n + 1:],
+                              np.column_stack([en.mech, en.elec, en.total]))
+
+
 def run_cli(command, cfg, out):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     return out
@@ -300,7 +350,9 @@ class TestStageGraph:
             ("tune", {"modes_tuned.csv": "modes.csv"}),
             ("simulate", {"trajectory.csv": "trajectory.csv"}),
             ("optimize-r", {"damping.csv": "damping.csv",
-                            "trajectory_critical.csv": "trajectory_critical.csv"}),
+                            **{f"trajectory_{regime}.csv": f"trajectory_{regime}.csv"
+                               for regime in ("sub_critical", "critical",
+                                              "super_critical")}}),
         ):
             out = run_cli(command, cfg, tmp_path / command)
             for name, pipe_name in names.items():

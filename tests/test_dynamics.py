@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pemplate import dynamics, modal
-from pemplate.assembly import BoundaryCondition, assemble
+from pemplate.assembly import DOFS_PER_NODE, BoundaryCondition, assemble
 from pemplate.dynamics import (
     beat_period,
     energies,
@@ -19,9 +19,10 @@ from pemplate.dynamics import (
     two_mode_surrogate,
     unimodal_ic,
 )
+from pemplate.element import specht_shape_functions, triangle_geometry
 from pemplate.errors import IntegrationError, ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
-from pemplate.mesh import generate_structured_square
+from pemplate.mesh import _barycentric, generate_structured_square
 from pemplate.modal import ReducedSystem, build_modal_basis, reduce, tune_inductance
 
 
@@ -367,6 +368,23 @@ class TestImpulse:
         share_peripheral = mech_amp2[0] / mech_amp2.sum()
         assert share_peripheral < share_central
 
+    def test_nodal_impulse_matches_per_dof_loop(self, tuned_square4):
+        _, _, _, sys_t, basis, _ = tuned_square4
+        point, magnitude = (0.31, 0.58), 1.7
+        e = sys_t.mesh.contains_point(*point)
+        tri = sys_t.mesh.triangles[e]
+        geom = triangle_geometry(sys_t.mesh.nodes[tri])
+        ev = specht_shape_functions(
+            geom, _barycentric(sys_t.mesh.nodes[tri], *point, tol=1e-9))
+        p_full = np.zeros(DOFS_PER_NODE * sys_t.mesh.n_nodes)
+        for local, node in enumerate(tri):
+            for comp in range(3):
+                p_full[DOFS_PER_NODE * node + comp] = (
+                    magnitude * ev.value[3 * local + comp])
+        expect = basis.vectors.T @ p_full[sys_t.dof_map.free_to_full]
+        ic = impulse_ic(sys_t, basis, point, magnitude)
+        assert np.array_equal(ic.zdot0, expect)
+
     def test_point_outside_domain(self, tuned_square4):
         _, _, _, sys_t, basis, _ = tuned_square4
         with pytest.raises(ValidationError, match="outside"):
@@ -548,3 +566,125 @@ class TestDampingMachinery:
         assert not report.warnings
         assert report.best.resistance == pytest.approx(0.7, rel=0.02)
         assert set(report.regimes) == {"sub_critical", "critical", "super_critical"}
+
+
+def envelope_peaks_reference(v):
+    """The former per-index scan: the oracle for ``envelope_peaks``."""
+    return np.array([i for i in range(1, len(v) - 1)
+                     if v[i] >= v[i - 1] and v[i] > v[i + 1]], dtype=int)
+
+
+def beat_crests_reference(t, energy, peaks, half):
+    """The former one-mask-per-peak window: the oracle for ``beat_crests``."""
+    return np.array([p for p in peaks if energy[p] >= energy[
+        (t >= t[p] - half) & (t <= t[p] + half)].max()], dtype=int)
+
+
+def fit_traces():
+    rng = np.random.default_rng(7)
+    n = 3000
+    uniform = 0.01 * np.arange(n)
+    uneven = np.cumsum(rng.uniform(0.001, 0.02, n))
+    beat = (np.exp(-0.05 * uniform) * np.cos(0.4 * uniform) ** 2
+            * (0.8 + 0.2 * np.cos(12.0 * uniform)) + 1e-12)
+    return {
+        "random": (uniform, rng.random(n)),
+        # window ends land exactly on samples
+        "random_integer_time": (np.arange(n, dtype=float), rng.random(n)),
+        "plateau": (uneven, np.round(4 * rng.random(n))),
+        "beat": (uniform, beat),
+        "beat_uneven_time": (uneven, beat),
+        "ramp": (uniform, np.arange(n, dtype=float)),
+    }
+
+
+class TestVectorizedFit:
+    @pytest.mark.parametrize("name", sorted(fit_traces()))
+    def test_envelope_peaks_match_scan(self, name):
+        _, energy = fit_traces()[name]
+        for v in (energy, energy[:3], energy[:2], energy[:0]):
+            got = envelope_peaks(v)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, envelope_peaks_reference(v))
+
+    def test_plateaus_are_left_inclusive(self):
+        v = np.array([0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 2.0, 3.0, 3.0, 1.0])
+        assert envelope_peaks(v).tolist() == [2, 8]
+        assert envelope_peaks_reference(v).tolist() == [2, 8]
+
+    @pytest.mark.parametrize("name", ["beat", "beat_uneven_time", "plateau",
+                                      "random", "random_integer_time"])
+    def test_beat_crests_match_masks(self, name):
+        t, energy = fit_traces()[name]
+        peaks = envelope_peaks(energy)
+        for half in (0.0, 0.013, 3.0, 0.45 * 2 * math.pi / 0.8, 2.0 * t[-1]):
+            got = dynamics.beat_crests(t, energy, peaks, half)
+            assert np.array_equal(got,
+                                  beat_crests_reference(t, energy, peaks, half))
+
+    def test_fit_unchanged_on_beating_trace(self):
+        t, energy = fit_traces()["beat"]
+        traj = dynamics.Trajectory(t=t, z=None, zdot=None)
+        fit = fit_damping(traj, energy, 6.0, beat_period=2 * math.pi / 0.8)
+        crests = beat_crests_reference(t, energy, envelope_peaks_reference(energy),
+                                       0.45 * 2 * math.pi / 0.8)
+        slope = np.polyfit(t[crests], np.log(energy[crests]), 1)[0]
+        assert fit.n_peaks == len(crests)
+        assert fit.zeta == max(0.0, -slope / 12.0)
+
+
+class TestSearchEnergies:
+    def test_mechanical_energy_is_the_energies_trace(self, tuned_square4):
+        *_, basis, rs = tuned_square4
+        m1 = basis.mechanical_indices()[0]
+        traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 3.0, 0.01)
+        mech = dynamics.mechanical_energy(rs, traj)
+        assert np.array_equal(mech, energies(rs, traj).mech)
+
+    def test_evaluator_builds_all_traces_only_for_kept_runs(
+            self, tuned_square4, monkeypatch):
+        mesh, plate, net, _, basis, rs = tuned_square4
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1,
+            t_f=4 * beat_period(rs, m1, e1),
+            dt=2 * math.pi / basis.omegas[m1] / 60)
+        calls = []
+        full = dynamics.energies
+        monkeypatch.setattr(dynamics, "energies",
+                            lambda *a: calls.append(1) or full(*a))
+        plain = evaluate(0.2)
+        assert calls == [] and plain.trajectory is None and plain.converged
+        kept = evaluate(0.2, keep_trajectory=True)
+        assert calls == [1]
+        assert kept.trajectory.energies is not None
+        assert (kept.zeta, kept.settling_time) == (plain.zeta,
+                                                   plain.settling_time)
+
+    @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
+    def test_unconverged_fits_are_reported(self, tuned_square4):
+        mesh, plate, net, _, basis, _ = tuned_square4
+        m1 = basis.mechanical_indices()[0]
+        # one drive period holds two energy peaks, and nothing extends it
+        period = 2 * math.pi / basis.omegas[m1]
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1,
+            t_f=period, dt=period / 60, max_extensions=0)
+        report = optimize_resistance(evaluate, (0.02, 2.0))
+        assert not any(s.converged for s in report.samples)
+        warning, = [w for w in report.warnings if "not converged" in w]
+        named = warning.split("R_N = ")[1].split(", ")
+        evaluated = {s.resistance for s in report.samples}
+        evaluated |= {s.resistance for s in report.regimes.values()}
+        assert sorted(float(r) for r in named) == sorted(evaluated)
+
+    def test_converged_search_has_no_fit_warning(self, tuned_square4):
+        mesh, plate, net, _, basis, rs = tuned_square4
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1,
+            t_f=4 * beat_period(rs, m1, e1),
+            dt=2 * math.pi / basis.omegas[m1] / 60)
+        report = optimize_resistance(evaluate, (0.02, 2.0))
+        assert all(s.converged for s in report.samples)
+        assert not any("not converged" in w for w in report.warnings)
