@@ -146,12 +146,11 @@ def build_dof_map(mesh, bcs=()):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Reduced global system K2 q'' + K1 q' + K0 q = F on the free DOFs."""
+    """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs."""
 
     k2: sp.csr_matrix
     k1: sp.csr_matrix
     k0: sp.csr_matrix
-    f: np.ndarray
     dof_map: DofMap
     mesh: Mesh
     material: object
@@ -166,7 +165,6 @@ class LocalMatrices:
     k2: np.ndarray
     k1: np.ndarray
     k0: np.ndarray
-    f: np.ndarray
 
 
 # Local DOFs in the order the element matrices are computed: the nine
@@ -329,12 +327,11 @@ def _local_matrix_batch(slots, area, mat, quad):
 
 
 def local_matrices(geom, mat, quad=None):
-    """Local K2, K1, K0 (12x12) and load vector for one triangle.
+    """Local K2, K1, K0 (12x12) for one triangle.
 
     ``geom`` is a :class:`~pemplate.element.TriangleGeometry`; its mu values
     are honored even when they disagree with the vertex coordinates, so tests
-    can probe deliberately corrupted elements. Distributed loads are out of
-    scope, so the local load vector is zero. A single element is too small
+    can probe deliberately corrupted elements. A single element is too small
     for BLAS's regular kernels, so the entries can differ from the
     assembled ones in the last bit.
     """
@@ -346,7 +343,7 @@ def local_matrices(geom, mat, quad=None):
     back = np.argsort(_FIELD_ORDER)
     k2, k1, k0 = (k[0][np.ix_(back, back)]
                   for k in _local_matrix_batch(slots, area, mat, quad))
-    return LocalMatrices(k2=k2, k1=k1, k0=k0, f=np.zeros(12))
+    return LocalMatrices(k2=k2, k1=k1, k0=k0)
 
 
 @dataclass(frozen=True)
@@ -457,13 +454,11 @@ class AssemblyWorkspace:
         return self._plans[key]
 
 
-def assemble(mesh, mat, bcs=(), point_loads=(), workspace=None):
+def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
-    ``point_loads`` is an optional sequence of (node, component, value)
-    nodal forces feeding the load vector F. Pass an
-    :class:`AssemblyWorkspace` to reuse the sparsity pattern across repeated
-    assemblies of the same mesh.
+    Pass an :class:`AssemblyWorkspace` to reuse the sparsity pattern across
+    repeated assemblies of the same mesh.
     """
     quad = el.triangle_quadrature(QUADRATURE_DEGREE)
     dof_map = build_dof_map(mesh, bcs)
@@ -482,15 +477,8 @@ def assemble(mesh, mat, bcs=(), point_loads=(), workspace=None):
         slots, area = _chunk_slots(coords, quad, tables)
         entries[:, start:stop] = _local_matrix_batch(slots, area, mat, quad)
     k2, k1, k0 = (plan.collect(e.ravel()) for e in entries)
-
-    f_full = np.zeros(dof_map.n_full)
-    for node, comp, value in point_loads:
-        f_full[DOFS_PER_NODE * node + comp] += value
-
-    return AssembledSystem(
-        k2=k2, k1=k1, k0=k0, f=f_full[dof_map.free_to_full], dof_map=dof_map,
-        mesh=mesh, material=mat,
-    )
+    return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
+                           material=mat)
 
 
 # ---------------------------------------------------------------------------

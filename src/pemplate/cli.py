@@ -2,14 +2,15 @@
 
 Subcommands: ``modes``, ``tune``, ``simulate``, ``optimize-r``, ``coupling``,
 ``patch-test``, ``pipeline``. Exit codes: 0 success, 1 validation error,
-2 numerical failure. Every CSV table is one array, written by
-:func:`write_csv` with ``%.17g`` (the mode table as text cells), so a
-re-run of a configuration reproduces byte-identical CSV bodies.
+2 numerical failure.
 
-Each subcommand but ``patch-test`` asks one :class:`Run`, a memoized stage
-graph, for the stages it reports; a stage runs once per run (``system``,
-``modes``, ``coupling`` and ``reduced`` once per network). ``Run`` is the
-only place where a network is assembled or solved::
+Every subcommand but ``patch-test`` is a list of reports (``COMMANDS``),
+each writing one stage's CSV tables with :func:`write_csv` (``%.17g``:
+re-runs give byte-identical bodies) and returning its summary lines, which
+go to ``summary.txt``, next to ``manifest.json``, and to stdout. Reports ask
+one :class:`Run`, a memoized stage graph, for what they report; a stage runs
+once per run (``system``, ``modes``, ``coupling`` and ``reduced`` once per
+network), and only ``Run`` assembles or solves a network::
 
     mesh -> system(net) -> mechanical modes (one set serves every network)
                         -> modes(net) -> network (L_N tuned by [tuning])
@@ -17,13 +18,8 @@ only place where a network is assembled or solved::
 
 Modes, coupling, basis and simulation use the conservative network
 (``conservative_twin``: R_N = G_N = 0); the search combines the tuned
-network reduced at R_N = 0 and 1 (with G_N = 0 the first is the basis
-system); its evaluations compute E_mech alone, and all four energy traces
-only for the three regime trajectories written. ``modes`` and ``coupling``
-report the untuned network, the other subcommands the tuned one (without
-[tuning], the configured one). The search always drives the tuned
-mechanical mode against the tuned electric mode ([tuning] mech_mode /
-elec_mode).
+network reduced at R_N = 0 and 1 and always drives the tuned mechanical mode
+against the tuned electric mode ([tuning] mech_mode / elec_mode).
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -51,9 +48,7 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return FLOAT_FMT % x
-    return str(x)
+    return FLOAT_FMT % x if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, header, rows):
@@ -175,28 +170,60 @@ class Run:
         rs0, rs1 = (self.reduced(replace(net, resistance=r)) for r in (0.0, 1.0))
         evaluate = dynamics.damping_evaluator(
             dynamics.resistance_family(rs0, rs1, net.inductance), basis, drive,
-            t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0,
-        )
-        return dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
+            t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
+        report = dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
+        if not report.best.converged:
+            raise NumericalError("the damping fit did not converge at R* = "
+                                 f"{_fmt(report.best.resistance)}; R* is no optimum")
+        return report
 
 
-def _write_modes(run, net, path):
-    """Writes the mode table of ``net``; returns (header, cells, notices)."""
+def _configured(value, section, optional):
+    """Whether ``section`` is configured; if not, fails unless ``optional``."""
+    if value is None and not optional:
+        raise ValidationError(f"config has no [{section}] section")
+    return value is not None
+
+
+def report_mesh(run, out_dir, files):
+    stats = mesh_statistics(run.mesh())
+    return [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
+            f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]
+
+
+def report_tuning(run, out_dir, files, optional=False):
+    """The retuned L_N and the frequency mismatch of the pair it lines up."""
+    c = run.cfg
+    if not _configured(c.tune_mech, "tuning", optional):
+        return []
+    net = run.network()
+    mech, elec = run.modes(net)
+    wm, we = mech.omegas[c.tune_mech - 1], elec.omegas[c.tune_elec - 1]
+    return [f"tuned L_N: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}",
+            f"relative mismatch after retune: {_fmt(abs(we - wm) / wm)}"]
+
+
+def report_modes(run, out_dir, files, tuned=True):
+    """The mode table of the tuned (else the configured) network."""
+    net = run.network() if tuned else run.cfg.network
     header, rows, notices = reference.mode_table(
         *run.modes(net), {bc.kind for bc in run.cfg.bcs},
         is_square_benchmark(run.cfg))
-    cells = np.array([[_fmt(v) for v in row] for row in rows])
-    write_csv(path, header, cells)
-    return header, cells, notices
+    write_csv(out_dir / files.get("modes", "modes.csv"), header,
+              np.array([[_fmt(v) for v in row] for row in rows]))
+    return [f"note: {n}" for n in notices]
 
 
-def _write_coupling(run, net, out_dir, names=("coupling.csv",)):
-    """Writes the max-normalized (then the raw) modal coupling table."""
-    table = run.coupling(net)
+def report_coupling(run, out_dir, files, tuned=True):
+    """The max-normalized coupling table; the raw one too if ``files`` names it."""
+    table = run.coupling(run.network() if tuned else run.cfg.network)
     header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
     index = np.arange(1, table.raw.shape[0] + 1)
-    for name, values in zip(names, (table.normalized, table.raw)):
-        write_csv(out_dir / name, header, np.column_stack([index, values]))
+    for name, values in (("coupling.csv", table.normalized),
+                         (files.get("coupling_raw"), table.raw)):
+        if name:
+            write_csv(out_dir / name, header, np.column_stack([index, values]))
+    return []
 
 
 def _write_trajectory(path, traj, en):
@@ -206,9 +233,8 @@ def _write_trajectory(path, traj, en):
         [traj.t, traj.z, en.mech, en.elec, en.total]))
 
 
-def _write_simulation(run, out_dir):
-    """Writes trajectory.csv; returns (steps, drift, family, min E / E(0)),
-    E the energy of the family ("mech" or "elec") the run starts in."""
+def report_simulation(run, out_dir, files):
+    """Steps, energy drift and min E / E(0) of the family the run starts in."""
     sim = run.cfg.simulation
     traj, en = run.simulation()
     _write_trajectory(out_dir / "trajectory.csv", traj, en)
@@ -217,10 +243,14 @@ def _write_simulation(run, out_dir):
     family = ("elec" if sim.ic == "unimodal" and sim.family == "electric"
               else "mech")
     energy = getattr(en, family)
-    return len(traj.t) - 1, drift, family, float(energy.min() / energy[0])
+    return [f"simulation: {len(traj.t) - 1} steps, drift {_fmt(drift)}, "
+            f"min E_{family}/E_0 {_fmt(float(energy.min() / energy[0]))}"]
 
 
-def _write_search(run, out_dir):
+def report_search(run, out_dir, files, optional=False):
+    """The sampled zeta(R_N) and three regime runs; R*, its zeta, warnings."""
+    if not _configured(run.cfg.search_lo, "search", optional):
+        return []
     report = run.search()
     write_csv(out_dir / "damping.csv", ["R_N", "zeta", "settling_time"],
               np.array([[s.resistance, s.zeta, s.settling_time]
@@ -228,83 +258,9 @@ def _write_search(run, out_dir):
     for name, sample in report.regimes.items():
         _write_trajectory(out_dir / f"trajectory_{name}.csv",
                           sample.trajectory, sample.trajectory.energies)
-    return report
-
-
-def cmd_modes(run, out_dir):
-    header, cells, notices = _write_modes(run, run.cfg.network,
-                                          out_dir / "modes.csv")
-    for n in notices:
-        print(f"note: {n}")
-    print(f"wrote {out_dir / 'modes.csv'}")
-    for row in [header, *cells]:
-        print(" ".join(f"{v:>20s}" for v in row))
-
-
-def cmd_tune(run, out_dir):
-    c = run.cfg
-    if c.tune_mech is None:
-        raise ValidationError("config has no [tuning] section")
-    net = run.network()
-    print(f"net inductance: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}")
-    mech, elec = run.modes(net)
-    wm, we = mech.omegas[c.tune_mech - 1], elec.omegas[c.tune_elec - 1]
-    print(f"mechanical mode {c.tune_mech}: omega = {_fmt(wm)}")
-    print(f"electric  mode {c.tune_elec}: omega = {_fmt(we)}")
-    print(f"relative mismatch after retune: {_fmt(abs(we - wm) / wm)}")
-    _write_modes(run, net, out_dir / "modes_tuned.csv")
-    print(f"wrote {out_dir / 'modes_tuned.csv'}")
-
-
-def cmd_simulate(run, out_dir):
-    steps, drift, family, ratio = _write_simulation(run, out_dir)
-    print(f"steps: {steps}, total-energy drift: {_fmt(drift)}")
-    print(f"min E_{family} / E_{family}(0): {_fmt(ratio)}")
-    print(f"wrote {out_dir / 'trajectory.csv'}")
-
-
-def cmd_coupling(run, out_dir):
-    _write_coupling(run, run.cfg.network, out_dir,
-                    ("coupling.csv", "coupling_raw.csv"))
-    print(f"wrote {out_dir / 'coupling.csv'} (max-normalized) and coupling_raw.csv")
-
-
-def cmd_optimize_r(run, out_dir):
-    if run.cfg.search_lo is None:
-        raise ValidationError("config has no [search] section")
-    report = _write_search(run, out_dir)
-    for w in report.warnings:
-        print(f"warning: {w}")
-    print(f"best net resistance R* = {_fmt(report.best.resistance)} with "
-          f"damping ratio zeta = {_fmt(report.best.zeta)}")
-    print(f"wrote {out_dir / 'damping.csv'} and regime trajectories")
-
-
-def cmd_pipeline(run, out_dir):
-    c = run.cfg
-    stats = mesh_statistics(run.mesh())
-    summary = [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
-               f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]
-    net = run.network()
-    if c.tune_mech is not None:
-        summary.append(
-            f"tuned L_N: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}")
-    _, _, notices = _write_modes(run, net, out_dir / "modes.csv")
-    summary.extend(f"note: {n}" for n in notices)
-    _write_coupling(run, net, out_dir)
-    steps, drift, family, ratio = _write_simulation(run, out_dir)
-    summary.append(f"simulation: {steps} steps, drift {_fmt(drift)}, "
-                   f"min E_{family}/E_0 {_fmt(ratio)}")
-    if c.search_lo is not None:
-        report = _write_search(run, out_dir)
-        summary.append(f"optimal resistance R* {_fmt(report.best.resistance)}, "
-                       f"zeta {_fmt(report.best.zeta)}")
-        summary.extend(f"warning: {w}" for w in report.warnings)
-    manifest = json.dumps(_manifest(c.source_text), indent=2)
-    (out_dir / "manifest.json").write_text(manifest + "\n")
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
-    print("\n".join(summary))
-    print(f"pipeline outputs in {out_dir}")
+    return [f"optimal resistance R* {_fmt(report.best.resistance)}, "
+            f"zeta {_fmt(report.best.zeta)}",
+            *(f"warning: {w}" for w in report.warnings)]
 
 
 def cmd_patch_test(corrupt_mu=False):
@@ -328,13 +284,21 @@ def _manifest(config_text):
             "scipy": scipy.__version__}
 
 
-COMMANDS = {  # subcommand -> (function, help)
-    "modes": (cmd_modes, "eigenfrequency tables (Fig. 4 style)"),
-    "tune": (cmd_tune, "retune the net inductance to a mechanical mode"),
-    "simulate": (cmd_simulate, "integrate the reduced dynamics"),
-    "coupling": (cmd_coupling, "modal coupling table (Fig. 5 style)"),
-    "optimize-r": (cmd_optimize_r, "search the optimal net resistance"),
-    "pipeline": (cmd_pipeline,
+# subcommand -> (reports, file names, help). ``modes`` and ``coupling`` report
+# the configured network; ``pipeline`` skips the sections the config lacks.
+COMMANDS = {
+    "modes": ([partial(report_modes, tuned=False)], {},
+              "eigenfrequency tables (Fig. 4 style)"),
+    "tune": ([report_tuning, report_modes], {"modes": "modes_tuned.csv"},
+             "retune the net inductance to a mechanical mode"),
+    "simulate": ([report_simulation], {}, "integrate the reduced dynamics"),
+    "coupling": ([partial(report_coupling, tuned=False)],
+                 {"coupling_raw": "coupling_raw.csv"},
+                 "modal coupling table (Fig. 5 style)"),
+    "optimize-r": ([report_search], {}, "search the optimal net resistance"),
+    "pipeline": ([report_mesh, partial(report_tuning, optional=True),
+                  report_modes, report_coupling, report_simulation,
+                  partial(report_search, optional=True)], {},
                  "full run: modes, tuning, coupling, simulation, damping"),
 }
 
@@ -343,10 +307,9 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="pemplate",
         description="Coupled-plate eigenanalysis, network tuning and "
-                    "electric vibration damping.",
-    )
+                    "electric vibration damping.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, _, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--config", help="run configuration file")
@@ -355,7 +318,6 @@ def build_parser():
         sp.add_argument("--out", default="out", help="output directory")
     pt = sub.add_parser("patch-test",
                         help="constant-curvature patch test of the bending element")
-    pt.add_argument("--out", default="out", help="output directory")
     pt.add_argument("--corrupt-mu", action="store_true",
                     help="negative control: flip the element mu parameters")
     return p
@@ -375,13 +337,21 @@ def main(argv=None):
         if args.command == "patch-test":
             return cmd_patch_test(corrupt_mu=args.corrupt_mu)
         run = Run(load_config(_config_path(args)))
-        COMMANDS[args.command][0](run, Path(args.out))
+        reports, files, _ = COMMANDS[args.command]
+        out_dir = Path(args.out)
+        lines = [line for report in reports for line in report(run, out_dir, files)]
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = json.dumps(_manifest(run.cfg.source_text), indent=2)
+    (out_dir / "manifest.json").write_text(manifest + "\n")
+    summary = "".join(f"{line}\n" for line in lines)
+    (out_dir / "summary.txt").write_text(summary)
+    print(f"{summary}{args.command} outputs in {out_dir}")
     return 0
 
 

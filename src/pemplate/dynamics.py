@@ -1,11 +1,11 @@
 """Time integration of the reduced system and electric-damping design.
 
-Integrates K2red z'' + K1red z' + K0red z = F_red with the classic fixed-step
-fourth-order Runge-Kutta scheme on the first-order form (z, z'). Energies are
-evaluated through the per-family quadratic forms carried by the reduced
-system; the capacitor cross term (R_N/L_N coupling between electric rate and
-state) is reported separately so that the total is the exact Lyapunov
-function of the damped system:
+Integrates K2red z'' + K1red z' + K0red z = 0 (initial-value runs) with the
+classic fixed-step fourth-order Runge-Kutta scheme on the first-order form
+(z, z'). Energies are evaluated through the per-family quadratic forms
+carried by the reduced system; the capacitor cross term (R_N/L_N coupling
+between electric rate and state) is reported separately so that the total is
+the exact Lyapunov function of the damped system:
 
     E_total = E_mech + E_elec + E_cross,   dE_total/dt <= 0 for R_N, G_N >= 0.
 
@@ -39,6 +39,10 @@ from .mesh import _barycentric
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SETTLING_FRACTION = 0.05
 MIN_ENVELOPE_PEAKS = 4
+DT_FRACTION = 1.0 / 40.0  # default step per shortest retained period
+SEARCH_REL_TOL = 1e-2  # relative width of the refined R* bracket
+COARSE_POINTS = 9  # logarithmic scan that brackets the zeta peak
+FALLBACK_POINTS = 33  # grid scan when the coarse scan is not single-peaked
 
 
 @dataclass(frozen=True)
@@ -107,12 +111,11 @@ class EnergyTraces:
 def integrate(rs, ic, t_f, dt):
     """Classic RK4 with dense output at every step.
 
-    On the first-order state y = (z, z', 1), whose constant last entry carries
-    the load, the reduced system reads y' = A y. One RK4 step of a linear
-    system is y <- y + D y with D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so
-    D is formed once and each step is one matrix-vector product. Stepping
-    with the increment D y rather than with (I + D) y keeps the round-off of
-    the stage-by-stage scheme.
+    On the first-order state y = (z, z') the reduced system reads y' = A y.
+    One RK4 step of a linear system is y <- y + D y with
+    D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so D is formed once and each
+    step is one matrix-vector product. Stepping with the increment D y rather
+    than with (I + D) y keeps the round-off of the stage-by-stage scheme.
 
     Raises :class:`IntegrationError` naming the step if the state stops
     being finite, and naming ``t_f``, ``dt`` and the step count if the
@@ -125,14 +128,13 @@ def integrate(rs, ic, t_f, dt):
             f"step count t_f / dt = {t_f:g} / {dt:g} is not finite")
     steps = max(1, int(round(t_f / dt)))
     n = rs.n_modes
-    m = 2 * n + 1
+    m = 2 * n
 
     minv = np.linalg.inv(rs.k2red)
     ha = np.zeros((m, m))
-    ha[:n, n:2 * n] = dt * np.eye(n)
-    ha[n:2 * n, :n] = -dt * (minv @ rs.k0red)
-    ha[n:2 * n, n:2 * n] = -dt * (minv @ rs.k1red)
-    ha[n:2 * n, 2 * n] = dt * (minv @ rs.f_red)
+    ha[:n, n:] = dt * np.eye(n)
+    ha[n:, :n] = -dt * (minv @ rs.k0red)
+    ha[n:, n:] = -dt * (minv @ rs.k1red)
     eye = np.eye(m)
     d = ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
 
@@ -143,8 +145,7 @@ def integrate(rs, ic, t_f, dt):
             f"cannot allocate {steps} steps of {m} states "
             f"(t_f = {t_f:g}, dt = {dt:g})"
         ) from None
-    out[0, :2 * n] = np.concatenate([ic.z0, ic.zdot0])
-    out[0, 2 * n] = 1.0
+    out[0] = np.concatenate([ic.z0, ic.zdot0])
     y = out[0]
     dy = np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,7 +160,7 @@ def integrate(rs, ic, t_f, dt):
             f"non-finite state at step {step} (t = {step * dt:g})"
         )
     t = dt * np.arange(steps + 1)
-    return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:2 * n])
+    return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:])
 
 
 def mechanical_energy(rs, traj):
@@ -215,9 +216,9 @@ def beat_period(rs, index_a, index_b):
     return math.inf if kappa == 0.0 else 2.0 * math.pi / kappa
 
 
-def suggested_dt(rs, fraction=1.0 / 40.0):
-    """Default step: the shortest retained modal period times ``fraction``."""
-    return float(2.0 * math.pi / rs.modes.omegas.max() * fraction)
+def suggested_dt(rs):
+    """Default step: the shortest retained modal period times ``DT_FRACTION``."""
+    return float(2.0 * math.pi / rs.modes.omegas.max() * DT_FRACTION)
 
 
 def default_horizon(rs, drive, beats, steps_per_period):
@@ -257,9 +258,9 @@ def beat_crests(t, energy, peaks, half_width):
     return peaks[energy[peaks] >= window_max]
 
 
-def settling_time(t, energy, fraction=SETTLING_FRACTION):
-    """First time after which the trace stays below fraction * energy[0]."""
-    threshold = fraction * energy[0]
+def settling_time(t, energy):
+    """First time after which the trace stays below SETTLING_FRACTION * energy[0]."""
+    threshold = SETTLING_FRACTION * energy[0]
     above = np.flatnonzero(energy > threshold)
     if len(above) == 0:
         return float(t[0])
@@ -348,14 +349,13 @@ def resistance_family(rs0, rs1, inductance):
     return reduced
 
 
-def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
-                      max_extensions=3):
+def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, max_extensions=3):
     """Evaluator R_N -> DampingSample for the resistance search.
 
     ``reduced`` maps a candidate resistance to its reduced system (a
     :func:`resistance_family`), ``basis`` is the retained conservative basis
     it was reduced on and ``mode_index`` the driven basis vector. Every call
-    integrates an initial-displacement run and fits the log decrement of the
+    integrates a unit initial-displacement run and fits the log decrement of the
     mechanical-energy envelope; the horizon doubles automatically until at
     least four envelope peaks carrying a visible secular decay (at least
     30 percent over the fit window) are available, at most
@@ -370,7 +370,7 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
 
     def evaluate(resistance, keep_trajectory=False):
         rs = reduced(resistance)
-        ic = unimodal_ic(rs, mode_index, amplitude)
+        ic = unimodal_ic(rs, mode_index)
         tb = beat_period(rs, mode_index, partner) if partner is not None else None
         horizon = t_f
         for _ in range(max_extensions + 1):
@@ -395,12 +395,11 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, amplitude=1.0,
     return evaluate
 
 
-def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
-                        fallback_points=33):
+def optimize_resistance(evaluate, bracket):
     """Maximize the damping ratio over a resistance bracket.
 
     A coarse logarithmic scan brackets the peak; golden-section search then
-    refines it to the requested relative width. When the scan is not
+    refines it to the relative width ``SEARCH_REL_TOL``. When the scan is not
     single-peaked (or peaks at an endpoint) the search falls back to a fine
     grid scan and records a warning. The report carries sub-critical,
     near-critical and super-critical sample runs at R*/10, R* and 10 R*,
@@ -417,7 +416,7 @@ def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
             samples[r] = evaluate(r)
         return samples[r]
 
-    grid = np.geomspace(r_lo, r_hi, coarse_points)
+    grid = np.geomspace(r_lo, r_hi, COARSE_POINTS)
     zetas = np.array([sample(r).zeta for r in grid])
     peak = int(np.argmax(zetas))
     tol = 0.02 * zetas[peak]  # fit noise allowance on the flanks
@@ -429,7 +428,7 @@ def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
             "falling back to a grid scan"
         )
         _warnings.warn(notes[-1])
-        grid = np.geomspace(r_lo, r_hi, fallback_points)
+        grid = np.geomspace(r_lo, r_hi, FALLBACK_POINTS)
         zetas = np.array([sample(r).zeta for r in grid])
         best_r = float(grid[int(np.argmax(zetas))])
     else:
@@ -439,7 +438,7 @@ def optimize_resistance(evaluate, bracket, rel_tol=1e-2, coarse_points=9,
         d = a + GOLDEN * (b - a)
         fc = sample(math.exp(c)).zeta
         fd = sample(math.exp(d)).zeta
-        while math.expm1(b - a) > rel_tol:
+        while math.expm1(b - a) > SEARCH_REL_TOL:
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - GOLDEN * (b - a)
@@ -479,7 +478,7 @@ def two_mode_surrogate(omega, kappa, resistance, inductance):
     k1 = np.array([[0.0, kappa], [-kappa, r]])
     k0 = np.array([[omega**2, r * kappa], [0.0, omega**2]])
     return modal.ReducedSystem(
-        k2red=k2, k1red=k1, k0red=k0, f_red=np.zeros(2), modes=None,
+        k2red=k2, k1red=k1, k0red=k0, modes=None,
         m2_mech=np.diag([1.0, 0.0]), k0_mech=np.diag([omega**2, 0.0]),
         m2_elec=np.diag([0.0, 1.0]), k0_elec=np.diag([0.0, omega**2]),
         cross_ratio=r,

@@ -4,7 +4,7 @@ The modal basis neglects the first-order matrix K1, so the conservative
 eigenproblem K0 a = omega^2 K2 a decouples into the pure bending and pure
 electric families (K0 and K2 are block-diagonal across the two fields).
 Eigenvectors are K2-orthonormal; the reduced model follows by projecting all
-three matrices and the load on the retained rows.
+three matrices on the retained rows.
 
 Degenerate eigenvalue clusters are re-oriented deterministically: first the
 cluster basis is rotated to diagonalize the mechanical-energy fraction (so a
@@ -83,16 +83,14 @@ def _solve_pencil(k0, k2, n):
     """Smallest-n eigenpairs of K0 a = w^2 K2 a with K2-orthonormal vectors."""
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
-        d0 = _dense(k0)
-        d2 = _dense(k2)
+        # eigh factors K2 itself and fails when it is not positive definite
         try:
-            np.linalg.cholesky(d2)
+            vals, vecs = sla.eigh(_dense(k0), _dense(k2), subset_by_index=[0, n - 1])
         except np.linalg.LinAlgError:
             raise NumericalError(
                 "K2 is not positive definite; check boundary conditions and "
                 "material parameters"
             ) from None
-        vals, vecs = sla.eigh(d0, d2, subset_by_index=[0, n - 1])
     else:
         s0 = sp.csc_matrix(k0)
         s2 = sp.csc_matrix(k2)
@@ -281,7 +279,6 @@ class ReducedSystem:
     k2red: np.ndarray
     k1red: np.ndarray
     k0red: np.ndarray
-    f_red: np.ndarray
     modes: ModeSet
     m2_mech: np.ndarray
     k0_mech: np.ndarray
@@ -291,11 +288,11 @@ class ReducedSystem:
 
     @property
     def n_modes(self):
-        return len(self.f_red)
+        return len(self.k2red)
 
 
 def reduce(sys, modes):
-    """Project K2, K1, K0 and F on the retained rows (Galerkin reduction)."""
+    """Project K2, K1 and K0 on the retained rows (Galerkin reduction)."""
     if modes.vectors.shape[0] != sys.n_free:
         raise ValidationError(
             f"mode basis has {modes.vectors.shape[0]} rows, system has "
@@ -305,7 +302,6 @@ def reduce(sys, modes):
     k2red = v.T @ (sys.k2 @ v)
     k1red = v.T @ (sys.k1 @ v)
     k0red = v.T @ (sys.k0 @ v)
-    f_red = v.T @ sys.f
 
     dm = sys.dof_map
     mech = dm.mechanical_mask
@@ -314,7 +310,7 @@ def reduce(sys, modes):
     k0sym = 0.5 * (sys.k0 + sys.k0.T)
     net = sys.material.network
     return ReducedSystem(
-        k2red=k2red, k1red=k1red, k0red=k0red, f_red=f_red, modes=modes,
+        k2red=k2red, k1red=k1red, k0red=k0red, modes=modes,
         m2_mech=vm.T @ (sys.k2 @ vm), k0_mech=vm.T @ (k0sym @ vm),
         m2_elec=ve.T @ (sys.k2 @ ve), k0_elec=ve.T @ (k0sym @ ve),
         cross_ratio=net.resistance / net.inductance,

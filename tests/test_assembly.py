@@ -484,16 +484,6 @@ class TestAssemble:
         assert np.abs((sys.k2 - sys.k2.T)).max() <= 1e-12
         assert np.abs((sys.k0 - sys.k0.T)).max() <= 1e-10 * np.abs(sys.k0).max()
 
-    def test_assembly_linear_in_loads(self):
-        mesh = generate_structured_square(2, 1.0, "crossed")
-        mat = material()
-        la = [(4, 0, 1.25)]
-        lb = [(5, 0, -0.5), (4, 0, 0.25)]
-        fa = assemble(mesh, mat, bcs_ss(), point_loads=la).f
-        fb = assemble(mesh, mat, bcs_ss(), point_loads=lb).f
-        fab = assemble(mesh, mat, bcs_ss(), point_loads=la + lb).f
-        assert np.abs(fab - (fa + fb)).max() <= 1e-14
-
     def test_positive_definite_after_constraints(self):
         mesh = generate_structured_square(4, 1.0, "crossed")
         bcs = [BoundaryCondition("boundary", "clamped"),

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from pemplate import cli
+from pemplate import cli, dynamics
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import ValidationError
@@ -342,6 +344,26 @@ def run_cli(command, cfg, out):
     return out
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_run_explains_itself(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+    out = run_cli(command, cfg, tmp_path / command)
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert (out / "manifest.json").is_file()
+    assert capsys.readouterr().out.splitlines() == \
+        [*lines, f"{command} outputs in {out}"]
+
+
+@pytest.mark.parametrize("command, text, section", [
+    ("tune", UNTUNED_CFG, "tuning"), ("optimize-r", SMALL_CFG, "search")])
+def test_report_needs_its_section(tmp_path, capsys, command, text, section):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                 "--out", str(out)]) == 1
+    assert f"config has no [{section}] section" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestStageGraph:
     def test_subcommands_match_pipeline_files(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
@@ -408,8 +430,9 @@ class TestStageGraph:
                  if l.startswith("simulation:")]
         assert "min E_elec/E_0" in line
         assert np.isfinite(float(line.rsplit(" ", 1)[1]))
+        capsys.readouterr()
         run_cli("simulate", cfg, tmp_path / "sim")
-        assert "min E_elec / E_elec(0): " in capsys.readouterr().out
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_pipeline_search_drives_tuned_mechanical_mode(self, tmp_path):
         # the simulation drives an electric mode; the search still damps the
@@ -429,6 +452,26 @@ class TestStageGraph:
         err = capsys.readouterr().err
         assert "zero electromechanical coupling: nothing to damp" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
+    def test_unconverged_optimum_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one drive period holds two energy peaks, and nothing extends it, so
+        # no fit converges and R* would be the bracket's first sample
+        evaluator = dynamics.damping_evaluator
+
+        def one_period(reduced, basis, mode_index, **kwargs):
+            period = 2 * math.pi / basis.omegas[mode_index]
+            return evaluator(reduced, basis, mode_index, t_f=period,
+                             dt=period / 60, max_extensions=0)
+
+        monkeypatch.setattr(dynamics, "damping_evaluator", one_period)
+        cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+        assert main(["optimize-r", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "[stage resistance-search]" in captured.err
+        assert "did not converge at R* = " in captured.err
+        assert "optimal resistance" not in captured.out
 
     def test_unallocatable_simulation_exits_2(self, tmp_path, capsys):
         # untuned, the driven mode's beat partner is far off resonance and

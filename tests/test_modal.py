@@ -99,6 +99,14 @@ class TestSolveModes:
         with pytest.raises(NumericalError, match="K2 is not positive definite"):
             solve_family_modes(bad, family, 3)
 
+    @pytest.mark.parametrize("family", ["mechanical", "electric"])
+    def test_dense_path_rejects_indefinite_k2(self, square4, family):
+        # the dense branch leaves the factorization of K2 to eigh; its
+        # LinAlgError must surface as a NumericalError (exit 2)
+        bad = dataclasses.replace(square4, k2=-square4.k2)
+        with pytest.raises(NumericalError, match="K2 is not positive definite"):
+            solve_family_modes(bad, family, 3)
+
     def test_degenerate_pairs_on_crossed_mesh(self, square8):
         mech = solve_family_modes(square8, "mechanical", 8)
         r = mech.omegas / mech.omegas[0]
