@@ -5,9 +5,12 @@ Subcommands: ``modes``, ``tune``, ``simulate``, ``optimize-r``, ``coupling``,
 2 numerical failure.
 
 Every subcommand but ``patch-test`` is a list of reports (``COMMANDS``),
-each writing one stage's CSV tables with :func:`write_csv` (``%.17g``:
-re-runs give byte-identical bodies) and returning its summary lines, which
-go to ``summary.txt``, next to ``manifest.json``, and to stdout. Reports ask
+each writing one stage's CSV tables with :func:`write_csv` and returning its
+summary lines, which go to ``summary.txt``, next to ``manifest.json``, and to
+stdout. Numbers are written as ``%.17g`` writes them, so re-runs give
+byte-identical bodies: :mod:`.csvfmt` formats numeric tables with array
+operations and hands the values whose last digit it cannot be sure of, and
+non-finite values and zeros, to ``%`` itself. Reports ask
 one :class:`Run`, a memoized stage graph, for what they report; a stage runs
 once per run (``system``, ``modes``, ``coupling`` and ``reduced`` once per
 network), and only ``Run`` assembles or solves a network::
@@ -39,24 +42,29 @@ import scipy
 from . import dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, patch_test
 from .config import is_square_benchmark, load_config
+from .csvfmt import FMT, format_rows
 from .errors import NumericalError, PemplateError, ValidationError
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
 
-FLOAT_FMT = "%.17g"
-
 
 def _fmt(x):
-    return FLOAT_FMT % x if isinstance(x, (float, np.floating)) else str(x)
+    return FMT % x if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, header, rows):
     """Writes ``header`` and the 2-D array ``rows``, one line per row:
-    numbers with ``FLOAT_FMT``, text cells as they are."""
+    numbers exactly as ``FMT`` writes them (:mod:`.csvfmt`), text
+    cells as they are."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, rows, fmt="%s" if rows.dtype.kind == "U" else FLOAT_FMT,
-               delimiter=",", header=",".join(header), comments="")
+    if rows.dtype.kind == "U":
+        np.savetxt(path, rows, fmt="%s", delimiter=",",
+                   header=",".join(header), comments="")
+        return
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        fh.writelines(format_rows(rows))
 
 
 def _stage(name):

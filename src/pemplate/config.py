@@ -276,20 +276,23 @@ def parse_config(text, origin="<config>", base_dir=None):
     point = None
     if ic == "impulse":
         point = sim.get_floats("point", 2)
-    t_f = sim.get_float("t_f", -1.0)
-    dt = sim.get_float("dt", -1.0)
+    amplitude = sim.get_float("amplitude", 1.0)
+    magnitude = sim.get_float("magnitude", 1.0)
+    beats = sim.get_float("beats", 10.0)
+    t_f = sim.get_float("t_f") if "t_f" in sim else None
+    dt = sim.get_float("dt") if "dt" in sim else None
+    for key, value in (("amplitude", amplitude), ("magnitude", magnitude)):
+        if not (np.isfinite(value) and value != 0):
+            raise ValidationError(f"config field [simulation] {key} must be "
+                                  f"finite and nonzero, got {value}")
+    for key, value in (("beats", beats), ("t_f", t_f), ("dt", dt)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ValidationError(f"config field [simulation] {key} must be "
+                                  f"finite and positive, got {value}")
     simulation = SimulationBlock(
-        ic=ic,
-        mode=sim.get_int("mode", 1),
-        family=family,
-        on=on,
-        amplitude=sim.get_float("amplitude", 1.0),
-        point=point,
-        magnitude=sim.get_float("magnitude", 1.0),
-        beats=sim.get_float("beats", 10.0),
-        steps_per_period=sim.get_int("steps_per_period", 100),
-        t_f=t_f if t_f > 0 else None,
-        dt=dt if dt > 0 else None,
+        ic=ic, mode=sim.get_int("mode", 1), family=family, on=on,
+        amplitude=amplitude, point=point, magnitude=magnitude, beats=beats,
+        steps_per_period=sim.get_int("steps_per_period", 100), t_f=t_f, dt=dt,
     )
     if simulation.mode < 1:
         raise ValidationError("[simulation] mode is 1-based (>= 1)")

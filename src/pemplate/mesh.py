@@ -338,19 +338,17 @@ class MeshStatistics:
 def mesh_statistics(mesh):
     """Counts plus minimum corner angle (degrees), longest edge and total area."""
     p = mesh.nodes[mesh.triangles]
-    min_angle = np.inf
-    max_edge = 0.0
-    for tri in p:
-        for i in range(3):
-            u = tri[(i + 1) % 3] - tri[i]
-            v = tri[(i + 2) % 3] - tri[i]
-            cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-            min_angle = min(min_angle, np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-            max_edge = max(max_edge, float(np.linalg.norm(u)))
+    # at corner i: u to corner i + 1 and v to corner i + 2. np.dot of two
+    # 2-vectors may fuse a multiply-add in BLAS; these products never do
+    u = np.roll(p, -1, axis=1) - p
+    v = np.roll(p, -2, axis=1) - p
+    u_len = np.sqrt(u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1])
+    v_len = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+    cosang = (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]) / (u_len * v_len)
     return MeshStatistics(
         n_nodes=mesh.n_nodes,
         n_triangles=mesh.n_triangles,
-        min_angle=float(min_angle),
-        max_edge=max_edge,
+        min_angle=float(np.degrees(np.arccos(np.clip(cosang, -1, 1))).min()),
+        max_edge=float(u_len.max()),
         total_area=mesh.total_area(),
     )

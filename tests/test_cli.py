@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pemplate import cli, dynamics
+from pemplate import cli, csvfmt, dynamics
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import ValidationError
@@ -195,6 +196,28 @@ class TestConfigParsing:
         assert "[tuning]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("amplitude", "0", "finite and nonzero"),
+        ("amplitude", "nan", "finite and nonzero"),
+        ("magnitude", "0", "finite and nonzero"),
+        ("beats", "0", "finite and positive"),
+        ("beats", "-1", "finite and positive"),
+        ("t_f", "0", "finite and positive"),
+        ("dt", "-0.5", "finite and positive"),
+    ], ids=["amplitude", "amplitude-nan", "magnitude", "beats-zero",
+            "beats-negative", "t_f", "dt"])
+    def test_bad_simulation_value_exits_1_at_load(self, tmp_path, capsys,
+                                                  key, value, rule):
+        text = SMALL_CFG.replace("beats = 2\n", "") + f"{key} = {value}\n"
+        with pytest.raises(ValidationError,
+                           match=rf"\[simulation\] {key} must be {rule}"):
+            parse_config(text)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"[simulation] {key} must be {rule}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCommands:
     def test_modes_command_csv(self, tmp_path):
@@ -324,6 +347,82 @@ class TestWriter:
         cli.write_csv(tmp_path / "new.csv", list("abcd"), cells)
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def percent(table):
+        """The oracle: every cell through CPython's ``%``."""
+        return "".join(",".join("%.17g" % v for v in row) + "\n"
+                       for row in table.tolist()).encode()
+
+    def assert_formats_exactly(self, values, n_cols=4):
+        values = np.asarray(values, dtype=np.float64)
+        values = np.concatenate([values, np.zeros(-len(values) % n_cols)])
+        table = values.reshape(-1, n_cols)
+        assert b"".join(csvfmt.format_rows(table)) == self.percent(table)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2 ** 64, 120_000, dtype=np.uint64)
+        self.assert_formats_exactly(bits.view(np.float64), n_cols=6)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = 10.0 ** np.arange(-300, 301)
+        self.assert_formats_exactly(np.concatenate(
+            [p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p]))
+
+    def test_exact_ties_round_half_even(self):
+        # odd m * 2**-k with exactly 18 significant digits, the last a 5:
+        # the 17-digit rounding is an exact tie
+        rng = np.random.default_rng(12)
+        ties = []
+        for k in range(2, 25):
+            lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+            ties += [(m | 1) * 2.0 ** -k for m in rng.integers(lo, hi - 1, 30)]
+        for v in ties:
+            digits = str(Fraction(v).numerator * 10 ** 30
+                         // Fraction(v).denominator).rstrip("0")
+            assert len(digits.lstrip("0")) == 18 and digits[-1] == "5"
+        self.assert_formats_exactly(ties + [-v for v in ties])
+
+    def test_integers_up_to_2_53(self):
+        rng = np.random.default_rng(13)
+        ints = np.concatenate([np.arange(0, 2000), 10 ** np.arange(16),
+                               rng.integers(0, 2 ** 53, 4000),
+                               [2 ** 53 - 1, 2 ** 53]])
+        self.assert_formats_exactly(np.concatenate([ints, -ints]))
+
+    def test_subnormals_zeros_and_non_finite(self):
+        rng = np.random.default_rng(14)
+        sub = rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64)
+        self.assert_formats_exactly(np.concatenate([
+            sub, -sub, self.SPECIAL,
+            [5e-324, np.nextafter(2.2250738585072014e-308, 0), -np.nan]]))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, csvfmt.CHUNK - 1, csvfmt.CHUNK,
+                                        csvfmt.CHUNK + 1])
+    def test_row_counts_around_the_chunk(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(
+            -8, 20, (n_rows, 3))
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + \
+            self.percent(table)
+
+    def test_without_long_double_every_value_takes_percent(self, monkeypatch):
+        def vectorized(x, pow10):
+            raise AssertionError("the vectorized path ran")
+
+        monkeypatch.setattr(csvfmt, "MANTISSA_BITS", 52)
+        monkeypatch.setattr(csvfmt, "_scaled_digits", vectorized)
+        rng = np.random.default_rng(15)
+        bits = rng.integers(0, 2 ** 64, 3000, dtype=np.uint64)
+        self.assert_formats_exactly(bits.view(np.float64))
+
+    def test_power_table_is_correctly_rounded(self):
+        pow10 = csvfmt._tables().pow10
+        for e, p in zip(range(csvfmt._E_MIN, csvfmt._E_MAX + 1), pow10):
+            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(10) ** (16 - e))
+            assert error <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, e
 
     def test_trajectory_reads_back_exactly(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CFG)

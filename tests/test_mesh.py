@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,46 @@ group rim
         assert m.edge_groups == m2.edge_groups
 
 
+BUILTIN_L_SHAPE = resources.files("pemplate") / "data" / "l_shape.mesh"
+
+
+def statistics_loop(mesh):
+    """The former per-corner loop: (min angle, max edge), the oracle for
+    ``mesh_statistics``."""
+    p = mesh.nodes[mesh.triangles]
+    min_angle = np.inf
+    max_edge = 0.0
+    for tri in p:
+        for i in range(3):
+            u = tri[(i + 1) % 3] - tri[i]
+            v = tri[(i + 2) % 3] - tri[i]
+            cosang = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+            min_angle = min(min_angle, np.degrees(np.arccos(np.clip(cosang, -1, 1))))
+            max_edge = max(max_edge, float(np.linalg.norm(u)))
+    return float(min_angle), max_edge
+
+
 class TestStatistics:
+    @pytest.mark.parametrize("mesh", [
+        generate_structured_square(16, 1.0, "crossed"),
+        generate_structured_square(7, 2.3, "diagonal"),
+        load_mesh(BUILTIN_L_SHAPE),
+    ], ids=["crossed", "diagonal", "file"])
+    def test_matches_loop_exactly(self, mesh):
+        s = mesh_statistics(mesh)
+        assert (s.min_angle, s.max_edge) == statistics_loop(mesh)
+
+    def test_matches_loop_on_jittered_mesh(self):
+        # np.dot of 2-vectors may fuse a multiply-add where the vectorized
+        # products round twice, so off-grid coordinates agree to round-off
+        m = generate_structured_square(6, 1.7, "crossed")
+        rng = np.random.default_rng(1)
+        m = Mesh(m.nodes + rng.uniform(-0.02, 0.02, m.nodes.shape), m.triangles)
+        s = mesh_statistics(m)
+        angle, edge = statistics_loop(m)
+        assert s.min_angle == pytest.approx(angle, rel=1e-13)
+        assert s.max_edge == pytest.approx(edge, rel=1e-15)
+
     def test_counts_single_cell(self):
         s = mesh_statistics(generate_structured_square(1, 1.0, "diagonal"))
         assert s.n_nodes == 4 and s.n_triangles == 2
