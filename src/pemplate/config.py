@@ -272,12 +272,18 @@ def parse_config(text, origin="<config>", base_dir=None):
     family = sim.get_str("family", "mechanical")
     if family not in ("mechanical", "electric"):
         raise ValidationError("[simulation] family must be mechanical|electric")
-    on = sim.get_str("on", "displacement")
-    point = None
-    if ic == "impulse":
+    # each initial condition reads only its own keys, so setting a key of
+    # the other one is an unknown-key error below
+    on, amplitude, point, magnitude = "displacement", 1.0, None, 1.0
+    if ic == "unimodal":
+        on = sim.get_str("on", on)
+        if on not in ("displacement", "velocity"):
+            raise ValidationError("config field [simulation] on must be "
+                                  f"'displacement' or 'velocity', got '{on}'")
+        amplitude = sim.get_float("amplitude", amplitude)
+    else:
         point = sim.get_floats("point", 2)
-    amplitude = sim.get_float("amplitude", 1.0)
-    magnitude = sim.get_float("magnitude", 1.0)
+        magnitude = sim.get_float("magnitude", magnitude)
     beats = sim.get_float("beats", 10.0)
     t_f = sim.get_float("t_f") if "t_f" in sim else None
     dt = sim.get_float("dt") if "dt" in sim else None

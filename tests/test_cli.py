@@ -50,6 +50,7 @@ steps_per_period = 60
 
 SEARCH = "\n[search]\nr_lo = 0.02\nr_hi = 2.0\n"
 UNTUNED_CFG = SMALL_CFG.replace("[tuning]\nmech_mode = 1\nelec_mode = 1\n", "")
+IMPULSE_CFG = SMALL_CFG.replace("ic = unimodal", "ic = impulse\npoint = 0.6 0.6")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -136,6 +137,29 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="unknown key 'point'"):
             parse_config(text)
 
+    @pytest.mark.parametrize("base, line", [
+        (SMALL_CFG, "magnitude = 2.5"),
+        (IMPULSE_CFG, "amplitude = 2.0"),
+        (IMPULSE_CFG, "on = velocity"),
+    ], ids=["magnitude-unimodal", "amplitude-impulse", "on-impulse"])
+    def test_key_of_the_other_initial_condition_rejected(self, base, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ValidationError,
+                           match=rf"unknown key '{key}' in \[simulation\]"):
+            parse_config(base + line + "\n")
+
+    def test_unimodal_on_validated_at_load(self, tmp_path, capsys):
+        text = SMALL_CFG + "on = sideways\n"
+        with pytest.raises(ValidationError,
+                           match=r"\[simulation\] on must be 'displacement' "
+                                 r"or 'velocity', got 'sideways'"):
+            parse_config(text)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "[simulation] on must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_key_rejected(self):
         text = SMALL_CFG.replace("n = 4", "n = 4\nn = 8")
         with pytest.raises(ValidationError, match="duplicate key 'n'"):
@@ -196,19 +220,19 @@ class TestConfigParsing:
         assert "[tuning]" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value, rule", [
-        ("amplitude", "0", "finite and nonzero"),
-        ("amplitude", "nan", "finite and nonzero"),
-        ("magnitude", "0", "finite and nonzero"),
-        ("beats", "0", "finite and positive"),
-        ("beats", "-1", "finite and positive"),
-        ("t_f", "0", "finite and positive"),
-        ("dt", "-0.5", "finite and positive"),
+    @pytest.mark.parametrize("base, key, value, rule", [
+        (SMALL_CFG, "amplitude", "0", "finite and nonzero"),
+        (SMALL_CFG, "amplitude", "nan", "finite and nonzero"),
+        (IMPULSE_CFG, "magnitude", "0", "finite and nonzero"),
+        (SMALL_CFG, "beats", "0", "finite and positive"),
+        (SMALL_CFG, "beats", "-1", "finite and positive"),
+        (SMALL_CFG, "t_f", "0", "finite and positive"),
+        (SMALL_CFG, "dt", "-0.5", "finite and positive"),
     ], ids=["amplitude", "amplitude-nan", "magnitude", "beats-zero",
             "beats-negative", "t_f", "dt"])
     def test_bad_simulation_value_exits_1_at_load(self, tmp_path, capsys,
-                                                  key, value, rule):
-        text = SMALL_CFG.replace("beats = 2\n", "") + f"{key} = {value}\n"
+                                                  base, key, value, rule):
+        text = base.replace("beats = 2\n", "") + f"{key} = {value}\n"
         with pytest.raises(ValidationError,
                            match=rf"\[simulation\] {key} must be {rule}"):
             parse_config(text)

@@ -71,6 +71,42 @@ def rk4_reference(rs, ic, t_f, dt):
                                zdot=out[:, n:])
 
 
+def increment_loop(rs, ic, t_f, dt):
+    """One RK4 increment y <- y + D y per step: the oracle for the blocks."""
+    steps = max(1, int(round(t_f / dt)))
+    n = rs.n_modes
+    m = 2 * n
+    minv = np.linalg.inv(rs.k2red)
+    ha = np.zeros((m, m))
+    ha[:n, n:] = dt * np.eye(n)
+    ha[n:, :n] = -dt * (minv @ rs.k0red)
+    ha[n:, n:] = -dt * (minv @ rs.k1red)
+    eye = np.eye(m)
+    d = ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+    out = np.empty((steps + 1, m))
+    out[0] = np.concatenate([ic.z0, ic.zdot0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            out[k + 1] = out[k] + d @ out[k]
+    return dynamics.Trajectory(t=dt * np.arange(steps + 1), z=out[:, :n],
+                               zdot=out[:, n:])
+
+
+def first_non_finite_step(traj):
+    finite = np.isfinite(traj.z).all(axis=1) & np.isfinite(traj.zdot).all(axis=1)
+    return int(np.argmin(finite))
+
+
+def unstable_oscillator(k0):
+    """One mode with negative stiffness: the state grows without bound."""
+    return ReducedSystem(
+        k2red=np.eye(1), k1red=np.zeros((1, 1)),
+        k0red=np.array([[k0]]), modes=None,
+        m2_mech=np.eye(1), k0_mech=np.eye(1),
+        m2_elec=np.zeros((1, 1)), k0_elec=np.zeros((1, 1)), cross_ratio=0.0,
+    )
+
+
 def direct_family(mesh, plate, net, basis):
     """R_N -> ReducedSystem by a full assembly at each R_N: the oracle."""
     def reduced(r):
@@ -161,12 +197,7 @@ class TestIntegrate:
             unimodal_ic(rs, 0, 1.0, on="acceleration")
 
     def test_blowup_names_step(self):
-        rs = ReducedSystem(
-            k2red=np.eye(1), k1red=np.zeros((1, 1)),
-            k0red=np.array([[-1.0]]), modes=None,
-            m2_mech=np.eye(1), k0_mech=np.eye(1),
-            m2_elec=np.zeros((1, 1)), k0_elec=np.zeros((1, 1)), cross_ratio=0.0,
-        )
+        rs = unstable_oscillator(-1.0)
         ic = unimodal_ic(rs, 0, 1.0)
         with pytest.raises(IntegrationError, match="step"):
             integrate(rs, ic, 2000.0, 1.0)
@@ -211,6 +242,48 @@ class TestIntegrateOracle:
         drift = relative_drift(energies(rs, traj))
         drift_ref = relative_drift(energies(rs, ref))
         assert drift == pytest.approx(drift_ref, rel=1e-6)
+
+    @pytest.mark.parametrize("resistance", [0.0, 0.2])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 3 * 64 + 17])
+    def test_blocks_match_step_loops(self, tuned_square4, resistance, steps):
+        # step counts around one block of dynamics.BLOCK rows and a ragged
+        # last block, against one increment per step and against the stages
+        assert dynamics.BLOCK == 64
+        mesh, plate, net, _, basis, _ = tuned_square4
+        rs = affine_family(mesh, plate, net, basis)(resistance)
+        m1 = basis.mechanical_indices()[0]
+        dt = 2 * math.pi / basis.omegas[m1] / 100
+        ic = unimodal_ic(rs, m1, 1.0)
+        traj = integrate(rs, ic, steps * dt, dt)
+        assert len(traj.t) == steps + 1
+        for ref in (increment_loop(rs, ic, steps * dt, dt),
+                    rk4_reference(rs, ic, steps * dt, dt)):
+            assert np.array_equal(traj.t, ref.t)
+            assert np.abs(traj.z - ref.z).max() <= 1e-12
+            assert np.abs(traj.zdot - ref.zdot).max() <= 1e-12
+
+    def test_blowup_in_a_later_block_names_first_non_finite_step(self):
+        # growth of about 2.7 per step overflows near step 710, in block 12
+        rs = unstable_oscillator(-1.0)
+        ic = unimodal_ic(rs, 0, 1.0)
+        step = first_non_finite_step(increment_loop(rs, ic, 2000.0, 1.0))
+        assert step > 10 * dynamics.BLOCK
+        with pytest.raises(IntegrationError,
+                           match=rf"non-finite state at step {step} "):
+            integrate(rs, ic, 2000.0, 1.0)
+
+    def test_overflowing_increments_match_step_loop(self):
+        # one step multiplies by about 4e10, so powers beyond the 29th
+        # overflow: a zero state must stay zero and a unit state must fail
+        # at the step where one increment per step fails
+        rs = unstable_oscillator(-1e6)
+        zero = integrate(rs, unimodal_ic(rs, 0, 0.0), 200.0, 1.0)
+        assert np.all(zero.z == 0.0) and np.all(zero.zdot == 0.0)
+        ic = unimodal_ic(rs, 0, 1.0)
+        step = first_non_finite_step(increment_loop(rs, ic, 200.0, 1.0))
+        with pytest.raises(IntegrationError,
+                           match=rf"non-finite state at step {step} "):
+            integrate(rs, ic, 200.0, 1.0)
 
     def test_coupled_pair_with_non_identity_k2(self):
         # both stiffness blocks go through K2^-1
@@ -289,6 +362,29 @@ class TestEnergies:
         assert np.abs(e3.total - 9.0 * e1.total).max() <= 1e-12 * 9 * e1.total[0] \
             + 1e-9 * e1.total[0]
         assert np.abs(e3.mech - 9.0 * e1.mech).max() <= 1e-9 * e1.total[0] * 9
+
+    def test_traces_match_three_operand_forms(self, tuned_square4):
+        mesh, plate, net, _, basis, _ = tuned_square4
+        rs = affine_family(mesh, plate, net, basis)(0.2)
+        m1 = basis.mechanical_indices()[0]
+        T1 = 2 * math.pi / basis.omegas[m1]
+        traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 10 * T1, T1 / 100)
+        z, zd = traj.z, traj.zdot
+
+        def form(a, m, b):
+            return np.einsum("ti,ij,tj->t", a, m, b)
+
+        r = rs.cross_ratio
+        mech = 0.5 * (form(zd, rs.m2_mech, zd) + form(z, rs.k0_mech, z))
+        elec = 0.5 * (form(zd, rs.m2_elec, zd) + form(z, rs.k0_elec, z))
+        cross = (r * form(zd, rs.m2_elec, z)
+                 + 0.5 * r * r * form(z, rs.m2_elec, z))
+        en = energies(rs, traj)
+        assert r > 0.0 and np.abs(cross).max() > 0.0
+        for got, want in ((en.mech, mech), (en.elec, elec), (en.cross, cross),
+                          (en.total, mech + elec + cross),
+                          (dynamics.mechanical_energy(rs, traj), mech)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_cross_term_zero_when_conservative(self, tuned_square4):
         _, _, _, _, basis, rs = tuned_square4
