@@ -59,7 +59,6 @@ from .modal import (
     coupling_table,
     reduce,
     solve_family_modes,
-    solve_modes,
     tune_inductance,
 )
 

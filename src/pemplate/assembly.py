@@ -530,25 +530,19 @@ def patch_test(mat, tol=1e-9, rigid_tol=1e-12, corrupt_mu=False):
         raise ValidationError("patch test requires an uncoupled material (g_me = 0)")
     mesh = patch_test_mesh()
 
-    if not corrupt_mu:
-        sys = assemble(mesh, mat)
-        k0 = sys.k0.toarray()
-        free = sys.dof_map.free_to_full
-    else:
-        # negative control: rebuild local matrices with mu sign flipped
-        n_full = DOFS_PER_NODE * mesh.n_nodes
-        k0 = np.zeros((n_full, n_full))
-        for tri in mesh.triangles:
-            geom = el.triangle_geometry(mesh.nodes[tri])
+    # the patch has no constraints: K0 spans every DOF of the mesh
+    n_full = DOFS_PER_NODE * mesh.n_nodes
+    k0 = np.zeros((n_full, n_full))
+    for tri in mesh.triangles:
+        geom = el.triangle_geometry(mesh.nodes[tri])
+        if corrupt_mu:
             geom = replace(geom, mu=-geom.mu)
-            loc = local_matrices(geom, mat)
-            g = (DOFS_PER_NODE * tri[:, None] + np.arange(4)[None, :]).ravel()
-            k0[np.ix_(g, g)] += loc.k0
-        free = np.arange(n_full)
+        g = (DOFS_PER_NODE * tri[:, None] + np.arange(4)[None, :]).ravel()
+        k0[np.ix_(g, g)] += local_matrices(geom, mat).k0
 
-    # bending DOFs only: columns (w, tx, ty) of every node, in free numbering
-    comp = free % DOFS_PER_NODE
-    node = free // DOFS_PER_NODE
+    # bending DOFs only: columns (w, tx, ty) of every node
+    comp = np.arange(n_full) % DOFS_PER_NODE
+    node = np.arange(n_full) // DOFS_PER_NODE
     bend = comp != ELEC_COMPONENT
     inner = bend & (node == 5)
     outer = bend & (node != 5)

@@ -41,7 +41,7 @@ import scipy
 
 from . import dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, patch_test
-from .config import is_square_benchmark, load_config
+from .config import load_config
 from .csvfmt import FMT, format_rows
 from .errors import NumericalError, PemplateError, ValidationError
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
@@ -193,13 +193,13 @@ def _configured(value, section, optional):
     return value is not None
 
 
-def report_mesh(run, out_dir, files):
+def report_mesh(run, out_dir):
     stats = mesh_statistics(run.mesh())
     return [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
             f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]
 
 
-def report_tuning(run, out_dir, files, optional=False):
+def report_tuning(run, out_dir, optional=False):
     """The retuned L_N and the frequency mismatch of the pair it lines up."""
     c = run.cfg
     if not _configured(c.tune_mech, "tuning", optional):
@@ -211,26 +211,29 @@ def report_tuning(run, out_dir, files, optional=False):
             f"relative mismatch after retune: {_fmt(abs(we - wm) / wm)}"]
 
 
-def report_modes(run, out_dir, files, tuned=True):
+def report_modes(run, out_dir, tuned=True, name="modes.csv"):
     """The mode table of the tuned (else the configured) network."""
     net = run.network() if tuned else run.cfg.network
+    # the square catalogs apply to every structured mesh: the generator only
+    # produces squares, and the normalized spectra are side-independent
     header, rows, notices = reference.mode_table(
         *run.modes(net), {bc.kind for bc in run.cfg.bcs},
-        is_square_benchmark(run.cfg))
-    write_csv(out_dir / files.get("modes", "modes.csv"), header,
+        run.cfg.mesh_kind == "structured")
+    write_csv(out_dir / name, header,
               np.array([[_fmt(v) for v in row] for row in rows]))
     return [f"note: {n}" for n in notices]
 
 
-def report_coupling(run, out_dir, files, tuned=True):
-    """The max-normalized coupling table; the raw one too if ``files`` names it."""
+def report_coupling(run, out_dir, tuned=True, raw=False):
+    """The max-normalized coupling table; the raw one too if ``raw``."""
     table = run.coupling(run.network() if tuned else run.cfg.network)
     header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
     index = np.arange(1, table.raw.shape[0] + 1)
-    for name, values in (("coupling.csv", table.normalized),
-                         (files.get("coupling_raw"), table.raw)):
-        if name:
-            write_csv(out_dir / name, header, np.column_stack([index, values]))
+    write_csv(out_dir / "coupling.csv", header,
+              np.column_stack([index, table.normalized]))
+    if raw:
+        write_csv(out_dir / "coupling_raw.csv", header,
+                  np.column_stack([index, table.raw]))
     return []
 
 
@@ -241,7 +244,7 @@ def _write_trajectory(path, traj, en):
         [traj.t, traj.z, en.mech, en.elec, en.total]))
 
 
-def report_simulation(run, out_dir, files):
+def report_simulation(run, out_dir):
     """Steps, energy drift and min E / E(0) of the family the run starts in."""
     sim = run.cfg.simulation
     traj, en = run.simulation()
@@ -255,7 +258,7 @@ def report_simulation(run, out_dir, files):
             f"min E_{family}/E_0 {_fmt(float(energy.min() / energy[0]))}"]
 
 
-def report_search(run, out_dir, files, optional=False):
+def report_search(run, out_dir, optional=False):
     """The sampled zeta(R_N) and three regime runs; R*, its zeta, warnings."""
     if not _configured(run.cfg.search_lo, "search", optional):
         return []
@@ -292,21 +295,20 @@ def _manifest(config_text):
             "scipy": scipy.__version__}
 
 
-# subcommand -> (reports, file names, help). ``modes`` and ``coupling`` report
-# the configured network; ``pipeline`` skips the sections the config lacks.
+# subcommand -> (reports, help). ``modes`` and ``coupling`` report the
+# configured network; ``pipeline`` skips the sections the config lacks.
 COMMANDS = {
-    "modes": ([partial(report_modes, tuned=False)], {},
+    "modes": ([partial(report_modes, tuned=False)],
               "eigenfrequency tables (Fig. 4 style)"),
-    "tune": ([report_tuning, report_modes], {"modes": "modes_tuned.csv"},
+    "tune": ([report_tuning, partial(report_modes, name="modes_tuned.csv")],
              "retune the net inductance to a mechanical mode"),
-    "simulate": ([report_simulation], {}, "integrate the reduced dynamics"),
-    "coupling": ([partial(report_coupling, tuned=False)],
-                 {"coupling_raw": "coupling_raw.csv"},
+    "simulate": ([report_simulation], "integrate the reduced dynamics"),
+    "coupling": ([partial(report_coupling, tuned=False, raw=True)],
                  "modal coupling table (Fig. 5 style)"),
-    "optimize-r": ([report_search], {}, "search the optimal net resistance"),
+    "optimize-r": ([report_search], "search the optimal net resistance"),
     "pipeline": ([report_mesh, partial(report_tuning, optional=True),
                   report_modes, report_coupling, report_simulation,
-                  partial(report_search, optional=True)], {},
+                  partial(report_search, optional=True)],
                  "full run: modes, tuning, coupling, simulation, damping"),
 }
 
@@ -317,7 +319,7 @@ def build_parser():
         description="Coupled-plate eigenanalysis, network tuning and "
                     "electric vibration damping.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in COMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--config", help="run configuration file")
@@ -345,9 +347,9 @@ def main(argv=None):
         if args.command == "patch-test":
             return cmd_patch_test(corrupt_mu=args.corrupt_mu)
         run = Run(load_config(_config_path(args)))
-        reports, files, _ = COMMANDS[args.command]
+        reports, _ = COMMANDS[args.command]
         out_dir = Path(args.out)
-        lines = [line for report in reports for line in report(run, out_dir, files)]
+        lines = [line for report in reports for line in report(run, out_dir)]
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

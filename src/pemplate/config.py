@@ -339,12 +339,3 @@ def parse_config(text, origin="<config>", base_dir=None):
         simulation=simulation, search_lo=search_lo, search_hi=search_hi,
         source_text=text,
     )
-
-
-def is_square_benchmark(cfg):
-    """True when the analytic square catalogs apply to this mesh.
-
-    The structured generator only produces squares, and the normalized
-    spectra are side-independent.
-    """
-    return cfg.mesh_kind == "structured"

@@ -89,8 +89,13 @@ def impulse_ic(sys, modes, point, magnitude=1.0):
     p_full = np.zeros((sys.mesh.n_nodes, asm.DOFS_PER_NODE))
     p_full[tri, :3] = magnitude * ev.value.reshape(3, 3)
     p_free = p_full.ravel()[sys.dof_map.free_to_full]
-    return InitialCondition(z0=np.zeros(modes.n_modes),
-                            zdot0=modes.vectors.T @ p_free)
+    zdot0 = modes.vectors.T @ p_free
+    if not zdot0.any():
+        raise ValidationError(
+            f"config field [simulation] point {x:g} {y:g}: the impulse "
+            "projects to zero on the retained basis (a point on a clamped "
+            "boundary loads only constrained DOFs)")
+    return InitialCondition(z0=np.zeros(modes.n_modes), zdot0=zdot0)
 
 
 @dataclass

@@ -2,15 +2,18 @@
 
 The modal basis neglects the first-order matrix K1, so the conservative
 eigenproblem K0 a = omega^2 K2 a decouples into the pure bending and pure
-electric families (K0 and K2 are block-diagonal across the two fields).
+electric families: K0 and K2 of the conservative network are block-diagonal
+across the two fields; a dissipative network adds to K0 only a
+mechanical-row, electric-column block (R_N) and a symmetric electric block
+(G_N R_N), so each family's sub-blocks stay symmetric for any R_N and G_N. Every mode is solved in one family and is field-pure; the
+retained basis is the merge of the two family solves.
 Eigenvectors are K2-orthonormal; the reduced model follows by projecting all
 three matrices on the retained rows.
 
-Degenerate eigenvalue clusters are re-oriented deterministically: first the
-cluster basis is rotated to diagonalize the mechanical-energy fraction (so a
-tuned mechanical/electric pair comes out field-pure), then same-family pairs
-are rotated to diagonalize a fixed anisotropic node-coordinate moment, and
-finally each vector's first significant component is made positive.
+Degenerate eigenvalue clusters are re-oriented deterministically: the
+cluster basis is rotated to diagonalize a fixed anisotropic node-coordinate
+moment (see :func:`_orient_modes`), and finally each vector's first
+significant component is made positive.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, ValidationError
 
 CLUSTER_RELATIVE_GAP = 1e-6
-MECHANICAL_FRACTION_THRESHOLD = 0.9
 _DENSE_LIMIT = 2600
 
 
@@ -33,25 +35,19 @@ _DENSE_LIMIT = 2600
 class ModeSet:
     """Sorted eigenpairs of the undamped problem.
 
-    ``vectors`` holds one K2-orthonormal eigenvector per column; ``labels``
-    classifies each mode by the fraction of its K2-energy carried by the
-    bending DOFs.
+    ``vectors`` holds one K2-orthonormal, field-pure eigenvector per column
+    in the free-DOF numbering; ``labels`` names the family ("mechanical" or
+    "electric") each mode was solved in.
     """
 
     omegas: np.ndarray
     vectors: np.ndarray
-    mech_fraction: np.ndarray
     labels: tuple
     dof_map: object
 
     @property
     def n_modes(self):
         return len(self.omegas)
-
-    @property
-    def projection(self):
-        """The reduction matrix T whose rows are the retained eigenvectors."""
-        return self.vectors.T
 
     def mechanical_indices(self):
         return [i for i, lab in enumerate(self.labels) if lab == "mechanical"]
@@ -60,50 +56,34 @@ class ModeSet:
         return [i for i, lab in enumerate(self.labels) if lab == "electric"]
 
 
-def _dense(a):
-    return a.toarray() if sp.issparse(a) else np.asarray(a)
-
-
-def _check_symmetric(a, name):
-    if sp.issparse(a):
-        diff = (a - a.T).tocoo()
-        asym = np.abs(diff.data).max() if diff.nnz else 0.0
-        scale = max(np.abs(a.data).max() if a.nnz else 0.0, 1.0)
-    else:
-        asym = np.abs(a - a.T).max()
-        scale = max(np.abs(a).max(), 1.0)
-    if asym > 1e-10 * scale:
-        raise NumericalError(
-            f"{name} is not symmetric (did you assemble with R_N > 0 and "
-            "coupling? solve modes on the conservative twin instead)"
-        )
-
-
 def _solve_pencil(k0, k2, n):
-    """Smallest-n eigenpairs of K0 a = w^2 K2 a with K2-orthonormal vectors."""
+    """Smallest-n eigenpairs of K0 a = w^2 K2 a with K2-orthonormal vectors.
+
+    ``k0`` and ``k2`` are CSC; a pencil of at most ``_DENSE_LIMIT`` rows is
+    solved dense, a larger one by shift-invert Lanczos.
+    """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
         # eigh factors K2 itself and fails when it is not positive definite
         try:
-            vals, vecs = sla.eigh(_dense(k0), _dense(k2), subset_by_index=[0, n - 1])
+            vals, vecs = sla.eigh(k0.toarray(), k2.toarray(),
+                                  subset_by_index=[0, n - 1])
         except np.linalg.LinAlgError:
             raise NumericalError(
                 "K2 is not positive definite; check boundary conditions and "
                 "material parameters"
             ) from None
     else:
-        s0 = sp.csc_matrix(k0)
-        s2 = sp.csc_matrix(k2)
         v0 = np.ones(size)
         try:
-            vals, vecs = spla.eigsh(s0, k=n, M=s2, sigma=0.0, which="LM", v0=v0)
+            vals, vecs = spla.eigsh(k0, k=n, M=k2, sigma=0.0, which="LM", v0=v0)
         except RuntimeError as exc:
             raise NumericalError(f"sparse eigensolve failed: {exc}") from None
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         # enforce K2-orthonormality (ARPACK returns it only approximately);
         # the Ritz Gram fails to factor exactly when K2 is not definite
-        gram = vecs.T @ (s2 @ vecs)
+        gram = vecs.T @ (k2 @ vecs)
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -140,6 +120,15 @@ def _rotate_cluster(block, operator):
 
 
 def _orient_modes(omegas, vectors, k2, dof_map, mesh):
+    """Deterministic orientation of every cluster and sign.
+
+    Family vectors are field-pure, so the mechanical-energy fraction is the
+    same (0 or 1) for every vector of a cluster, and the fraction rotation
+    below diagonalizes an identity up to round-off. The rotation it picks
+    moves the outputs only by round-off, but it moves their bytes (the
+    tuned paper-square coupling table by up to 9e-16), so it stays until a
+    change that may move them.
+    """
     mech = dof_map.mechanical_mask
     # weight each free DOF by x^2 - y^2 of its node: an anisotropic moment
     # whose restriction separates the (m, n)/(n, m) pairs of symmetric
@@ -154,7 +143,7 @@ def _orient_modes(omegas, vectors, k2, dof_map, mesh):
         block = _rotate_cluster(
             vectors[:, idx], lambda b: (k2 @ (b * mech[:, None])) * mech[:, None]
         )
-        # order mechanical-dominant first inside the cluster
+        # order by mechanical fraction (all equal for one family's cluster)
         frac = np.einsum("di,di->i", block * mech[:, None],
                          k2 @ (block * mech[:, None]))
         order = np.argsort(-frac, kind="stable")
@@ -179,42 +168,12 @@ def _orient_modes(omegas, vectors, k2, dof_map, mesh):
     return vectors
 
 
-def _classify(fraction):
-    if fraction >= MECHANICAL_FRACTION_THRESHOLD:
-        return "mechanical"
-    if fraction <= 1.0 - MECHANICAL_FRACTION_THRESHOLD:
-        return "electric"
-    return "mixed"
-
-
-def _mode_set(sys, omegas, vectors):
-    dm = sys.dof_map
-    vectors = _orient_modes(omegas, vectors, sys.k2, dm, sys.mesh)
-    mech = dm.mechanical_mask
-    vm = vectors * mech[:, None]
-    frac = np.einsum("di,di->i", vm, sys.k2 @ vm)
-    labels = tuple(_classify(f) for f in frac)
-    omegas = omegas.copy()
+def _mode_set(sys, family, omegas, vectors):
+    vectors = _orient_modes(omegas, vectors, sys.k2, sys.dof_map, sys.mesh)
     omegas.setflags(write=False)
     vectors.setflags(write=False)
-    return ModeSet(omegas=omegas, vectors=vectors, mech_fraction=frac,
-                   labels=labels, dof_map=dm)
-
-
-def solve_modes(sys, n):
-    """The n lowest eigenpairs of the full conservative system.
-
-    Requires symmetric K0/K2 (assemble the conservative twin when the damped
-    K0 picks up the resistance coupling block).
-    """
-    if not 1 <= n <= sys.n_free:
-        raise ValidationError(
-            f"retained mode count {n} out of range 1..{sys.n_free}"
-        )
-    _check_symmetric(sys.k0, "K0")
-    _check_symmetric(sys.k2, "K2")
-    omegas, vectors = _solve_pencil(sys.k0, sys.k2, n)
-    return _mode_set(sys, omegas, vectors)
+    return ModeSet(omegas=omegas, vectors=vectors,
+                   labels=(family,) * len(omegas), dof_map=sys.dof_map)
 
 
 def solve_family_modes(sys, family, n):
@@ -223,7 +182,7 @@ def solve_family_modes(sys, family, n):
     ``family`` is "mechanical" (the other field held to zero) or "electric".
     """
     dm = sys.dof_map
-    mask = dm.mechanical_mask if family == "mechanical" else dm.electric_mask
+    mask = {"mechanical": dm.mechanical_mask, "electric": dm.electric_mask}[family]
     idx = np.flatnonzero(mask)
     if not 1 <= n <= len(idx):
         raise ValidationError(
@@ -231,14 +190,11 @@ def solve_family_modes(sys, family, n):
         )
     # CSC, the form the sparse solve factors, so no second copy of a block
     # stays alive through the solve
-    k0 = sp.csc_matrix(sys.k0.tocsr()[idx][:, idx])
-    k2 = sp.csc_matrix(sys.k2.tocsr()[idx][:, idx])
-    if len(idx) <= _DENSE_LIMIT:
-        k0, k2 = k0.toarray(), k2.toarray()
-    omegas, sub = _solve_pencil(k0, k2, n)
+    omegas, sub = _solve_pencil(sp.csc_matrix(sys.k0.tocsr()[idx][:, idx]),
+                                sp.csc_matrix(sys.k2.tocsr()[idx][:, idx]), n)
     vectors = np.zeros((dm.n_free, n))
     vectors[idx] = sub
-    return _mode_set(sys, omegas, vectors)
+    return _mode_set(sys, family, omegas, vectors)
 
 
 def build_modal_basis(mech, elec):
@@ -252,7 +208,6 @@ def build_modal_basis(mech, elec):
     omegas = np.concatenate([mech.omegas, elec.omegas])
     family = np.concatenate([np.zeros(n_mech, dtype=int), np.ones(n_elec, dtype=int)])
     vectors = np.concatenate([mech.vectors, elec.vectors], axis=1)
-    frac = np.concatenate([mech.mech_fraction, elec.mech_fraction])
     labels = mech.labels + elec.labels
     order = np.lexsort((family, omegas))
     omegas = omegas[order]
@@ -260,7 +215,6 @@ def build_modal_basis(mech, elec):
     vectors = vectors[:, order]
     vectors.setflags(write=False)
     return ModeSet(omegas=omegas, vectors=vectors,
-                   mech_fraction=frac[order],
                    labels=tuple(labels[i] for i in order),
                    dof_map=mech.dof_map)
 

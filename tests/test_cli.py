@@ -596,6 +596,17 @@ class TestStageGraph:
         assert "did not converge at R* = " in captured.err
         assert "optimal resistance" not in captured.out
 
+    def test_impulse_on_clamped_corner_exits_1(self, tmp_path, capsys):
+        # every DOF the corner impulse loads is constrained, so z'(0) = 0
+        text = IMPULSE_CFG.replace("point = 0.6 0.6", "point = 0.0 0.0")
+        text = text.replace("simply_supported+grounded", "clamped+grounded")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[stage simulation]" in err and "[simulation] point" in err
+        assert not out.exists()
+
     def test_unallocatable_simulation_exits_2(self, tmp_path, capsys):
         # untuned, the driven mode's beat partner is far off resonance and
         # the default horizon of two beats needs ~3e16 steps

@@ -507,7 +507,7 @@ class TestRecoverField:
                                      int(dm.mechanical_mask.sum())),
             modal.solve_family_modes(sys, "electric",
                                      int(dm.electric_mask.sum())))
-        t = basis.projection
+        t = basis.vectors.T
         k2 = sys.k2.toarray()
         # rows are K2-orthonormal, so the K2-weighted round trip is exact
         assert np.abs(t @ k2 @ t.T - np.eye(dm.n_free)).max() < 1e-10

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from pemplate import modal
 from pemplate.assembly import BoundaryCondition, assemble
@@ -13,7 +15,6 @@ from pemplate.modal import (
     coupling_table,
     reduce,
     solve_family_modes,
-    solve_modes,
     tune_inductance,
     tuning_factor,
 )
@@ -43,51 +44,70 @@ def square8():
 
 def test_scalar_pencil():
     # 1-DOF system K0 = [4], K2 = [1]: omega = 2, K2-normalized vector 1
-    omegas, vecs = modal._solve_pencil(np.array([[4.0]]), np.array([[1.0]]), 1)
+    omegas, vecs = modal._solve_pencil(sp.csc_matrix([[4.0]]),
+                                       sp.csc_matrix([[1.0]]), 1)
     assert omegas[0] == pytest.approx(2.0, rel=1e-14)
     assert abs(vecs[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
 
+FAMILIES = ("mechanical", "electric")
+
+
 class TestSolveModes:
     def test_orthonormality_and_residual(self, square8):
-        modes = solve_modes(square8, 12)
-        v = modes.vectors
         k2 = square8.k2.toarray()
         k0 = square8.k0.toarray()
-        gram = v.T @ k2 @ v
-        assert np.abs(gram - np.eye(12)).max() < 1e-10
-        for i in range(12):
-            r = k0 @ v[:, i] - modes.omegas[i] ** 2 * (k2 @ v[:, i])
-            assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(k0 @ v[:, i])
+        for family in FAMILIES:
+            modes = solve_family_modes(square8, family, 12)
+            v = modes.vectors
+            gram = v.T @ k2 @ v
+            assert np.abs(gram - np.eye(12)).max() < 1e-10
+            for i in range(12):
+                r = k0 @ v[:, i] - modes.omegas[i] ** 2 * (k2 @ v[:, i])
+                assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(k0 @ v[:, i])
 
     def test_sorted_ascending(self, square8):
-        modes = solve_modes(square8, 10)
-        assert np.all(np.diff(modes.omegas) >= -1e-12)
+        for family in FAMILIES:
+            modes = solve_family_modes(square8, family, 10)
+            assert np.all(np.diff(modes.omegas) >= -1e-12)
 
     def test_field_purity_of_conservative_modes(self, square8):
-        # K0/K2 are block-diagonal across fields, so every mode is pure
-        modes = solve_modes(square8, 12)
-        for frac, label in zip(modes.mech_fraction, modes.labels):
-            assert min(frac, 1 - frac) < 1e-9
-            assert label in ("mechanical", "electric")
+        # each mode is solved in one family: labelled with it, and zero on
+        # the other field's DOFs
+        dm = square8.dof_map
+        for family, other in zip(FAMILIES, (dm.electric_mask, dm.mechanical_mask)):
+            modes = solve_family_modes(square8, family, 6)
+            assert modes.labels == (family,) * 6
+            assert not modes.vectors[other].any()
+
+    def test_sparse_path_matches_dense(self, square8, monkeypatch):
+        dense = [solve_family_modes(square8, f, 6) for f in FAMILIES]
+        monkeypatch.setattr(modal, "_DENSE_LIMIT", 10)
+        k2 = square8.k2.toarray()
+        for family, ref in zip(FAMILIES, dense):
+            modes = solve_family_modes(square8, family, 6)
+            assert np.abs(modes.omegas - ref.omegas).max() <= 1e-9 * ref.omegas.max()
+            gram = modes.vectors.T @ k2 @ modes.vectors
+            assert np.abs(gram - np.eye(6)).max() < 1e-10
+
+    def test_unknown_family_rejected(self, square8):
+        with pytest.raises(KeyError):
+            solve_family_modes(square8, "mixed", 4)
 
     def test_determinism(self, square8):
-        a = solve_modes(square8, 8)
-        b = solve_modes(square8, 8)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert np.array_equal(a.omegas, b.omegas)
+        for family in FAMILIES:
+            a = solve_family_modes(square8, family, 8)
+            b = solve_family_modes(square8, family, 8)
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.omegas, b.omegas)
 
     def test_out_of_range(self, square8):
-        with pytest.raises(ValidationError):
-            solve_modes(square8, 0)
-        with pytest.raises(ValidationError):
-            solve_modes(square8, square8.n_free + 1)
-
-    def test_damped_coupled_k0_rejected(self):
-        mesh = generate_structured_square(2, 1.0, "crossed")
-        sys = assemble(mesh, material(r_n=0.5), bcs_ss())
-        with pytest.raises(NumericalError, match="conservative twin"):
-            solve_modes(sys, 4)
+        dm = square8.dof_map
+        for family, mask in zip(FAMILIES, (dm.mechanical_mask, dm.electric_mask)):
+            with pytest.raises(ValidationError):
+                solve_family_modes(square8, family, 0)
+            with pytest.raises(ValidationError):
+                solve_family_modes(square8, family, int(mask.sum()) + 1)
 
     @pytest.mark.parametrize("family", ["mechanical", "electric"])
     def test_sparse_path_rejects_indefinite_k2(self, square4, monkeypatch,
@@ -115,12 +135,17 @@ class TestSolveModes:
 
     def test_full_solve_agrees_with_family_union(self, square8):
         # the conservative pencil is block-diagonal, so the globally lowest
-        # frequencies are the merged family spectra
-        full = solve_modes(square8, 10)
-        mech = solve_family_modes(square8, "mechanical", 10)
-        elec = solve_family_modes(square8, "electric", 10)
-        union = np.sort(np.concatenate([mech.omegas, elec.omegas]))[:10]
-        assert np.abs(full.omegas - union).max() <= 1e-9 * union.max()
+        # frequencies of a dense solve of the whole pencil are the merged
+        # family spectra; the resistive coupling fills only the
+        # mechanical-row/electric-column block of K0, which no family reads
+        w2 = sla.eigh(square8.k0.toarray(), square8.k2.toarray(),
+                      eigvals_only=True, subset_by_index=[0, 9])
+        damped = assemble(square8.mesh, material(r_n=0.5), bcs_ss())
+        for sys in (square8, damped):
+            union = np.sort(np.concatenate(
+                [solve_family_modes(sys, family, 10).omegas
+                 for family in FAMILIES]))[:10]
+            assert np.abs(np.sqrt(w2) - union).max() <= 1e-9 * union.max()
 
     def test_density_scaling_leaves_ratios(self):
         mesh = generate_structured_square(4, 1.0, "crossed")
@@ -147,7 +172,7 @@ class TestSolveModes:
                         NetworkParams(inductance=1.0, resistance=0.4),
                         NetworkParams(inductance=1.0, conductance=0.7)))
         for modes in others:
-            for name in ("omegas", "vectors", "mech_fraction"):
+            for name in ("omegas", "vectors"):
                 assert np.array_equal(getattr(modes, name), getattr(ref, name))
             assert modes.labels == ref.labels
 
@@ -180,8 +205,6 @@ class TestReduce:
                                   solve_family_modes(sys, "electric", n_elec))
         rs = reduce(sys, basis)
         # reduced eigensolve reproduces the retained frequencies exactly
-        import scipy.linalg as sla
-
         w2 = sla.eigh(rs.k0red, rs.k2red, eigvals_only=True)
         assert np.abs(np.sqrt(w2) - np.sort(basis.omegas)).max() \
             <= 1e-9 * basis.omegas.max()
@@ -192,8 +215,6 @@ class TestReduce:
         rs = reduce(square8, basis)
         # re-reducing the reduced pencil with its own eigenbasis returns the
         # same diagonal within 1e-12
-        import scipy.linalg as sla
-
         w2, q = sla.eigh(rs.k0red, rs.k2red)
         again = q.T @ rs.k0red @ q
         assert np.abs(again - np.diag(w2)).max() < 1e-12 * np.abs(w2).max()
@@ -212,20 +233,6 @@ class TestBasis:
         assert basis.labels.count("mechanical") == 8
         assert basis.labels.count("electric") == 8
         assert np.all(np.diff(basis.omegas) >= -1e-12)
-
-    def test_purity_after_tuning_degeneracy(self, square8):
-        mech = solve_family_modes(square8, "mechanical", 4)
-        elec = solve_family_modes(square8, "electric", 4)
-        net = tune_inductance(mech, elec, NetworkParams(inductance=1.0), 0, 0)
-        mesh = square8.mesh
-        sys_t = assemble(mesh, build_material(square8.material.plate, net),
-                         bcs_ss())
-        # the tuned pair is a degenerate cluster of the full solve; the
-        # cluster rotation must return field-pure vectors
-        modes = solve_modes(sys_t, 4)
-        assert abs(modes.omegas[0] - modes.omegas[1]) / modes.omegas[0] < 1e-9
-        fracs = sorted(modes.mech_fraction[:2])
-        assert fracs[0] < 1e-6 and fracs[1] > 1 - 1e-6
 
 
 class TestTuning:
