@@ -216,27 +216,6 @@ def energies(rs, traj):
     return traces
 
 
-def recover_field(modes, traj, t):
-    """Nodal (w, theta_x, theta_y, alpha) at the grid step nearest to ``t``.
-
-    Constrained DOFs are reported at their (homogeneous) boundary values.
-    Returns a dict with the four nodal arrays plus the snapshot metadata;
-    ``on_grid`` is False when ``t`` had to be rounded to the nearest step.
-    """
-    step = int(np.argmin(np.abs(traj.t - t)))
-    dt = traj.t[1] - traj.t[0] if len(traj.t) > 1 else 1.0
-    on_grid = bool(abs(traj.t[step] - t) <= 1e-9 * max(1.0, dt))
-    dm = modes.dof_map
-    full = np.zeros(dm.n_full)
-    full[dm.free_to_full] = modes.vectors @ traj.z[step]
-    fields = full.reshape(dm.n_nodes, asm.DOFS_PER_NODE)
-    return {
-        "w": fields[:, 0], "theta_x": fields[:, 1], "theta_y": fields[:, 2],
-        "alpha": fields[:, 3], "step": step, "time": float(traj.t[step]),
-        "on_grid": on_grid,
-    }
-
-
 def beat_period(rs, index_a, index_b):
     """Energy-exchange period 2 pi / |kappa| of a tuned conservative pair."""
     kappa = abs(rs.k1red[index_a, index_b])

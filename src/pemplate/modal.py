@@ -10,10 +10,13 @@ retained basis is the merge of the two family solves.
 Eigenvectors are K2-orthonormal; the reduced model follows by projecting all
 three matrices on the retained rows.
 
-Degenerate eigenvalue clusters are re-oriented deterministically: the
-cluster basis is rotated to diagonalize a fixed anisotropic node-coordinate
-moment (see :func:`_orient_modes`), and finally each vector's first
-significant component is made positive.
+One rule settles every tie: :func:`_clusters` groups frequencies closer
+than ``CLUSTER_RELATIVE_GAP``. Inside a family's cluster the eigenvectors
+are fixed only as a subspace, so the basis is rotated to diagonalize a fixed
+anisotropic node-coordinate moment and each vector's first significant
+component is made positive (see :func:`_orient_modes`). Inside a cluster of
+the merged basis (a tuned mechanical/electric pair) the mechanical mode comes
+first, whatever the round-off order of the two frequencies.
 """
 
 from __future__ import annotations
@@ -111,25 +114,12 @@ def _clusters(omegas, rel_gap=CLUSTER_RELATIVE_GAP):
     return groups
 
 
-def _rotate_cluster(block, operator):
-    """Diagonalize a symmetric operator restricted to the cluster basis."""
-    c = block.T @ operator(block)
-    c = 0.5 * (c + c.T)
-    _, q = np.linalg.eigh(c)
-    return block @ q
-
-
-def _orient_modes(omegas, vectors, k2, dof_map, mesh):
+def _orient_modes(omegas, vectors, dof_map, mesh):
     """Deterministic orientation of every cluster and sign.
 
-    Family vectors are field-pure, so the mechanical-energy fraction is the
-    same (0 or 1) for every vector of a cluster, and the fraction rotation
-    below diagonalizes an identity up to round-off. The rotation it picks
-    moves the outputs only by round-off, but it moves their bytes (the
-    tuned paper-square coupling table by up to 9e-16), so it stays until a
-    change that may move them.
+    A cluster's eigenvectors are fixed only as a subspace; the node-moment
+    rotation picks one basis of it that does not depend on the solver's.
     """
-    mech = dof_map.mechanical_mask
     # weight each free DOF by x^2 - y^2 of its node: an anisotropic moment
     # whose restriction separates the (m, n)/(n, m) pairs of symmetric
     # domains (the orthogonality of the 1-D factors kills the cross terms,
@@ -139,26 +129,10 @@ def _orient_modes(omegas, vectors, k2, dof_map, mesh):
     for group in _clusters(omegas):
         if len(group) < 2:
             continue
-        idx = np.array(group)
-        block = _rotate_cluster(
-            vectors[:, idx], lambda b: (k2 @ (b * mech[:, None])) * mech[:, None]
-        )
-        # order by mechanical fraction (all equal for one family's cluster)
-        frac = np.einsum("di,di->i", block * mech[:, None],
-                         k2 @ (block * mech[:, None]))
-        order = np.argsort(-frac, kind="stable")
-        block = block[:, order]
-        frac = frac[order]
-        # same-fraction sub-blocks: orient by the node moment
-        sub_start = 0
-        for j in range(1, len(group) + 1):
-            if j == len(group) or abs(frac[j] - frac[sub_start]) > 1e-6:
-                if j - sub_start > 1:
-                    block[:, sub_start:j] = _rotate_cluster(
-                        block[:, sub_start:j], lambda b: b * moment[:, None]
-                    )
-                sub_start = j
-        vectors[:, idx] = block
+        block = vectors[:, group]
+        c = block.T @ (block * moment[:, None])
+        _, q = np.linalg.eigh(0.5 * (c + c.T))
+        vectors[:, group] = block @ q
     # deterministic sign: first significant component positive
     for i in range(vectors.shape[1]):
         v = vectors[:, i]
@@ -169,7 +143,7 @@ def _orient_modes(omegas, vectors, k2, dof_map, mesh):
 
 
 def _mode_set(sys, family, omegas, vectors):
-    vectors = _orient_modes(omegas, vectors, sys.k2, sys.dof_map, sys.mesh)
+    vectors = _orient_modes(omegas, vectors, sys.dof_map, sys.mesh)
     omegas.setflags(write=False)
     vectors.setflags(write=False)
     return ModeSet(omegas=omegas, vectors=vectors,
@@ -202,14 +176,20 @@ def build_modal_basis(mech, elec):
 
     ``mech`` and ``elec`` are :func:`solve_family_modes` results of the same
     system (8 + 8 modes match the reporting depth of the benchmark tables).
-    The merged set is sorted by frequency with mechanical modes first on ties.
+    The merged set is sorted by frequency cluster (:func:`_clusters`), with
+    mechanical modes first inside a cluster, then by frequency: a tuned pair
+    agrees to round-off, which must not decide its order.
     """
     n_mech, n_elec = mech.n_modes, elec.n_modes
     omegas = np.concatenate([mech.omegas, elec.omegas])
     family = np.concatenate([np.zeros(n_mech, dtype=int), np.ones(n_elec, dtype=int)])
     vectors = np.concatenate([mech.vectors, elec.vectors], axis=1)
     labels = mech.labels + elec.labels
-    order = np.lexsort((family, omegas))
+    by_omega = np.argsort(omegas, kind="stable")
+    cluster = np.empty(len(omegas), dtype=int)
+    for k, group in enumerate(_clusters(omegas[by_omega])):
+        cluster[by_omega[group]] = k
+    order = np.lexsort((omegas, family, cluster))
     omegas = omegas[order]
     omegas.setflags(write=False)
     vectors = vectors[:, order]

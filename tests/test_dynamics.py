@@ -14,7 +14,6 @@ from pemplate.dynamics import (
     impulse_ic,
     integrate,
     optimize_resistance,
-    recover_field,
     settling_time,
     two_mode_surrogate,
     unimodal_ic,
@@ -469,52 +468,6 @@ class TestImpulse:
         _, _, _, sys_t, basis, _ = tuned_square4
         with pytest.raises(ValidationError, match="outside"):
             impulse_ic(sys_t, basis, (2.0, 0.5))
-
-
-class TestRecoverField:
-    def test_unimodal_snapshot_is_mode_shape(self, tuned_square4):
-        _, _, _, sys_t, basis, rs = tuned_square4
-        m1 = basis.mechanical_indices()[0]
-        traj = integrate(rs, unimodal_ic(rs, m1, 2.0), 0.1, 0.01)
-        snap = recover_field(basis, traj, 0.0)
-        dm = sys_t.dof_map
-        full = np.zeros(dm.n_full)
-        full[dm.free_to_full] = 2.0 * basis.vectors[:, m1]
-        fields = full.reshape(dm.n_nodes, 4)
-        assert np.abs(snap["w"] - fields[:, 0]).max() < 1e-12
-        assert np.abs(snap["alpha"] - fields[:, 3]).max() < 1e-12
-        assert snap["on_grid"]
-
-    def test_zero_state_zero_field(self, tuned_square4):
-        _, _, _, _, basis, rs = tuned_square4
-        traj = integrate(rs, unimodal_ic(rs, 0, 0.0), 0.1, 0.01)
-        snap = recover_field(basis, traj, 0.05)
-        assert np.all(snap["w"] == 0.0) and np.all(snap["alpha"] == 0.0)
-
-    def test_off_grid_flag(self, tuned_square4):
-        _, _, _, _, basis, rs = tuned_square4
-        traj = integrate(rs, unimodal_ic(rs, 0, 1.0), 0.1, 0.01)
-        snap = recover_field(basis, traj, 0.0449)
-        assert not snap["on_grid"]
-        assert snap["time"] == pytest.approx(0.04 if snap["step"] == 4 else 0.05)
-
-    def test_full_basis_roundtrip(self):
-        mesh = generate_structured_square(2, 1.0, "crossed")
-        sys = assemble(mesh, material(), bcs_ss())
-        dm = sys.dof_map
-        basis = build_modal_basis(
-            modal.solve_family_modes(sys, "mechanical",
-                                     int(dm.mechanical_mask.sum())),
-            modal.solve_family_modes(sys, "electric",
-                                     int(dm.electric_mask.sum())))
-        t = basis.vectors.T
-        k2 = sys.k2.toarray()
-        # rows are K2-orthonormal, so the K2-weighted round trip is exact
-        assert np.abs(t @ k2 @ t.T - np.eye(dm.n_free)).max() < 1e-10
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=dm.n_free)
-        q = t.T @ z
-        assert np.abs(t @ (k2 @ q) - z).max() < 1e-10
 
 
 class TestDampingMachinery:

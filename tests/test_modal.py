@@ -1,16 +1,29 @@
 import dataclasses
+import json
+import os
+import subprocess
+from importlib import resources
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from pemplate import modal
+from pemplate import cli, modal
 from pemplate.assembly import BoundaryCondition, assemble
+from pemplate.config import load_config
 from pemplate.errors import NumericalError, ValidationError
-from pemplate.material import NetworkParams, PlateParams, build_material
+from pemplate.material import (
+    NetworkParams,
+    PlateParams,
+    build_material,
+    conservative_twin,
+)
 from pemplate.mesh import generate_structured_square, load_mesh
 from pemplate.modal import (
+    ModeSet,
     build_modal_basis,
     coupling_table,
     reduce,
@@ -233,6 +246,106 @@ class TestBasis:
         assert basis.labels.count("mechanical") == 8
         assert basis.labels.count("electric") == 8
         assert np.all(np.diff(basis.omegas) >= -1e-12)
+
+    def test_full_basis_roundtrip(self):
+        mesh = generate_structured_square(2, 1.0, "crossed")
+        sys = assemble(mesh, material(), bcs_ss())
+        dm = sys.dof_map
+        basis = build_modal_basis(
+            solve_family_modes(sys, "mechanical", int(dm.mechanical_mask.sum())),
+            solve_family_modes(sys, "electric", int(dm.electric_mask.sum())))
+        t = basis.vectors.T
+        k2 = sys.k2.toarray()
+        # rows are K2-orthonormal, so the K2-weighted round trip is exact
+        assert np.abs(t @ k2 @ t.T - np.eye(dm.n_free)).max() < 1e-10
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=dm.n_free)
+        q = t.T @ z
+        assert np.abs(t @ (k2 @ q) - z).max() < 1e-10
+
+    @pytest.mark.parametrize("rel", [-1e-14, 0.0, 1e-14])
+    def test_tuned_pair_mechanical_first(self, rel):
+        # a tuned pair agrees to round-off; whichever side of the mechanical
+        # frequency the electric one lands on, the mechanical mode leads
+        def mode_set(family, omegas):
+            return ModeSet(omegas=np.array(omegas), vectors=np.eye(4)[:, :2],
+                           labels=(family,) * 2, dof_map=None)
+
+        w = 1.3
+        basis = build_modal_basis(mode_set("mechanical", [w, 3.0]),
+                                  mode_set("electric", [w * (1 + rel), 2.0]))
+        assert basis.labels == ("mechanical", "electric", "electric",
+                                "mechanical")
+        assert basis.omegas.tolist() == [w, w * (1 + rel), 2.0, 3.0]
+
+
+def preset_run(name):
+    ref = resources.files("pemplate") / "presets" / f"{name}.cfg"
+    with resources.as_file(ref) as path:
+        return cli.Run(load_config(Path(path)))
+
+
+@pytest.fixture(scope="module")
+def preset_runs():
+    return {name: preset_run(name) for name in ("paper-square", "clamped-demo")}
+
+
+# Bounds at 10x the largest value measured on both presets, untuned and
+# tuned, with OPENBLAS_NUM_THREADS=1 and with the default two threads:
+# per-cluster residual 6.3e-10 (paper-square's highest bending mode; its
+# degenerate bending pairs 9.9e-11 and below) and K2 defect 8.8e-14
+# (paper-square's untuned electric family at one thread).
+CLUSTER_RESIDUAL_BOUND = 10 * 6.3e-10
+K2_DEFECT_BOUND = 10 * 8.8e-14
+
+
+class TestPresetModes:
+    """Checks that hold whatever the arithmetic path: a cluster's
+    eigenvectors are fixed only as a subspace (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 11), so each cluster is checked by
+    its subspace residual, not vector by vector."""
+
+    @pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_cluster_residual_and_k2_defect(self, preset_runs, preset, tuned):
+        run = preset_runs[preset]
+        net = run.network() if tuned else run.cfg.network
+        sys = run.system(conservative_twin(net))
+        for modes in run.modes(net):
+            v = modes.vectors
+            k0v, k2v = sys.k0 @ v, sys.k2 @ v
+            for group in modal._clusters(modes.omegas):
+                r = k0v[:, group] - k2v[:, group] @ (v[:, group].T @ k0v[:, group])
+                assert (np.linalg.norm(r) / np.linalg.norm(k0v[:, group])
+                        <= CLUSTER_RESIDUAL_BOUND), (modes.labels[0], group)
+            defect = np.abs(v.T @ k2v - np.eye(modes.n_modes)).max()
+            assert defect <= K2_DEFECT_BOUND, modes.labels[0]
+
+    def test_basis_labels_independent_of_blas_threads(self, preset_runs):
+        # the tuned pair's frequencies differ by ~3e-14 relative, and which
+        # one is smaller flips with the OpenBLAS thread count; the child
+        # runs with the other setting than this process
+        env = dict(os.environ)
+        if env.get("OPENBLAS_NUM_THREADS") == "1":
+            del env["OPENBLAS_NUM_THREADS"]
+        else:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        src = str(Path(modal.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        child = ("import json, sys\n"
+                 "from pemplate import cli\n"
+                 "from pemplate.config import load_config\n"
+                 "run = cli.Run(load_config(sys.argv[1]))\n"
+                 "print(json.dumps(run.basis().labels))\n")
+        ref = resources.files("pemplate") / "presets" / "paper-square.cfg"
+        with resources.as_file(ref) as path:
+            out = subprocess.run([executable, "-c", child, str(path)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True).stdout
+        labels = preset_runs["paper-square"].basis().labels
+        assert tuple(json.loads(out)) == labels
+        assert labels[:2] == ("mechanical", "electric")
 
 
 class TestTuning:
