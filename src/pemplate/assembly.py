@@ -28,21 +28,27 @@ Every sum runs in a fixed index order and leaves out only terms that are
 zero by the field structure. BLAS kernels that add each product in index
 order (OpenBLAS's do, except its small-matrix kernels, which the batch size
 keeps out of the way) therefore give the same matrices, to the last bit, as
-the plain padded two-field evaluation, whatever the batching. Local
-matrices are summed straight into the free-DOF CSR pattern, in the order in
-which converting the full COO matrix to CSR would add them. Last bits
-matter here: the eigenvalues of the ill-conditioned bending pencil amplify
-a last-bit change of the matrices to ~1e-9 relative.
+the plain padded two-field evaluation, whatever the batching. Batches
+are shared out over one thread per CPU, with numpy's BLAS on one thread
+(:mod:`pemplate.blas`); each batch computes and stores its own elements, so
+the worker count and the order in which batches finish change no bit
+either. Local matrices are summed straight into the free-DOF CSR pattern,
+in the order in which converting the full COO matrix to CSR would add them.
+Last bits matter here: the eigenvalues of the ill-conditioned bending
+pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
+from .blas import numpy_blas_single_thread
 from .errors import ValidationError
 from .mesh import Mesh
 
@@ -277,7 +283,8 @@ def _local_matrix_batch(slots, area, mat, quad):
     and core @ N are then small structured matmuls of the slot rows, and
     each form is one batched matmul over the points (and strain rows, for an
     N_eps test side). Sums run over slots, points and fields in ascending
-    order; terms that are zero by the field structure are left out.
+    order; terms that are zero by the field structure are left out, and so
+    are forms whose core matrix is zero.
     """
     nel, npts = slots.shape[:2]
     rows = slots.reshape(nel * npts, -1)
@@ -295,6 +302,10 @@ def _local_matrix_batch(slots, area, mat, quad):
 
     def bilin(test, core, trial):
         # integral of (W test)^T core trial; output rows are test DOFs
+        if not core.any():
+            # e.g. the resistive blocks at R_N = G_N = 0: every sum below
+            # would add only zero products, which BLAS sums to +0
+            return np.zeros((nel, 12, 12))
         f = len(core)
         if trial == neps:
             tb = eps @ _slot_contraction(np.repeat(core.T[:, :, None], 12, 2))
@@ -454,6 +465,48 @@ class AssemblyWorkspace:
         return self._plans[key]
 
 
+def _worker_count(n_batches, pinned):
+    """Threads for the element batches: one per usable CPU, at most one each.
+
+    One thread only where numpy's BLAS could not be pinned to one thread:
+    a threaded BLAS serializes concurrent calls, so a pool would be slower.
+    """
+    if not pinned:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_batches))
+
+
+def _run_batches(batch, n_batches, workers):
+    """Call ``batch(i)`` for every i, batch i on worker i % ``workers``.
+
+    The calling thread is worker 0 and a pool runs the others; each worker
+    takes its batches in ascending order and stops at its first failure.
+    If batches fail, the exception of the lowest failing batch is raised,
+    the one a serial run would raise, whatever the scheduling.
+    """
+    def share(worker):
+        for i in range(worker, n_batches, workers):
+            try:
+                batch(i)
+            except Exception as exc:  # re-raised below, on the calling thread
+                return i, exc
+        return None
+
+    if workers == 1:
+        failures = [share(0)]
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(share, w) for w in range(1, workers)]
+            failures = [share(0)] + [f.result() for f in futures]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
@@ -472,10 +525,15 @@ def assemble(mesh, mat, bcs=(), workspace=None):
     # small-matrix kernels, which need not add products in index order
     n_batches = -(-mesh.n_triangles // _CHUNK)
     edges = np.linspace(0, mesh.n_triangles, n_batches + 1).round().astype(int)
-    for start, stop in zip(edges[:-1], edges[1:]):
+
+    def batch(i):
+        start, stop = edges[i], edges[i + 1]
         coords = mesh.nodes[mesh.triangles[start:stop]]
         slots, area = _chunk_slots(coords, quad, tables)
         entries[:, start:stop] = _local_matrix_batch(slots, area, mat, quad)
+
+    with numpy_blas_single_thread() as pinned:
+        _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
     k2, k1, k0 = (plan.collect(e.ravel()) for e in entries)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)

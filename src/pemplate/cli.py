@@ -41,6 +41,7 @@ import scipy
 
 from . import dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, patch_test
+from .blas import numpy_blas_single_thread
 from .config import load_config
 from .csvfmt import FMT, format_rows
 from .errors import NumericalError, PemplateError, ValidationError
@@ -343,26 +344,28 @@ def _config_path(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "patch-test":
-            return cmd_patch_test(corrupt_mu=args.corrupt_mu)
-        run = Run(load_config(_config_path(args)))
-        reports, _ = COMMANDS[args.command]
-        out_dir = Path(args.out)
-        lines = [line for report in reports for line in report(run, out_dir)]
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = json.dumps(_manifest(run.cfg.source_text), indent=2)
-    (out_dir / "manifest.json").write_text(manifest + "\n")
-    summary = "".join(f"{line}\n" for line in lines)
-    (out_dir / "summary.txt").write_text(summary)
-    print(f"{summary}{args.command} outputs in {out_dir}")
-    return 0
+    # numpy's BLAS thread count moves no output bit (see pemplate.blas)
+    with numpy_blas_single_thread():
+        try:
+            if args.command == "patch-test":
+                return cmd_patch_test(corrupt_mu=args.corrupt_mu)
+            run = Run(load_config(_config_path(args)))
+            reports, _ = COMMANDS[args.command]
+            out_dir = Path(args.out)
+            lines = [line for report in reports for line in report(run, out_dir)]
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = json.dumps(_manifest(run.cfg.source_text), indent=2)
+        (out_dir / "manifest.json").write_text(manifest + "\n")
+        summary = "".join(f"{line}\n" for line in lines)
+        (out_dir / "summary.txt").write_text(summary)
+        print(f"{summary}{args.command} outputs in {out_dir}")
+        return 0
 
 
 if __name__ == "__main__":

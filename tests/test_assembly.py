@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from pemplate import assembly
+from pemplate import assembly, blas
 from pemplate import element as el
 from pemplate.assembly import (
     AssemblyWorkspace,
@@ -381,10 +382,14 @@ class TestLocalMatrices:
 
     def test_padded_field_formulation_bitwise(self):
         # a batch large enough for BLAS's regular kernels; dense random
-        # matrices, selectors included, make every sum a long one
+        # matrices, selectors included, make every sum a long one. The
+        # conservative and the uncoupled material have all-zero cores (S, T,
+        # R; also V, C), whose forms the assembly leaves out
         rng = np.random.default_rng(12)
         coords = np.stack([random_ccw(rng) for _ in range(24)])
         coupled_damped = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        conservative = material(l_n=0.37)
+        uncoupled = material(coupling=(0.0, 0.0, 0.0), l_n=0.37)
         random_h = dense_random_material(rng)
         random_h = dataclasses.replace(
             random_h, H=rng.normal(size=random_h.H.shape))
@@ -392,11 +397,13 @@ class TestLocalMatrices:
         slots, area = assembly._chunk_slots(
             coords, quad, assembly._monomial_tables(quad))
         back = np.argsort(assembly._FIELD_ORDER)
-        for mat in (coupled_damped, random_h):
+        for mat in (coupled_damped, conservative, uncoupled, random_h):
             want = padded_field_local_matrices(coords, mat)
             got = assembly._local_matrix_batch(slots, area, mat, quad)
             for g, w in zip(got, want):
-                assert np.array_equal(g[:, back][:, :, back], w)
+                # bit patterns, so that a -0 for a +0 fails too
+                assert np.array_equal(g[:, back][:, :, back].view(np.int64),
+                                      w.view(np.int64))
 
     def test_mu_override_is_honored(self):
         # the corrupt_mu negative control feeds mu values that disagree with
@@ -537,7 +544,8 @@ class TestAssemble:
         # element by element, summed by scipy's COO -> CSR on all DOFs, then
         # the free rows and columns sliced out: the batched assembly and its
         # direct free-DOF summation must agree to the last bit, whatever the
-        # batch size
+        # batch size, the number of threads sharing the batches and numpy's
+        # BLAS thread count
         rng = np.random.default_rng(11)
         base = generate_structured_square(3, 1.0, "crossed")
         nodes = base.nodes.copy()
@@ -553,20 +561,63 @@ class TestAssemble:
         rows = np.repeat(g, 12, axis=1).ravel()
         cols = np.tile(g, (1, 12)).ravel()
         n_full = 4 * mesh.n_nodes
-        for chunk in (5, 512):
+        want = {}
+        free = build_dof_map(mesh, bcs).free_to_full
+        for name in ("k2", "k1", "k0"):
+            data = np.concatenate([getattr(loc, name).ravel() for loc in local])
+            full = sp.coo_matrix((data, (rows, cols)),
+                                 shape=(n_full, n_full)).tocsr()
+            want[name] = full[free][:, free].tocsr()
+        # 36 triangles: 8 batches of 5, dealt round-robin to the workers; one
+        # batch of 512 with a single worker
+        runs = [(5, workers, pinned) for workers in (1, 2, 3)
+                for pinned in (True, False)] + [(512, 1, True)]
+        for chunk, workers, pinned in runs:
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
-            sys = assemble(mesh, mat, bcs)
-            free = sys.dof_map.free_to_full
+            monkeypatch.setattr(assembly, "_worker_count",
+                                lambda n_batches, _pinned: workers)
+            with monkeypatch.context() as m:
+                if not pinned:
+                    m.setattr(blas, "_numpy_openblas", lambda: None)
+                sys = assemble(mesh, mat, bcs)
             for name in ("k2", "k1", "k0"):
-                data = np.concatenate([getattr(loc, name).ravel()
-                                       for loc in local])
-                want = sp.coo_matrix((data, (rows, cols)),
-                                     shape=(n_full, n_full)).tocsr()
-                want = want[free][:, free].tocsr()
                 got = getattr(sys, name)
-                assert np.array_equal(got.indptr, want.indptr)
-                assert np.array_equal(got.indices, want.indices)
-                assert np.array_equal(got.data, want.data)
+                assert np.array_equal(got.indptr, want[name].indptr)
+                assert np.array_equal(got.indices, want[name].indices)
+                assert np.array_equal(got.data, want[name].data)
+
+    def test_lowest_failing_batch_raises(self, monkeypatch):
+        # batches 3 and 4 fail, on different workers, and with more than one
+        # worker batch 3 only after batch 4 has: the error is batch 3's, as
+        # in a serial run
+        mesh = generate_structured_square(3, 1.0, "crossed")
+        monkeypatch.setattr(assembly, "_CHUNK", 4)  # 9 batches of 4
+        first = {mesh.nodes[t].tobytes(): e
+                 for e, t in enumerate(mesh.triangles)}
+        chunk_slots = assembly._chunk_slots
+        later_failed = threading.Event()
+        workers = 1
+
+        def failing(coords, *args, **kwargs):
+            batch = first[coords[0].tobytes()] // 4
+            if batch == 3:
+                if workers > 1:
+                    assert later_failed.wait(timeout=10.0)
+                raise ValidationError("batch 3 failed")
+            if batch == 4:
+                later_failed.set()
+                raise ValidationError("batch 4 failed")
+            return chunk_slots(coords, *args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_chunk_slots", failing)
+        monkeypatch.setattr(assembly, "_worker_count",
+                            lambda n_batches, pinned: workers)
+        for workers in (1, 2, 3, 4):
+            later_failed.clear()
+            with pytest.raises(ValidationError, match="batch 3 failed"):
+                assemble(mesh, material(), bcs_ss())
+            if workers > 1:
+                assert later_failed.is_set()
 
     def test_free_scatter_matches_oracle_sum(self):
         # dense sum of the per-element oracle, then the constrained rows and

@@ -1,0 +1,99 @@
+import ctypes
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from pemplate import assembly, blas
+from pemplate.assembly import BoundaryCondition, assemble
+from pemplate.material import NetworkParams, PlateParams, build_material
+from pemplate.mesh import generate_structured_square
+
+
+class FakeOpenblas:
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.threads = n
+
+
+def numpy_openblas_or_skip():
+    lib = blas._numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    return lib
+
+
+def scipy_openblas_threads():
+    """scipy's own OpenBLAS thread count, or None where there is none."""
+    folder = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for path in sorted(folder.glob("libscipy_openblas-*")):
+        get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
+def test_restores_thread_count_on_exit_and_on_error(monkeypatch):
+    fake = FakeOpenblas(threads=3)
+    monkeypatch.setattr(blas, "_numpy_openblas", lambda: (fake.get, fake.set))
+    with blas.numpy_blas_single_thread() as pinned:
+        assert pinned and fake.threads == 1
+    assert fake.threads == 3
+    with pytest.raises(KeyError):
+        with blas.numpy_blas_single_thread():
+            assert fake.threads == 1
+            raise KeyError("inside")
+    assert fake.threads == 3
+
+
+def test_pins_numpy_blas_and_leaves_scipy_blas():
+    get, set_ = numpy_openblas_or_skip()
+    before = get()
+    scipy_before = scipy_openblas_threads()
+    set_(2)
+    try:
+        with blas.numpy_blas_single_thread():
+            assert get() == 1
+            assert scipy_openblas_threads() == scipy_before
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_no_library_changes_nothing_and_assembles_on_one_thread(monkeypatch):
+    monkeypatch.setattr(blas, "_numpy_openblas", lambda: None)
+    with blas.numpy_blas_single_thread() as pinned:
+        assert not pinned
+    seen = []
+    run_batches = assembly._run_batches
+
+    def spy(batch, n_batches, workers):
+        seen.append(workers)
+        return run_batches(batch, n_batches, workers)
+
+    monkeypatch.setattr(assembly, "_run_batches", spy)
+    monkeypatch.setattr(assembly, "_CHUNK", 4)
+    plate = PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3, coupling=(0.1, 0.1, 0.0))
+    mat = build_material(plate, NetworkParams(inductance=1.0, resistance=0.0,
+                                              capacitance=1.0, conductance=0.0))
+    assemble(generate_structured_square(3, 1.0, "crossed"), mat,
+             [BoundaryCondition("boundary", "clamped")])
+    assert seen == [1]
+
+
+def test_finds_the_library_numpy_names():
+    # a renamed wheel library must fail here, not silently assemble serially
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy without build-config dicts
+        pytest.skip("numpy.show_config has no dict mode")
+    name = config["Build Dependencies"]["blas"]["name"]
+    if name != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {name}")
+    assert blas._numpy_openblas() is not None
