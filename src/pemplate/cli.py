@@ -172,14 +172,15 @@ class Run:
         net = self.network()
         basis = self.basis()
         drive = basis.mechanical_indices()[c.tune_mech - 1]
+        partner = basis.electric_indices()[c.tune_elec - 1]
         beat = dynamics.beat_period(self.reduced(conservative_twin(net)), drive,
-                                    basis.electric_indices()[c.tune_elec - 1])
+                                    partner)
         if not np.isfinite(beat):
             raise ValidationError("zero electromechanical coupling: nothing to damp")
         rs0, rs1 = (self.reduced(replace(net, resistance=r)) for r in (0.0, 1.0))
         evaluate = dynamics.damping_evaluator(
             dynamics.resistance_family(rs0, rs1, net.inductance), basis, drive,
-            t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
+            partner, t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
         report = dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
         if not report.best.converged:
             raise NumericalError("the damping fit did not converge at R* = "
@@ -269,7 +270,7 @@ def report_search(run, out_dir, optional=False):
                         for s in report.samples]))
     for name, sample in report.regimes.items():
         _write_trajectory(out_dir / f"trajectory_{name}.csv",
-                          sample.trajectory, sample.trajectory.energies)
+                          sample.trajectory, sample.energies)
     return [f"optimal resistance R* {_fmt(report.best.resistance)}, "
             f"zeta {_fmt(report.best.zeta)}",
             *(f"warning: {w}" for w in report.warnings)]

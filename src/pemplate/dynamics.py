@@ -2,10 +2,11 @@
 
 Integrates K2red z'' + K1red z' + K0red z = 0 (initial-value runs) with the
 classic fixed-step fourth-order Runge-Kutta scheme on the first-order form
-(z, z'). Energies are evaluated through the per-family quadratic forms
-carried by the reduced system; the capacitor cross term (R_N/L_N coupling
-between electric rate and state) is reported separately so that the total is
-the exact Lyapunov function of the damped system:
+(z, z'). Energies are evaluated through the per-family quadratic forms, the
+family blocks of the reduced ``k2red`` and ``k0sym`` (the basis vectors are
+field-pure); the capacitor cross term (R_N/L_N coupling between electric
+rate and state) is reported separately so that the total is the exact
+Lyapunov function of the damped system:
 
     E_total = E_mech + E_elec + E_cross,   dE_total/dt <= 0 for R_N, G_N >= 0.
 
@@ -98,14 +99,13 @@ def impulse_ic(sys, modes, point, magnitude=1.0):
     return InitialCondition(z0=np.zeros(modes.n_modes), zdot0=zdot0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Fixed-step time history of the reduced coordinates."""
 
     t: np.ndarray
     z: np.ndarray
     zdot: np.ndarray
-    energies: "EnergyTraces | None" = None
 
 
 @dataclass(frozen=True)
@@ -190,30 +190,36 @@ def _quadratic_trace(a, form, b):
     return np.einsum("ti,ti->t", a @ form, b)
 
 
+def _family_block(rs, matrix, family):
+    """``matrix`` with the entries outside the ``family`` rows and columns
+    zeroed; kept full size, since a sub-block would change the summation
+    order of the products."""
+    inside = np.array([label == family for label in rs.modes.labels])
+    return np.where(np.outer(inside, inside), matrix, 0.0)
+
+
 def mechanical_energy(rs, traj):
     """Bending-family energy trace, the one the damping fit reads."""
     z, zd = traj.z, traj.zdot
-    return 0.5 * (_quadratic_trace(zd, rs.m2_mech, zd)
-                  + _quadratic_trace(z, rs.k0_mech, z))
+    return 0.5 * (
+        _quadratic_trace(zd, _family_block(rs, rs.k2red, "mechanical"), zd)
+        + _quadratic_trace(z, _family_block(rs, rs.k0sym, "mechanical"), z))
 
 
 def energies(rs, traj):
-    """Per-family energy traces; the result is cached on the trajectory."""
-    if traj.energies is not None:
-        return traj.energies
+    """Per-family energy traces."""
     z, zd = traj.z, traj.zdot
     mech = mechanical_energy(rs, traj)
-    elec = 0.5 * (_quadratic_trace(zd, rs.m2_elec, zd)
-                  + _quadratic_trace(z, rs.k0_elec, z))
+    m2_elec = _family_block(rs, rs.k2red, "electric")
+    elec = 0.5 * (_quadratic_trace(zd, m2_elec, zd)
+                  + _quadratic_trace(z, _family_block(rs, rs.k0sym, "electric"), z))
     r = rs.cross_ratio
     cross = np.zeros_like(mech)
     if r != 0.0:
-        cross = (r * _quadratic_trace(zd, rs.m2_elec, z)
-                 + 0.5 * r * r * _quadratic_trace(z, rs.m2_elec, z))
-    traces = EnergyTraces(mech=mech, elec=elec, cross=cross,
-                          total=mech + elec + cross)
-    traj.energies = traces
-    return traces
+        cross = (r * _quadratic_trace(zd, m2_elec, z)
+                 + 0.5 * r * r * _quadratic_trace(z, m2_elec, z))
+    return EnergyTraces(mech=mech, elec=elec, cross=cross,
+                        total=mech + elec + cross)
 
 
 def beat_period(rs, index_a, index_b):
@@ -314,6 +320,7 @@ class DampingSample:
     settling_time: float
     n_peaks: int
     trajectory: Trajectory | None = None
+    energies: EnergyTraces | None = None
     converged: bool = True
 
 
@@ -326,7 +333,7 @@ class DampingReport:
 
 
 # ReducedSystem fields that depend on R_N; all of them are affine in it.
-_RESISTIVE_FIELDS = ("k1red", "k0red", "k0_mech", "k0_elec")
+_RESISTIVE_FIELDS = ("k1red", "k0red", "k0sym")
 
 
 def resistance_family(rs0, rs1, inductance):
@@ -355,13 +362,16 @@ def resistance_family(rs0, rs1, inductance):
     return reduced
 
 
-def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, max_extensions=3):
+def damping_evaluator(reduced, basis, mode_index, partner, *, t_f, dt,
+                      max_extensions=3):
     """Evaluator R_N -> DampingSample for the resistance search.
 
     ``reduced`` maps a candidate resistance to its reduced system (a
     :func:`resistance_family`), ``basis`` is the retained conservative basis
-    it was reduced on and ``mode_index`` the driven basis vector. Every call
-    integrates a unit initial-displacement run and fits the log decrement of the
+    it was reduced on, ``mode_index`` the driven basis vector and
+    ``partner`` the electric basis vector it is tuned to, whose beat sets
+    the crest window of the fit. Every call integrates a unit
+    initial-displacement run and fits the log decrement of the
     mechanical-energy envelope; the horizon doubles automatically until at
     least four envelope peaks carrying a visible secular decay (at least
     30 percent over the fit window) are available, at most
@@ -369,15 +379,11 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, max_extensions=3):
     kept trajectories get every energy trace; the fit needs E_mech alone.
     """
     omega_ref = float(basis.omegas[mode_index])
-    partners = [i for i, lab in enumerate(basis.labels)
-                if lab == "electric" and i != mode_index]
-    partner = min(partners, key=lambda i: abs(basis.omegas[i] - omega_ref),
-                  default=None)
 
     def evaluate(resistance, keep_trajectory=False):
         rs = reduced(resistance)
         ic = unimodal_ic(rs, mode_index)
-        tb = beat_period(rs, mode_index, partner) if partner is not None else None
+        tb = beat_period(rs, mode_index, partner)
         horizon = t_f
         for _ in range(max_extensions + 1):
             traj = integrate(rs, ic, horizon, dt)
@@ -388,13 +394,12 @@ def damping_evaluator(reduced, basis, mode_index, *, t_f, dt, max_extensions=3):
             if converged:
                 break
             horizon *= 2.0
-        if keep_trajectory:
-            energies(rs, traj)
         return DampingSample(
             resistance=float(resistance), zeta=fit.zeta,
             settling_time=settling_time(traj.t, mech),
             n_peaks=fit.n_peaks,
             trajectory=traj if keep_trajectory else None,
+            energies=energies(rs, traj) if keep_trajectory else None,
             converged=converged,
         )
 
@@ -480,12 +485,11 @@ def two_mode_surrogate(omega, kappa, resistance, inductance):
     in the stiffness row of the mechanical equation.
     """
     r = resistance / inductance
-    k2 = np.eye(2)
     k1 = np.array([[0.0, kappa], [-kappa, r]])
     k0 = np.array([[omega**2, r * kappa], [0.0, omega**2]])
+    modes = modal.ModeSet(omegas=np.array([omega, omega]), vectors=np.eye(2),
+                          labels=("mechanical", "electric"))
     return modal.ReducedSystem(
-        k2red=k2, k1red=k1, k0red=k0, modes=None,
-        m2_mech=np.diag([1.0, 0.0]), k0_mech=np.diag([omega**2, 0.0]),
-        m2_elec=np.diag([0.0, 1.0]), k0_elec=np.diag([0.0, omega**2]),
-        cross_ratio=r,
+        k2red=np.eye(2), k1red=k1, k0red=k0, k0sym=0.5 * (k0 + k0.T),
+        modes=modes, cross_ratio=r,
     )

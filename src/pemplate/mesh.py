@@ -91,6 +91,18 @@ class Mesh:
             raise ValidationError(
                 f"triangle {e} is clockwise (signed area {area[e]:g})"
             )
+        # conforming: no edge is shared by more than two triangles; an edge
+        # is the int64 key lo * n + hi of its sorted node pair
+        pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        over = np.flatnonzero(keys[2:] == keys[:-2])
+        if over.size:
+            key = keys[over[0]]
+            a, b = divmod(int(key), n)
+            raise ValidationError(
+                f"edge ({a}, {b}) is shared by {np.count_nonzero(keys == key)} "
+                "triangles (non-conforming)"
+            )
         referenced = np.zeros(n, dtype=bool)
         referenced[self.triangles.ravel()] = True
         if not referenced.all():
@@ -116,23 +128,6 @@ class Mesh:
 
     def total_area(self):
         return float(self.triangle_areas().sum())
-
-    def edge_incidence(self):
-        """Map of undirected edge -> number of incident triangles."""
-        counts = {}
-        for tri in self.triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (int(min(a, b)), int(max(a, b)))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def check_conforming(self):
-        """Raise unless every edge is shared by one or two triangles."""
-        for edge, count in self.edge_incidence().items():
-            if count > 2:
-                raise ValidationError(
-                    f"edge {edge} is shared by {count} triangles (non-conforming)"
-                )
 
     def contains_point(self, x, y, tol=1e-12):
         """Index of a triangle containing (x, y), or None."""

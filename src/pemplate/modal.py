@@ -5,10 +5,12 @@ eigenproblem K0 a = omega^2 K2 a decouples into the pure bending and pure
 electric families: K0 and K2 of the conservative network are block-diagonal
 across the two fields; a dissipative network adds to K0 only a
 mechanical-row, electric-column block (R_N) and a symmetric electric block
-(G_N R_N), so each family's sub-blocks stay symmetric for any R_N and G_N. Every mode is solved in one family and is field-pure; the
-retained basis is the merge of the two family solves.
-Eigenvectors are K2-orthonormal; the reduced model follows by projecting all
-three matrices on the retained rows.
+(G_N R_N), so each family's sub-blocks stay symmetric for any R_N and G_N.
+Every mode is solved in one family and is field-pure; the retained basis is
+the merge of the two family solves. Eigenvectors are K2-orthonormal; the
+reduced model follows by projecting all three matrices (and the symmetric
+part of K0, for the energies) on the retained rows. Field-pure vectors make
+each family's energy form the family block of a reduced matrix.
 
 One rule settles every tie: :func:`_clusters` groups frequencies closer
 than ``CLUSTER_RELATIVE_GAP``. Inside a family's cluster the eigenvectors
@@ -46,7 +48,6 @@ class ModeSet:
     omegas: np.ndarray
     vectors: np.ndarray
     labels: tuple
-    dof_map: object
 
     @property
     def n_modes(self):
@@ -147,7 +148,7 @@ def _mode_set(sys, family, omegas, vectors):
     omegas.setflags(write=False)
     vectors.setflags(write=False)
     return ModeSet(omegas=omegas, vectors=vectors,
-                   labels=(family,) * len(omegas), dof_map=sys.dof_map)
+                   labels=(family,) * len(omegas))
 
 
 def solve_family_modes(sys, family, n):
@@ -195,8 +196,7 @@ def build_modal_basis(mech, elec):
     vectors = vectors[:, order]
     vectors.setflags(write=False)
     return ModeSet(omegas=omegas, vectors=vectors,
-                   labels=tuple(labels[i] for i in order),
-                   dof_map=mech.dof_map)
+                   labels=tuple(labels[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,18 @@ class ReducedSystem:
     """Projection of the assembled system on a retained modal basis.
 
     ``k2red`` is the identity whenever the basis rows are K2-orthonormal and
-    the projected system is the one the basis was built from. The partition
-    forms (``m2_mech`` etc.) evaluate the per-family energies of recovered
-    full-space states directly in reduced coordinates; ``cross_ratio`` is
-    R_N / L_N, the coefficient of the capacitor cross-energy.
+    the projected system is the one the basis was built from. ``k0sym``
+    projects the symmetric part of K0: its family blocks, with those of
+    ``k2red``, are the per-family energy forms (``modes.labels`` names each
+    row's family). ``cross_ratio`` is R_N / L_N, the coefficient of the
+    capacitor cross-energy.
     """
 
     k2red: np.ndarray
     k1red: np.ndarray
     k0red: np.ndarray
+    k0sym: np.ndarray
     modes: ModeSet
-    m2_mech: np.ndarray
-    k0_mech: np.ndarray
-    m2_elec: np.ndarray
-    k0_elec: np.ndarray
     cross_ratio: float
 
     @property
@@ -226,28 +224,19 @@ class ReducedSystem:
 
 
 def reduce(sys, modes):
-    """Project K2, K1 and K0 on the retained rows (Galerkin reduction)."""
+    """Project K2, K1, K0 and K0's symmetric part on the retained rows
+    (Galerkin reduction)."""
     if modes.vectors.shape[0] != sys.n_free:
         raise ValidationError(
             f"mode basis has {modes.vectors.shape[0]} rows, system has "
             f"{sys.n_free} free DOFs"
         )
     v = modes.vectors
-    k2red = v.T @ (sys.k2 @ v)
-    k1red = v.T @ (sys.k1 @ v)
-    k0red = v.T @ (sys.k0 @ v)
-
-    dm = sys.dof_map
-    mech = dm.mechanical_mask
-    vm = v * mech[:, None]
-    ve = v * (~mech)[:, None]
-    k0sym = 0.5 * (sys.k0 + sys.k0.T)
     net = sys.material.network
     return ReducedSystem(
-        k2red=k2red, k1red=k1red, k0red=k0red, modes=modes,
-        m2_mech=vm.T @ (sys.k2 @ vm), k0_mech=vm.T @ (k0sym @ vm),
-        m2_elec=ve.T @ (sys.k2 @ ve), k0_elec=ve.T @ (k0sym @ ve),
-        cross_ratio=net.resistance / net.inductance,
+        k2red=v.T @ (sys.k2 @ v), k1red=v.T @ (sys.k1 @ v),
+        k0red=v.T @ (sys.k0 @ v), k0sym=v.T @ (0.5 * (sys.k0 + sys.k0.T) @ v),
+        modes=modes, cross_ratio=net.resistance / net.inductance,
     )
 
 

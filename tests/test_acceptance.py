@@ -195,7 +195,7 @@ def damping_report(tuned8):
         plate, replace(net, resistance=r)), bcs_ss()), basis)
         for r in (0.0, 1.0))
     evaluate = dynamics.damping_evaluator(
-        dynamics.resistance_family(rs0, rs1, net.inductance), basis, m1,
+        dynamics.resistance_family(rs0, rs1, net.inductance), basis, m1, e1,
         t_f=4 * tb, dt=t1 / 60)
     return dynamics.optimize_resistance(evaluate, (0.005, 5.0))
 

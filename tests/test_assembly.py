@@ -664,8 +664,7 @@ class TestPatchTest:
         assert rep.max_rigid_error <= 1e-12
 
     def test_patch_mesh_is_valid(self):
-        mesh = patch_test_mesh()
-        mesh.check_conforming()
+        mesh = patch_test_mesh()  # construction validates it, conformity too
         assert mesh.n_nodes == 6 and mesh.n_triangles == 5
 
 

@@ -277,6 +277,20 @@ class TestCommands:
         assert main(["modes", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_conforming_file_mesh_exits_1(self, tmp_path, capsys):
+        # edge (0, 1) borders two triangles above it and one below
+        (tmp_path / "plate.mesh").write_text(
+            "nodes 5 triangles 3 groups 1\n0 0\n1 0\n0.5 1\n0.5 -1\n0.5 2\n"
+            "0 1 2\n1 0 3\n0 1 4\ngroup boundary\n0 1 2 3 4\n")
+        text = ("[mesh]\nkind = file\npath = plate.mesh\n"
+                "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["modes", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "edge (0, 1) is shared by 3 triangles" in err
+        assert "Traceback" not in err
+
     def test_patch_test_exit_codes(self, capsys):
         assert main(["patch-test"]) == 0
         assert "PASSED" in capsys.readouterr().out
@@ -582,9 +596,9 @@ class TestStageGraph:
         # no fit converges and R* would be the bracket's first sample
         evaluator = dynamics.damping_evaluator
 
-        def one_period(reduced, basis, mode_index, **kwargs):
+        def one_period(reduced, basis, mode_index, partner, **kwargs):
             period = 2 * math.pi / basis.omegas[mode_index]
-            return evaluator(reduced, basis, mode_index, t_f=period,
+            return evaluator(reduced, basis, mode_index, partner, t_f=period,
                              dt=period / 60, max_extensions=0)
 
         monkeypatch.setattr(dynamics, "damping_evaluator", one_period)

@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pemplate import dynamics, modal
+from pemplate import cli, dynamics, modal
 from pemplate.assembly import DOFS_PER_NODE, BoundaryCondition, assemble
+from pemplate.config import load_config
 from pemplate.dynamics import (
     beat_period,
     energies,
@@ -22,7 +25,13 @@ from pemplate.element import specht_shape_functions, triangle_geometry
 from pemplate.errors import IntegrationError, ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
 from pemplate.mesh import _barycentric, generate_structured_square
-from pemplate.modal import ReducedSystem, build_modal_basis, reduce, tune_inductance
+from pemplate.modal import (
+    ModeSet,
+    ReducedSystem,
+    build_modal_basis,
+    reduce,
+    tune_inductance,
+)
 
 
 def material(coupling=(0.1, 0.1, 0.0), l_n=1.0, r_n=0.0):
@@ -35,13 +44,18 @@ def bcs_ss():
             BoundaryCondition("boundary", "grounded")]
 
 
-def single_oscillator(omega=1.0):
+def one_mode(k0):
+    """One mechanical mode of unit mass and stiffness ``k0``."""
+    modes = ModeSet(omegas=np.sqrt(np.abs([k0])), vectors=np.eye(1),
+                    labels=("mechanical",))
     return ReducedSystem(
-        k2red=np.eye(1), k1red=np.zeros((1, 1)),
-        k0red=np.array([[omega**2]]), modes=None,
-        m2_mech=np.eye(1), k0_mech=np.array([[omega**2]]),
-        m2_elec=np.zeros((1, 1)), k0_elec=np.zeros((1, 1)), cross_ratio=0.0,
+        k2red=np.eye(1), k1red=np.zeros((1, 1)), k0red=np.array([[k0]]),
+        k0sym=np.array([[k0]]), modes=modes, cross_ratio=0.0,
     )
+
+
+def single_oscillator(omega=1.0):
+    return one_mode(omega**2)
 
 
 def rk4_reference(rs, ic, t_f, dt):
@@ -98,12 +112,39 @@ def first_non_finite_step(traj):
 
 def unstable_oscillator(k0):
     """One mode with negative stiffness: the state grows without bound."""
-    return ReducedSystem(
-        k2red=np.eye(1), k1red=np.zeros((1, 1)),
-        k0red=np.array([[k0]]), modes=None,
-        m2_mech=np.eye(1), k0_mech=np.eye(1),
-        m2_elec=np.zeros((1, 1)), k0_elec=np.zeros((1, 1)), cross_ratio=0.0,
-    )
+    return one_mode(k0)
+
+
+def partition_forms(sys, basis):
+    """The per-family projections ``reduce`` once carried (``m2_mech``,
+    ``k0_mech``, ``m2_elec``, ``k0_elec``): the oracle for the family blocks
+    of ``k2red`` and ``k0sym``."""
+    mech = sys.dof_map.mechanical_mask
+    k0sym = 0.5 * (sys.k0 + sys.k0.T)
+    forms = {}
+    for family, inside in (("mech", mech), ("elec", ~mech)):
+        v = basis.vectors * inside[:, None]
+        forms[f"m2_{family}"] = v.T @ (sys.k2 @ v)
+        forms[f"k0_{family}"] = v.T @ (k0sym @ v)
+    return forms
+
+
+def partition_energies(forms, r, traj):
+    """The energy traces as the partition forms gave them, each form
+    a[t] . M . b[t] evaluated as (a @ M) . b."""
+    z, zd = traj.z, traj.zdot
+
+    def form(a, m, b):
+        return np.einsum("ti,ti->t", a @ m, b)
+
+    mech = 0.5 * (form(zd, forms["m2_mech"], zd) + form(z, forms["k0_mech"], z))
+    elec = 0.5 * (form(zd, forms["m2_elec"], zd) + form(z, forms["k0_elec"], z))
+    cross = np.zeros_like(mech)
+    if r != 0.0:
+        cross = (r * form(zd, forms["m2_elec"], z)
+                 + 0.5 * r * r * form(z, forms["m2_elec"], z))
+    return dynamics.EnergyTraces(mech=mech, elec=elec, cross=cross,
+                                 total=mech + elec + cross)
 
 
 def direct_family(mesh, plate, net, basis):
@@ -365,6 +406,8 @@ class TestEnergies:
     def test_traces_match_three_operand_forms(self, tuned_square4):
         mesh, plate, net, _, basis, _ = tuned_square4
         rs = affine_family(mesh, plate, net, basis)(0.2)
+        forms = partition_forms(assemble(mesh, build_material(
+            plate, replace(net, resistance=0.2)), bcs_ss()), basis)
         m1 = basis.mechanical_indices()[0]
         T1 = 2 * math.pi / basis.omegas[m1]
         traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 10 * T1, T1 / 100)
@@ -374,10 +417,12 @@ class TestEnergies:
             return np.einsum("ti,ij,tj->t", a, m, b)
 
         r = rs.cross_ratio
-        mech = 0.5 * (form(zd, rs.m2_mech, zd) + form(z, rs.k0_mech, z))
-        elec = 0.5 * (form(zd, rs.m2_elec, zd) + form(z, rs.k0_elec, z))
-        cross = (r * form(zd, rs.m2_elec, z)
-                 + 0.5 * r * r * form(z, rs.m2_elec, z))
+        mech = 0.5 * (form(zd, forms["m2_mech"], zd)
+                      + form(z, forms["k0_mech"], z))
+        elec = 0.5 * (form(zd, forms["m2_elec"], zd)
+                      + form(z, forms["k0_elec"], z))
+        cross = (r * form(zd, forms["m2_elec"], z)
+                 + 0.5 * r * r * form(z, forms["m2_elec"], z))
         en = energies(rs, traj)
         assert r > 0.0 and np.abs(cross).max() > 0.0
         for got, want in ((en.mech, mech), (en.elec, elec), (en.cross, cross),
@@ -406,8 +451,9 @@ class TestEnergies:
         traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 20 * T1, dt)
         en = energies(rs, traj)
         de = (en.total[2:] - en.total[:-2]) / (2 * dt)
+        k0_elec = partition_forms(sys_d, basis)["k0_elec"]
         dissipation = -rs.cross_ratio * np.einsum(
-            "ti,ij,tj->t", traj.z, rs.k0_elec, traj.z)[1:-1]
+            "ti,ij,tj->t", traj.z, k0_elec, traj.z)[1:-1]
         scale = np.abs(de).max()
         assert np.abs(de - dissipation).max() <= 2e-3 * scale
 
@@ -528,8 +574,7 @@ class TestDampingMachinery:
         for r in (0.013, 0.4, 3.7):
             direct = direct_family(mesh, plate, net, basis)(r)
             affine = reduced(r)
-            for name in ("k2red", "k1red", "k0red", "m2_mech",
-                         "k0_mech", "m2_elec", "k0_elec"):
+            for name in ("k2red", "k1red", "k0red", "k0sym"):
                 got, want = getattr(affine, name), getattr(direct, name)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
             assert affine.cross_ratio == pytest.approx(direct.cross_ratio,
@@ -545,9 +590,9 @@ class TestDampingMachinery:
         kwargs = dict(t_f=4 * beat_period(rs, m1, e1),
                       dt=2 * math.pi / basis.omegas[m1] / 60)
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, **kwargs)
+            affine_family(mesh, plate, net, basis), basis, m1, e1, **kwargs)
         direct = dynamics.damping_evaluator(
-            direct_family(mesh, plate, net, basis), basis, m1, **kwargs)
+            direct_family(mesh, plate, net, basis), basis, m1, e1, **kwargs)
         for r in (0.013, 0.4, 3.7):
             got, want = evaluate(r), direct(r)
             assert got.zeta == pytest.approx(want.zeta, rel=1e-9, abs=1e-15)
@@ -556,13 +601,40 @@ class TestDampingMachinery:
 
     def test_evaluator_rejects_negative_resistance(self, tuned_square4):
         mesh, plate, net, _, basis, rs = tuned_square4
-        m1 = basis.mechanical_indices()[0]
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, t_f=1.0, dt=0.01)
+            affine_family(mesh, plate, net, basis), basis, m1, e1, t_f=1.0,
+            dt=0.01)
         with pytest.raises(ValidationError, match="resistance"):
             evaluate(-0.1)
         with pytest.raises(ValidationError, match="resistance"):
             evaluate(float("nan"))
+
+    @pytest.mark.parametrize("partner", [1, 2])
+    def test_evaluator_fits_with_the_given_partner_beat(self, monkeypatch,
+                                                        partner):
+        # both electric modes are as near the drive in omega as can be (all
+        # three are equal), and each beats with it at its own rate; the beat
+        # of the partner given, not of a nearest-omega pick, sets the fit's
+        # crest window
+        kappa = np.array([0.1, 0.25])
+        k1 = np.zeros((3, 3))
+        k1[0, 1:], k1[1:, 0] = kappa, -kappa
+        modes = ModeSet(omegas=np.ones(3), vectors=np.eye(3),
+                        labels=("mechanical", "electric", "electric"))
+        rs = ReducedSystem(k2red=np.eye(3), k1red=k1, k0red=np.eye(3),
+                           k0sym=np.eye(3), modes=modes, cross_ratio=0.0)
+        beats = []
+        fit = dynamics.fit_damping
+        monkeypatch.setattr(
+            dynamics, "fit_damping",
+            lambda *a, beat_period: beats.append(beat_period)
+            or fit(*a, beat_period=beat_period))
+        evaluate = dynamics.damping_evaluator(
+            lambda r: rs, modes, 0, partner, t_f=4 * math.pi,
+            dt=2 * math.pi / 60, max_extensions=0)
+        evaluate(0.0)
+        assert beats == [2 * math.pi / kappa[partner - 1]]
 
     def test_optimize_bracket_validation(self):
         with pytest.raises(ValidationError):
@@ -578,8 +650,8 @@ class TestDampingMachinery:
             return dynamics.DampingSample(
                 resistance=r, zeta=zeta, settling_time=1.0, n_peaks=5,
                 trajectory=dynamics.Trajectory(
-                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1)),
-                    energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4)))
+                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1))),
+                energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4))
 
         with pytest.warns(UserWarning, match="single-peaked"):
             report = optimize_resistance(evaluate, (0.01, 10.0))
@@ -592,8 +664,8 @@ class TestDampingMachinery:
             return dynamics.DampingSample(
                 resistance=r, zeta=zeta, settling_time=1.0, n_peaks=9,
                 trajectory=dynamics.Trajectory(
-                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1)),
-                    energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4)))
+                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1))),
+                energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4))
 
         report = optimize_resistance(evaluate, (0.01, 50.0))
         assert not report.warnings
@@ -679,7 +751,7 @@ class TestSearchEnergies:
         mesh, plate, net, _, basis, rs = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1,
+            affine_family(mesh, plate, net, basis), basis, m1, e1,
             t_f=4 * beat_period(rs, m1, e1),
             dt=2 * math.pi / basis.omegas[m1] / 60)
         calls = []
@@ -687,21 +759,22 @@ class TestSearchEnergies:
         monkeypatch.setattr(dynamics, "energies",
                             lambda *a: calls.append(1) or full(*a))
         plain = evaluate(0.2)
-        assert calls == [] and plain.trajectory is None and plain.converged
+        assert calls == [] and plain.converged
+        assert plain.trajectory is None and plain.energies is None
         kept = evaluate(0.2, keep_trajectory=True)
         assert calls == [1]
-        assert kept.trajectory.energies is not None
+        assert kept.trajectory is not None and kept.energies is not None
         assert (kept.zeta, kept.settling_time) == (plain.zeta,
                                                    plain.settling_time)
 
     @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
     def test_unconverged_fits_are_reported(self, tuned_square4):
         mesh, plate, net, _, basis, _ = tuned_square4
-        m1 = basis.mechanical_indices()[0]
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         # one drive period holds two energy peaks, and nothing extends it
         period = 2 * math.pi / basis.omegas[m1]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1,
+            affine_family(mesh, plate, net, basis), basis, m1, e1,
             t_f=period, dt=period / 60, max_extensions=0)
         report = optimize_resistance(evaluate, (0.02, 2.0))
         assert not any(s.converged for s in report.samples)
@@ -715,9 +788,50 @@ class TestSearchEnergies:
         mesh, plate, net, _, basis, rs = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1,
+            affine_family(mesh, plate, net, basis), basis, m1, e1,
             t_f=4 * beat_period(rs, m1, e1),
             dt=2 * math.pi / basis.omegas[m1] / 60)
         report = optimize_resistance(evaluate, (0.02, 2.0))
         assert all(s.converged for s in report.samples)
         assert not any("not converged" in w for w in report.warnings)
+
+
+def preset_run(name):
+    ref = resources.files("pemplate") / "presets" / f"{name}.cfg"
+    with resources.as_file(ref) as path:
+        return cli.Run(load_config(Path(path)))
+
+
+@pytest.fixture(scope="module")
+def preset_runs():
+    return {name: preset_run(name) for name in ("paper-square", "clamped-demo")}
+
+
+class TestFamilyBlocks:
+    """The family blocks of ``k2red`` and ``k0sym`` are the per-family
+    projections ``reduce`` once carried, to the last bit."""
+
+    @pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+    @pytest.mark.parametrize("resistance", [0.0, 1.0])
+    def test_energies_equal_partition_forms(self, preset_runs, preset,
+                                            resistance):
+        run = preset_runs[preset]
+        net = replace(run.network(), resistance=resistance)
+        basis, rs = run.basis(), run.reduced(net)
+        forms = partition_forms(run.system(net), basis)
+        for family in ("mech", "elec"):
+            for name, full in (("m2", rs.k2red), ("k0", rs.k0sym)):
+                block = dynamics._family_block(
+                    rs, full, {"mech": "mechanical", "elec": "electric"}[family])
+                assert np.array_equal(block, forms[f"{name}_{family}"])
+        # the tuned pair exchanges energy, so every trace is non-trivial
+        drive = basis.mechanical_indices()[0]
+        period = 2 * math.pi / basis.omegas[drive]
+        traj = integrate(rs, unimodal_ic(rs, drive), 40 * period, period / 60)
+        want = partition_energies(forms, rs.cross_ratio, traj)
+        got = energies(rs, traj)
+        assert np.array_equal(dynamics.mechanical_energy(rs, traj), want.mech)
+        for field in ("mech", "elec", "cross", "total"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert want.elec.max() > 0.0
+        assert (want.cross != 0.0).any() == (resistance != 0.0)

@@ -78,12 +78,11 @@ class TestStructuredSquare:
     @pytest.mark.parametrize("pattern", ["crossed", "diagonal"])
     def test_edge_incidence(self, pattern):
         m = generate_structured_square(3, 1.0, pattern)
-        counts = m.edge_incidence()
-        assert set(counts.values()) <= {1, 2}
-        m.check_conforming()
+        edges = np.sort(m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        assert set(counts.tolist()) <= {1, 2}
         # boundary edges form the square perimeter
-        n_boundary = sum(1 for c in counts.values() if c == 1)
-        assert n_boundary == 4 * 3
+        assert np.count_nonzero(counts == 1) == 4 * 3
 
 
 class TestMeshValidation:
@@ -129,6 +128,18 @@ class TestMeshValidation:
         nodes, tris = self._faulty({2: (4, -1, 0)})
         with pytest.raises(DanglingNodeError, match="node -1 of 10"):
             Mesh(nodes, tris)
+
+    def test_non_conforming_edge_named(self):
+        # edges (0, 1) and (5, 6) each border two triangles above them and
+        # one below; the lower node pair is named, whatever the triangle order
+        nodes = np.array([[0.0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]])
+        tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        nodes = np.vstack([nodes, nodes + [3.0, 0.0]])
+        tris = np.vstack([tris + 5, tris])
+        for order in (tris, tris[::-1]):
+            with pytest.raises(ValidationError,
+                               match=r"edge \(0, 1\) is shared by 3 triangles"):
+                Mesh(nodes, order)
 
     def test_unreferenced_node_rejected(self):
         nodes = np.array([[0.0, 0], [1, 0], [0, 1], [5, 5]])

@@ -269,7 +269,7 @@ class TestBasis:
         # frequency the electric one lands on, the mechanical mode leads
         def mode_set(family, omegas):
             return ModeSet(omegas=np.array(omegas), vectors=np.eye(4)[:, :2],
-                           labels=(family,) * 2, dof_map=None)
+                           labels=(family,) * 2)
 
         w = 1.3
         basis = build_modal_basis(mode_set("mechanical", [w, 3.0]),
