@@ -4,7 +4,7 @@ The element contribution integrates the weak-problem matrices against the
 two-field shape matrix N (bending row, electric row) and the generalized
 strain interpolation N_eps built from the compatibility selectors:
 
-    K2e = -( <G N, N> + <G_B1 N_x, N_x> + <G_B2 N_y, N_y> )
+    K2e = -( <G N, N> + <G_B N_x, N_x> + <G_B N_y, N_y> )
     K1e = -( <S N, N> + <V N_eps, N> - <C N, N_eps> )
     K0e = -( <T N, N> - <E N_eps, N_eps> - <R N, N_eps> )
 
@@ -15,9 +15,10 @@ descriptor enters the power balance through the network branch relation, and
 this constant row weight is exactly what makes the conservative coupling
 blocks skew (B_me = -B_em^T) and the quadratic-form energies conserved.
 
-Integration uses a cyclically symmetric rule that is exact for all the
-(at most degree 8) polynomial integrands, so the only discretization error
-left is the non-conformity of the bending element.
+Integration uses the one cyclically symmetric rule of
+:func:`pemplate.element.triangle_quadrature`, exact for all the (at most
+degree 8) polynomial integrands, so the only discretization error left is
+the non-conformity of the bending element.
 
 The element stage works on the derivative slots h = (1, x, y, xx, yy, xy)
 of the local shape functions at the quadrature points. Every local DOF
@@ -53,9 +54,7 @@ from .errors import ValidationError
 from .mesh import Mesh
 
 DOFS_PER_NODE = 4  # (w, theta_x, theta_y, alpha)
-MECH_COMPONENTS = (0, 1, 2)
 ELEC_COMPONENT = 3
-QUADRATURE_DEGREE = 8  # exact for the degree-8 mass-type integrands
 
 _BC_COMPONENTS = {
     "simply_supported": (0,),
@@ -100,10 +99,6 @@ class DofMap:
     @property
     def n_free(self):
         return len(self.free_to_full)
-
-    def free_index(self, node, component):
-        """Free index of a nodal DOF, or -1 if constrained."""
-        return int(self.full_to_free[DOFS_PER_NODE * node + component])
 
     @property
     def free_components(self):
@@ -193,31 +188,18 @@ def _monomial_tables(quad):
                            np.stack(pairs)]).reshape(-1, 12)
 
 
-def _chunk_slots(coords, quad, tables, mu_override=None):
+def _chunk_slots(geom, quad, tables):
     """Derivative slots of the local shape functions over one element chunk.
 
-    ``coords`` has shape (nel, 3, 2). Returns ``slots`` of shape
-    (nel, npts, 6, 12): slot h = (1, x, y, xx, yy, xy) of the shape function
-    of each local DOF (in ``_FIELD_ORDER``) at the quadrature points, and the
-    element areas. ``mu_override`` replaces the geometric mu parameters
-    (test hook for corrupted elements).
+    ``geom`` is the :class:`~pemplate.element.TriangleGeometry` of a stack of
+    nel triangles. Returns ``slots`` of shape (nel, npts, 6, 12): slot
+    h = (1, x, y, xx, yy, xy) of the shape function of each local DOF (in
+    ``_FIELD_ORDER``) at the quadrature points.
     """
-    nel = len(coords)
+    nel = len(geom.area)
     npts = len(quad.points)
+    b, c, area = geom.b, geom.c, geom.area
 
-    x, y = coords[:, :, 0], coords[:, :, 1]
-    jj, kk = [1, 2, 0], [2, 0, 1]
-    b = y[:, jj] - y[:, kk]
-    c = x[:, kk] - x[:, jj]
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    if np.any(area <= 0):
-        bad = int(np.flatnonzero(area <= 0)[0])
-        raise ValidationError(f"degenerate element {bad}: non-positive area")
-    l2 = (x[:, jj] - x[:, kk]) ** 2 + (y[:, jj] - y[:, kk]) ** 2
-    mu = (l2[:, kk] - l2[:, jj]) / l2 if mu_override is None else mu_override
-
-    geom = el.TriangleGeometry(x=x, y=y, area=area, b=b, c=c,
-                               lengths=np.sqrt(l2), mu=mu)
     comb = el.shape_combination(geom) @ el.p_coefficients(geom.mu)
     gx = b / (2.0 * area[:, None])
     gy = c / (2.0 * area[:, None])
@@ -248,7 +230,7 @@ def _chunk_slots(coords, quad, tables, mu_override=None):
     slots[:, :, 1, 9:] = gx[:, None, :]
     slots[:, :, 2, 9:] = gy[:, None, :]
     slots[:, :, 3:, 9:] = 0.0
-    return slots, area
+    return slots
 
 
 def _entrywise(scale):
@@ -326,8 +308,8 @@ def _local_matrix_batch(slots, area, mat, quad):
         return out * area[:, None, None]
 
     k2 = -(bilin(n, w_u @ mat.G, n)
-           + bilin(n1, w_u @ mat.G_B1, n1)
-           + bilin(n2, w_u @ mat.G_B2, n2))
+           + bilin(n1, w_u @ mat.G_B, n1)
+           + bilin(n2, w_u @ mat.G_B, n2))
     k1 = -(bilin(n, w_u @ mat.S, n)
            + bilin(n, w_u @ mat.V, neps)
            - bilin(neps, w_eps @ mat.C, n))
@@ -337,23 +319,20 @@ def _local_matrix_batch(slots, area, mat, quad):
     return k2, k1, k0
 
 
-def local_matrices(geom, mat, quad=None):
-    """Local K2, K1, K0 (12x12) for one triangle.
+def local_matrices(geom, mat):
+    """Local K2, K1, K0 (nel, 12, 12) of a stack of triangles.
 
-    ``geom`` is a :class:`~pemplate.element.TriangleGeometry`; its mu values
-    are honored even when they disagree with the vertex coordinates, so tests
-    can probe deliberately corrupted elements. A single element is too small
-    for BLAS's regular kernels, so the entries can differ from the
-    assembled ones in the last bit.
+    ``geom`` is the :class:`~pemplate.element.TriangleGeometry` of the stack;
+    its mu values are honored even when they disagree with the vertices, so
+    tests can probe deliberately corrupted elements. A stack too small for
+    BLAS's regular kernels can differ from the assembled entries in the last
+    bit.
     """
-    if quad is None:
-        quad = el.triangle_quadrature(QUADRATURE_DEGREE)
-    coords = np.stack([geom.x, geom.y], axis=1)[None, :, :]
-    slots, area = _chunk_slots(coords, quad, _monomial_tables(quad),
-                               geom.mu[None, :])
+    quad = el.triangle_quadrature()
+    slots = _chunk_slots(geom, quad, _monomial_tables(quad))
     back = np.argsort(_FIELD_ORDER)
-    k2, k1, k0 = (k[0][np.ix_(back, back)]
-                  for k in _local_matrix_batch(slots, area, mat, quad))
+    k2, k1, k0 = (k[:, back][:, :, back]
+                  for k in _local_matrix_batch(slots, geom.area, mat, quad))
     return LocalMatrices(k2=k2, k1=k1, k0=k0)
 
 
@@ -513,7 +492,7 @@ def assemble(mesh, mat, bcs=(), workspace=None):
     Pass an :class:`AssemblyWorkspace` to reuse the sparsity pattern across
     repeated assemblies of the same mesh.
     """
-    quad = el.triangle_quadrature(QUADRATURE_DEGREE)
+    quad = el.triangle_quadrature()
     dof_map = build_dof_map(mesh, bcs)
     if workspace is None:
         workspace = AssemblyWorkspace()
@@ -528,9 +507,10 @@ def assemble(mesh, mat, bcs=(), workspace=None):
 
     def batch(i):
         start, stop = edges[i], edges[i + 1]
-        coords = mesh.nodes[mesh.triangles[start:stop]]
-        slots, area = _chunk_slots(coords, quad, tables)
-        entries[:, start:stop] = _local_matrix_batch(slots, area, mat, quad)
+        geom = el.triangle_geometry(mesh.nodes[mesh.triangles[start:stop]])
+        slots = _chunk_slots(geom, quad, tables)
+        entries[:, start:stop] = _local_matrix_batch(slots, geom.area, mat,
+                                                     quad)
 
     with numpy_blas_single_thread() as pinned:
         _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
@@ -591,12 +571,12 @@ def patch_test(mat, tol=1e-9, rigid_tol=1e-12, corrupt_mu=False):
     # the patch has no constraints: K0 spans every DOF of the mesh
     n_full = DOFS_PER_NODE * mesh.n_nodes
     k0 = np.zeros((n_full, n_full))
-    for tri in mesh.triangles:
-        geom = el.triangle_geometry(mesh.nodes[tri])
-        if corrupt_mu:
-            geom = replace(geom, mu=-geom.mu)
+    geom = el.triangle_geometry(mesh.nodes[mesh.triangles])
+    if corrupt_mu:
+        geom = replace(geom, mu=-geom.mu)
+    for tri, local in zip(mesh.triangles, local_matrices(geom, mat).k0):
         g = (DOFS_PER_NODE * tri[:, None] + np.arange(4)[None, :]).ravel()
-        k0[np.ix_(g, g)] += local_matrices(geom, mat).k0
+        k0[np.ix_(g, g)] += local
 
     # bending DOFs only: columns (w, tx, ty) of every node
     comp = np.arange(n_full) % DOFS_PER_NODE

@@ -47,6 +47,7 @@ SEARCH_REL_TOL = 1e-2  # relative width of the refined R* bracket
 COARSE_POINTS = 9  # logarithmic scan that brackets the zeta peak
 FALLBACK_POINTS = 33  # grid scan when the coarse scan is not single-peaked
 BLOCK = 64  # RK4 output rows per matrix product in integrate
+UNCOUPLED_KAPPA = 1e-9  # |kappa| / omega at or below which a pair is uncoupled
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,15 @@ def energies(rs, traj):
 
 
 def beat_period(rs, index_a, index_b):
-    """Energy-exchange period 2 pi / |kappa| of a tuned conservative pair."""
+    """Energy-exchange period 2 pi / |kappa| of a tuned conservative pair.
+
+    A pair that does not couple by symmetry still reads a round-off kappa;
+    at most ``UNCOUPLED_KAPPA`` times omega_a counts as no exchange (inf).
+    """
     kappa = abs(rs.k1red[index_a, index_b])
-    return math.inf if kappa == 0.0 else 2.0 * math.pi / kappa
+    if kappa <= UNCOUPLED_KAPPA * rs.modes.omegas[index_a]:
+        return math.inf
+    return 2.0 * math.pi / kappa
 
 
 def suggested_dt(rs):

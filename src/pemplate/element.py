@@ -20,53 +20,47 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ValidationError
-
-MAX_QUADRATURE_DEGREE = 10
 
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Per-triangle geometric constants.
+    """Geometric constants of one triangle, or of a stack of them.
 
-    ``b[i] = y_j - y_k`` and ``c[i] = x_k - x_j`` with (i, j, k) cyclic;
-    ``lengths[i]`` is the side opposite vertex i, and
+    ``b[..., i] = y_j - y_k`` and ``c[..., i] = x_k - x_j`` with (i, j, k)
+    cyclic, ``area`` is the area and
 
-        mu_1 = (l3^2 - l2^2) / l1^2   (cyclically for mu_2, mu_3).
+        mu_1 = (l3^2 - l2^2) / l1^2   (cyclically for mu_2, mu_3),
 
-    The signed area must be positive (counterclockwise vertices).
+    with ``l_i`` the side opposite vertex i.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    area: float
+    area: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    lengths: np.ndarray
     mu: np.ndarray
-
-    def diameter(self):
-        return float(self.lengths.max())
 
 
 def triangle_geometry(coords):
-    """Build :class:`TriangleGeometry` from a (3, 2) vertex array."""
+    """Build :class:`TriangleGeometry` from a (..., 3, 2) vertex array.
+
+    The vertices must be counterclockwise (positive area). The squared side
+    lengths are summed from their coordinate differences, never through
+    ``hypot``, so mu is the same to the last bit for every caller.
+    """
     coords = np.asarray(coords, dtype=float)
-    x, y = coords[:, 0].copy(), coords[:, 1].copy()
-    jj = np.array([1, 2, 0])
-    kk = np.array([2, 0, 1])
-    b = y[jj] - y[kk]
-    c = x[kk] - x[jj]
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    if area <= 0:
-        raise ValidationError(f"triangle has non-positive area {area:g}")
-    lengths = np.hypot(x[jj] - x[kk], y[jj] - y[kk])
-    l2 = lengths**2
-    mu = (l2[kk] - l2[jj]) / l2
-    return TriangleGeometry(x=x, y=y, area=float(area), b=b, c=c,
-                            lengths=lengths, mu=mu)
+    x, y = coords[..., 0], coords[..., 1]
+    jj, kk = [1, 2, 0], [2, 0, 1]
+    b = y[..., jj] - y[..., kk]
+    c = x[..., kk] - x[..., jj]
+    area = 0.5 * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    if np.any(area <= 0):
+        raise ValidationError(
+            f"triangle has non-positive area {np.min(area):g}")
+    l2 = (x[..., jj] - x[..., kk]) ** 2 + (y[..., jj] - y[..., kk]) ** 2
+    mu = (l2[..., kk] - l2[..., jj]) / l2
+    return TriangleGeometry(area=area, b=b, c=c, mu=mu)
 
 
 # Monomial basis spanning the Specht polynomial space: exponents of
@@ -147,17 +141,6 @@ def _as_points(L):
     return (L.reshape(1, 3), single) if single else (L, False)
 
 
-def specht_p_vector(geom, L):
-    """Evaluate the 9-component P expansion at area coordinates ``L``.
-
-    ``L`` may be one point (shape (3,)) or a batch (npts, 3); the result has
-    matching leading shape.
-    """
-    pts, single = _as_points(L)
-    vals = _monomials(pts) @ p_coefficients(geom.mu).T
-    return vals[0] if single else vals
-
-
 def shape_combination(geom):
     """Matrix mapping P components to nodal shape functions (9 x 9).
 
@@ -227,22 +210,26 @@ def specht_shape_functions(geom, L):
     return ShapeEval(val, dx, dy, dxx, dyy, dxy)
 
 
-def specht_second_derivatives(geom, L):
-    """Curvature rows (d2/dx2, d2/dy2, d2/dxdy) per bending DOF."""
-    ev = specht_shape_functions(geom, L)
-    return ev.dxx, ev.dyy, ev.dxy
+# The 5-point Gauss-Jacobi (alpha = 1, beta = 0) and Gauss-Legendre rules on
+# [-1, 1], nodes and weights to the last bit as SciPy computes them (the
+# tests compare the bits), so that no run has to import SciPy's special
+# functions.
+_JACOBI_NODES = (
+    "-0x1.d73c15b79f3d3p-1", "-0x1.353bf8784132fp-1", "-0x1.fc1c403080601p-4",
+    "0x1.904f92acb8e03p-2", "0x1.9b199e53f1236p-1")
+_JACOBI_WEIGHTS = (
+    "0x1.8c6ada4e0dafap-2", "0x1.565fa81ab0087p-1", "0x1.2bccf0d0b5846p-1",
+    "0x1.2ebb113d8a0aep-2", "0x1.02038a7674af7p-4")
+_LEGENDRE_NODES = (
+    "-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0.0p+0",
+    "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1")
+_LEGENDRE_WEIGHTS = (
+    "0x1.e539ec36e0388p-3", "0x1.ea1da25ae415cp-2", "0x1.23456789abce0p-1",
+    "0x1.ea1da25ae415cp-2", "0x1.e539ec36e0388p-3")
 
 
-def linear_shape_functions(geom, L):
-    """Linear-triangle values and (constant) gradients.
-
-    Returns ``(values, gradients)`` where values has the shape of ``L`` and
-    gradients is a (3, 2) array of per-node (d/dx, d/dy).
-    """
-    pts, single = _as_points(L)
-    grads = np.column_stack([geom.b, geom.c]) / (2.0 * geom.area)
-    vals = pts.copy()
-    return (vals[0] if single else vals), grads
+def _tabulated(literals):
+    return np.array([float.fromhex(v) for v in literals])
 
 
 @dataclass(frozen=True)
@@ -253,46 +240,23 @@ class TriangleQuadrature:
     ``A * sum(weights * f(points))``.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def triangle_quadrature(degree):
-    """Cyclically symmetric rule exact for bivariate polynomials of ``degree``."""
-    if not 1 <= degree <= MAX_QUADRATURE_DEGREE:
-        raise ValidationError(
-            f"unsupported quadrature degree {degree} (supported: 1..{MAX_QUADRATURE_DEGREE})"
-        )
-    if degree == 1:
-        pts = np.array([[1.0, 1.0, 1.0]]) / 3.0
-        wts = np.array([1.0])
-    elif degree == 2:
-        pts = np.array([
-            [2 / 3, 1 / 6, 1 / 6],
-            [1 / 6, 2 / 3, 1 / 6],
-            [1 / 6, 1 / 6, 2 / 3],
-        ])
-        wts = np.full(3, 1.0 / 3.0)
-    else:
-        pts, wts = _symmetrized_duffy(degree)
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return TriangleQuadrature(degree=degree, points=pts, weights=wts)
+def triangle_quadrature():
+    """The 75-point cyclically symmetric rule, exact through degree 9.
 
-
-def _symmetrized_duffy(degree):
-    # Duffy map x=u, y=v(1-u) with Jacobi weight (1-u) in u; exact for total
-    # degree <= 2n-1 with n points per axis. Cyclic symmetrization keeps the
-    # rule invariant under vertex rotation.
-    n = (degree + 2) // 2
-    xu, wu = roots_jacobi(n, 1.0, 0.0)
-    u = 0.5 * (xu + 1.0)
-    lu = 0.25 * wu
-    xv, wv = roots_legendre(n)
-    v = 0.5 * (xv + 1.0)
-    lv = 0.5 * wv
+    The element integrands have degree at most 8. Duffy map x = u,
+    y = v(1 - u) with the Jacobi weight (1 - u) in u and 5 Gauss points per
+    axis; cyclic symmetrization keeps the rule invariant under vertex
+    rotation.
+    """
+    u = 0.5 * (_tabulated(_JACOBI_NODES) + 1.0)
+    lu = 0.25 * _tabulated(_JACOBI_WEIGHTS)
+    v = 0.5 * (_tabulated(_LEGENDRE_NODES) + 1.0)
+    lv = 0.5 * _tabulated(_LEGENDRE_WEIGHTS)
 
     uu, vv = np.meshgrid(u, v, indexing="ij")
     x = uu.ravel()
@@ -302,17 +266,6 @@ def _symmetrized_duffy(degree):
 
     pts = np.vstack([base, np.roll(base, 1, axis=1), np.roll(base, 2, axis=1)])
     wts = np.concatenate([w, w, w]) / 3.0
-    return pts, wts
-
-
-def integrate_monomial_exact(a, b, c, area):
-    """Exact integral of L1^a L2^b L3^c over a triangle of the given area.
-
-    Uses the factorial identity  a! b! c! / (a+b+c+2)! * 2A.
-    """
-    from math import factorial
-
-    return (
-        factorial(a) * factorial(b) * factorial(c)
-        / factorial(a + b + c + 2) * 2.0 * area
-    )
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return TriangleQuadrature(points=pts, weights=wts)

@@ -3,7 +3,7 @@
 Collects every matrix of the coupled weak problem for the two-field state
 u = (w, alpha): the inertia/capacitance matrix G, the damping matrices S and
 T, the rate coupling V, the stiffness block E, the descriptor couplings C and
-R, the rotary-inertia blocks, and the compatibility selectors H0..H5 mapping
+R, the rotary-inertia block G_B, and the compatibility selectors H0..H5 mapping
 (u, u_x, u_y, u_xx, u_yy, u_xy) to the generalized strain
 
     eps = (chi_1, chi_2, chi_12, alpha_x, alpha_y),
@@ -97,8 +97,7 @@ class MaterialModel:
     E: np.ndarray
     C: np.ndarray
     R: np.ndarray
-    G_B1: np.ndarray
-    G_B2: np.ndarray
+    G_B: np.ndarray  # rotary inertia, the same for N_x and N_y
     H: np.ndarray  # (6, 5, 2) stack of H0..H5
 
     @property
@@ -182,7 +181,7 @@ def build_material(plate, net):
     H.setflags(write=False)
 
     return MaterialModel(plate=plate, network=net, c_n=float(c_n), G=G, S=S,
-                         T=T, V=V, E=E, C=C, R=R, G_B1=G_B, G_B2=G_B, H=H)
+                         T=T, V=V, E=E, C=C, R=R, G_B=G_B, H=H)
 
 
 def conservative_twin(net):

@@ -19,7 +19,6 @@ from pemplate.assembly import (
     patch_test_mesh,
 )
 from pemplate.element import (
-    linear_shape_functions,
     specht_shape_functions,
     triangle_geometry,
     triangle_quadrature,
@@ -46,6 +45,15 @@ def random_ccw(rng, scale=1.5):
         u, v = coords[1] - coords[0], coords[2] - coords[0]
         if 0.5 * (u[0] * v[1] - u[1] * v[0]) > 0.2:
             return coords
+
+
+def single_local(geom, mat):
+    """``local_matrices`` of a single triangle's geometry."""
+    stack = dataclasses.replace(geom, **{
+        name: np.asarray(getattr(geom, name))[None]
+        for name in ("area", "b", "c", "mu")})
+    loc = local_matrices(stack, mat)
+    return assembly.LocalMatrices(k2=loc.k2[0], k1=loc.k1[0], k0=loc.k0[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +193,10 @@ def quadrature_oracle(geom, mat):
     sums the three forms directly, without the assembly's slot arrays and
     structured matmuls.
     """
-    q = triangle_quadrature(8)
+    q = triangle_quadrature()
     ev = specht_shape_functions(geom, q.points)
-    lin, grad = linear_shape_functions(geom, q.points)
+    lin = q.points  # linear-triangle values are the area coordinates
+    grad = np.column_stack([geom.b, geom.c]) / (2.0 * geom.area)
     bend, alpha = [0, 1, 2, 4, 5, 6, 8, 9, 10], [3, 7, 11]
 
     def field(bending, electric=0.0):
@@ -209,8 +218,8 @@ def quadrature_oracle(geom, mat):
         return geom.area * np.einsum("p,pfi,fg,pgj->ij", q.weights, test, core,
                                      trial)
 
-    k2 = -(form(n, w_u @ mat.G, n) + form(nx, w_u @ mat.G_B1, nx)
-           + form(ny, w_u @ mat.G_B2, ny))
+    k2 = -(form(n, w_u @ mat.G, n) + form(nx, w_u @ mat.G_B, nx)
+           + form(ny, w_u @ mat.G_B, ny))
     k1 = -(form(n, w_u @ mat.S, n) + form(n, w_u @ mat.V, neps)
            - form(neps, w_eps @ mat.C, n))
     k0 = -(form(n, w_u @ mat.T, n) - form(neps, w_eps @ mat.E, neps)
@@ -221,7 +230,7 @@ def quadrature_oracle(geom, mat):
 def dense_random_material(rng):
     """A material whose every weak-form matrix is dense and random."""
     mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
-    names = ("G", "S", "T", "V", "E", "C", "R", "G_B1", "G_B2")
+    names = ("G", "S", "T", "V", "E", "C", "R", "G_B")
     return dataclasses.replace(
         mat, **{k: rng.normal(size=getattr(mat, k).shape) for k in names})
 
@@ -229,18 +238,6 @@ def dense_random_material(rng):
 def assert_matches_oracle(loc, geom, mat, rel=1e-13):
     for got, want in zip((loc.k2, loc.k1, loc.k0), quadrature_oracle(geom, mat)):
         assert np.abs(got - want).max() <= rel * np.abs(want).max()
-
-
-def assembly_geometry(coords):
-    """triangle_geometry with mu from squared edge lengths summed directly.
-
-    That is how the assembly computes mu; via hypot it can differ in the
-    last bit.
-    """
-    edge = coords[[1, 2, 0]] - coords[[2, 0, 1]]
-    l2 = edge[:, 0] ** 2 + edge[:, 1] ** 2
-    mu = (l2[[2, 0, 1]] - l2[[1, 2, 0]]) / l2
-    return dataclasses.replace(triangle_geometry(coords), mu=mu)
 
 
 def padded_field_local_matrices(coords, mat):
@@ -254,7 +251,7 @@ def padded_field_local_matrices(coords, mat):
     in index order (as OpenBLAS does) the results agree to the last bit,
     which keeps outputs reproducible against stored references.
     """
-    quad = triangle_quadrature(8)
+    quad = triangle_quadrature()
     nel, pts = len(coords), quad.points
     npts = len(pts)
     x, y = coords[:, :, 0], coords[:, :, 1]
@@ -265,8 +262,8 @@ def padded_field_local_matrices(coords, mat):
     l2 = (x[:, jj] - x[:, kk]) ** 2 + (y[:, jj] - y[:, kk]) ** 2
     mu = (l2[:, kk] - l2[:, jj]) / l2
     comb = np.stack([
-        el.shape_combination(triangle_geometry(coords[e]))
-        @ el.p_coefficients(mu[e]) for e in range(nel)])
+        el.shape_combination(geom) @ el.p_coefficients(mu[e])
+        for e, geom in enumerate(map(triangle_geometry, coords))])
     combt = np.ascontiguousarray(comb.transpose(0, 2, 1))
     gx = b / (2.0 * area[:, None])
     gy = c / (2.0 * area[:, None])
@@ -311,8 +308,8 @@ def padded_field_local_matrices(coords, mat):
         lhs = test.reshape(nel, npts * f, 12).transpose(0, 2, 1)
         return np.matmul(lhs, tb.reshape(nel, npts * f, 12)) * area[:, None, None]
 
-    k2 = -(form(n, w_u @ mat.G, n) + form(n1, w_u @ mat.G_B1, n1)
-           + form(n2, w_u @ mat.G_B2, n2))
+    k2 = -(form(n, w_u @ mat.G, n) + form(n1, w_u @ mat.G_B, n1)
+           + form(n2, w_u @ mat.G_B, n2))
     k1 = -(form(n, w_u @ mat.S, n) + form(n, w_u @ mat.V, neps)
            - form(neps, w_eps @ mat.C, n))
     k0 = -(form(n, w_u @ mat.T, n) - form(neps, w_eps @ mat.E, neps)
@@ -323,7 +320,7 @@ def padded_field_local_matrices(coords, mat):
 class TestLocalMatrices:
     def test_electric_stiffness_is_laplacian(self):
         g = triangle_geometry(np.array([[0.0, 0], [1, 0], [0, 1]]))
-        loc = local_matrices(g, material(coupling=(0, 0, 0)))
+        loc = single_local(g, material(coupling=(0, 0, 0)))
         ai = [3, 7, 11]
         lap = 0.5 * np.array([[2.0, -1, -1], [-1, 1, 0], [-1, 0, 1]])
         assert np.abs(loc.k0[np.ix_(ai, ai)] - lap).max() < 1e-13
@@ -331,14 +328,14 @@ class TestLocalMatrices:
     def test_electric_stiffness_scales_with_inductance(self):
         # electric test rows carry the L_N weight
         g = triangle_geometry(np.array([[0.0, 0], [1, 0], [0, 1]]))
-        loc = local_matrices(g, material(coupling=(0, 0, 0), l_n=2.0))
+        loc = single_local(g, material(coupling=(0, 0, 0), l_n=2.0))
         ai = [3, 7, 11]
         lap = 0.5 * np.array([[2.0, -1, -1], [-1, 1, 0], [-1, 0, 1]])
         assert np.abs(loc.k0[np.ix_(ai, ai)] - 2.0 * lap).max() < 1e-13
 
     def test_electric_mass_is_consistent_mass(self):
         g = triangle_geometry(np.array([[0.0, 0], [1, 0], [0, 1]]))
-        loc = local_matrices(g, material(coupling=(0, 0, 0), l_n=1.0, c_n=1.0))
+        loc = single_local(g, material(coupling=(0, 0, 0), l_n=1.0, c_n=1.0))
         ai = [3, 7, 11]
         ref = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
         assert np.abs(loc.k2[np.ix_(ai, ai)] - ref).max() < 1e-13
@@ -346,7 +343,7 @@ class TestLocalMatrices:
     def test_decoupled_k0_block_diagonal(self):
         rng = np.random.default_rng(0)
         g = triangle_geometry(random_ccw(rng))
-        loc = local_matrices(g, material(coupling=(0, 0, 0)))
+        loc = single_local(g, material(coupling=(0, 0, 0)))
         bend = [i for i in range(12) if i % 4 != 3]
         ai = [3, 7, 11]
         assert np.abs(loc.k0[np.ix_(bend, ai)]).max() < 1e-14
@@ -356,8 +353,8 @@ class TestLocalMatrices:
         rng = np.random.default_rng(1)
         coords = random_ccw(rng)
         mat = material()
-        loc = local_matrices(triangle_geometry(coords), mat)
-        loc2 = local_matrices(triangle_geometry(coords[[1, 2, 0]]), mat)
+        loc = single_local(triangle_geometry(coords), mat)
+        loc2 = single_local(triangle_geometry(coords[[1, 2, 0]]), mat)
         perm = np.r_[4:8, 8:12, 0:4]
         for a, b in ((loc.k0, loc2.k0), (loc.k1, loc2.k1), (loc.k2, loc2.k2)):
             assert np.abs(b - a[np.ix_(perm, perm)]).max() < 1e-12
@@ -365,7 +362,7 @@ class TestLocalMatrices:
     def test_local_skew_duality_conservative(self):
         rng = np.random.default_rng(2)
         g = triangle_geometry(random_ccw(rng))
-        loc = local_matrices(g, material(l_n=0.37))
+        loc = single_local(g, material(l_n=0.37))
         bend = [i for i in range(12) if i % 4 != 3]
         ai = [3, 7, 11]
         b_me = loc.k1[np.ix_(bend, ai)]
@@ -378,7 +375,7 @@ class TestLocalMatrices:
         for _ in range(5):
             g = triangle_geometry(random_ccw(rng))
             for mat in (coupled_damped, dense_random_material(rng)):
-                assert_matches_oracle(local_matrices(g, mat), g, mat)
+                assert_matches_oracle(single_local(g, mat), g, mat)
 
     def test_padded_field_formulation_bitwise(self):
         # a batch large enough for BLAS's regular kernels; dense random
@@ -393,13 +390,14 @@ class TestLocalMatrices:
         random_h = dense_random_material(rng)
         random_h = dataclasses.replace(
             random_h, H=rng.normal(size=random_h.H.shape))
-        quad = triangle_quadrature(8)
-        slots, area = assembly._chunk_slots(
-            coords, quad, assembly._monomial_tables(quad))
+        quad = triangle_quadrature()
+        geom = triangle_geometry(coords)
+        slots = assembly._chunk_slots(geom, quad,
+                                      assembly._monomial_tables(quad))
         back = np.argsort(assembly._FIELD_ORDER)
         for mat in (coupled_damped, conservative, uncoupled, random_h):
             want = padded_field_local_matrices(coords, mat)
-            got = assembly._local_matrix_batch(slots, area, mat, quad)
+            got = assembly._local_matrix_batch(slots, geom.area, mat, quad)
             for g, w in zip(got, want):
                 # bit patterns, so that a -0 for a +0 fails too
                 assert np.array_equal(g[:, back][:, :, back].view(np.int64),
@@ -413,9 +411,9 @@ class TestLocalMatrices:
         mat = dense_random_material(rng)
         for mu in (-g.mu, rng.uniform(-1.0, 1.0, size=3)):
             bad = dataclasses.replace(g, mu=mu)
-            loc = local_matrices(bad, mat)
+            loc = single_local(bad, mat)
             assert_matches_oracle(loc, bad, mat)
-            assert np.abs(loc.k0 - local_matrices(g, mat).k0).max() > 1e-3
+            assert np.abs(loc.k0 - single_local(g, mat).k0).max() > 1e-3
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValidationError):
@@ -429,7 +427,7 @@ class TestLocalMatrices:
         h, rho = 1e-3, 500.0
         for _ in range(5):
             g = triangle_geometry(random_ccw(rng))
-            loc = local_matrices(g, mat)
+            loc = single_local(g, mat)
             k0 = oracle_bending_k0(g, mat.E[:3, :3])
             k2 = oracle_bending_k2(g, 2 * h * rho, 2 * h**3 * rho / 3)
             got0 = loc.k0[np.ix_(bend, bend)]
@@ -473,7 +471,7 @@ class TestAssemble:
         mesh = Mesh(np.array([[0.0, 0], [1, 0], [0, 1]]), np.array([[0, 1, 2]]))
         mat = material()
         sys = assemble(mesh, mat)
-        loc = local_matrices(triangle_geometry(mesh.nodes), mat)
+        loc = single_local(triangle_geometry(mesh.nodes), mat)
         for full, local in ((sys.k0, loc.k0), (sys.k2, loc.k2), (sys.k1, loc.k1)):
             scale = max(1.0, np.abs(local).max())
             assert np.abs(full.toarray() - local).max() < 1e-14 * scale
@@ -555,8 +553,8 @@ class TestAssemble:
         mesh = Mesh(nodes, base.triangles, base.edge_groups)
         mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
         bcs = [BoundaryCondition("boundary", "clamped")]
-        local = [local_matrices(assembly_geometry(mesh.nodes[t]), mat)
-                 for t in mesh.triangles]
+        local = local_matrices(
+            triangle_geometry(mesh.nodes[mesh.triangles]), mat)
         g = (4 * mesh.triangles[:, :, None] + np.arange(4)).reshape(-1, 12)
         rows = np.repeat(g, 12, axis=1).ravel()
         cols = np.tile(g, (1, 12)).ravel()
@@ -564,7 +562,7 @@ class TestAssemble:
         want = {}
         free = build_dof_map(mesh, bcs).free_to_full
         for name in ("k2", "k1", "k0"):
-            data = np.concatenate([getattr(loc, name).ravel() for loc in local])
+            data = getattr(local, name).ravel()
             full = sp.coo_matrix((data, (rows, cols)),
                                  shape=(n_full, n_full)).tocsr()
             want[name] = full[free][:, free].tocsr()
@@ -594,11 +592,11 @@ class TestAssemble:
         monkeypatch.setattr(assembly, "_CHUNK", 4)  # 9 batches of 4
         first = {mesh.nodes[t].tobytes(): e
                  for e, t in enumerate(mesh.triangles)}
-        chunk_slots = assembly._chunk_slots
+        geometry = el.triangle_geometry
         later_failed = threading.Event()
         workers = 1
 
-        def failing(coords, *args, **kwargs):
+        def failing(coords):
             batch = first[coords[0].tobytes()] // 4
             if batch == 3:
                 if workers > 1:
@@ -607,9 +605,9 @@ class TestAssemble:
             if batch == 4:
                 later_failed.set()
                 raise ValidationError("batch 4 failed")
-            return chunk_slots(coords, *args, **kwargs)
+            return geometry(coords)
 
-        monkeypatch.setattr(assembly, "_chunk_slots", failing)
+        monkeypatch.setattr(el, "triangle_geometry", failing)
         monkeypatch.setattr(assembly, "_worker_count",
                             lambda n_batches, pinned: workers)
         for workers in (1, 2, 3, 4):

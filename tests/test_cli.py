@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -622,10 +623,40 @@ class TestStageGraph:
         assert not out.exists()
 
     def test_unallocatable_simulation_exits_2(self, tmp_path, capsys):
-        # untuned, the driven mode's beat partner is far off resonance and
-        # the default horizon of two beats needs ~3e16 steps
-        cfg = write_cfg(tmp_path, UNTUNED_CFG)
+        # a horizon of 1e15 needs ~1e16 steps
+        cfg = write_cfg(tmp_path, UNTUNED_CFG.replace(
+            "beats = 2\n", "beats = 2\nt_f = 1e15\n"))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "[stage simulation]" in err and "t_f" in err
+
+    def test_untuned_drive_runs_twenty_periods(self, tmp_path):
+        # untuned, the driven mode's nearest electric mode does not couple to
+        # it by symmetry (kappa ~ 1e-14 omega, round-off): no beat, so the
+        # default horizon is two times 20 drive periods
+        cfg = write_cfg(tmp_path, UNTUNED_CFG)
+        out = run_cli("simulate", cfg, tmp_path / "out")
+        run = cli.Run(load_config(cfg))
+        basis = run.basis()
+        drive = basis.mechanical_indices()[0]
+        t = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1,
+                       usecols=0)
+        assert t[-1] == pytest.approx(40 * 2 * math.pi / basis.omegas[drive],
+                                      rel=1e-3)
+
+    def test_tuned_to_uncoupled_pair_has_nothing_to_damp(self, tmp_path,
+                                                         capsys):
+        # paper-square's (1,1) bending mode tuned to electric mode 2, one of
+        # the degenerate (1,2)/(2,1) pair: uncoupled by symmetry, with a
+        # round-off kappa of ~1e-13 omega
+        ref = resources.files("pemplate") / "presets" / "paper-square.cfg"
+        text = ref.read_text().replace("elec_mode = 1", "elec_mode = 2")
+        assert "elec_mode = 2" in text
+        cfg = write_cfg(tmp_path, text)
+        for command in ("optimize-r", "pipeline"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / command)]) == 1
+            assert "nothing to damp" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "simulate")]) == 0

@@ -467,7 +467,7 @@ class TestImpulse:
         x, y = mesh.nodes[node]
         ic = impulse_ic(sys_t, basis, (x, y), magnitude=2.5)
         p_free = np.zeros(sys_t.n_free)
-        k = sys_t.dof_map.free_index(node, 0)
+        k = sys_t.dof_map.full_to_free[4 * node]  # its w DOF
         p_free[k] = 2.5
         expect = basis.vectors.T @ p_free
         assert np.abs(ic.zdot0 - expect).max() < 1e-10
@@ -546,6 +546,22 @@ class TestDampingMachinery:
         rs0 = replace(rs, k1red=np.zeros_like(rs.k1red))
         assert dynamics.default_horizon(rs0, m1, 3.0, 50)[0] == \
             pytest.approx(60 * period)
+
+    def test_round_off_kappa_is_no_beat(self):
+        # a pair uncoupled by symmetry reads kappa ~ 1e-13 omega from
+        # round-off; the smallest coupling of a retained pair on the presets
+        # is ~2e-8 omega
+        omega = 3.0
+        for ratio, couples in ((0.0, False), (1.07e-13, False),
+                               (dynamics.UNCOUPLED_KAPPA, False),
+                               (2.0 * dynamics.UNCOUPLED_KAPPA, True),
+                               (2.2e-8, True)):
+            rs = two_mode_surrogate(omega, ratio * omega, 0.0, 1.0)
+            assert math.isfinite(beat_period(rs, 0, 1)) == couples, ratio
+            assert math.isfinite(beat_period(rs, 1, 0)) == couples, ratio
+        rs = two_mode_surrogate(omega, 1e-13 * omega, 0.0, 1.0)
+        assert dynamics.default_horizon(rs, 0, 3.0, 50)[0] == \
+            pytest.approx(60 * 2 * math.pi / omega)
 
     def test_settling_time(self):
         t = np.linspace(0, 10, 101)

@@ -25,8 +25,7 @@ class TestBuildMaterial:
         assert np.allclose(m.S, np.diag([0.0, -(3.0 * 0.5 + 0.25 * 2.0)]))
         assert np.allclose(m.T, np.diag([0.0, -0.25 * 0.5]))
         rot = 2 * h**3 * rho / 3
-        assert np.allclose(m.G_B1, np.diag([-rot, 0.0]))
-        assert np.allclose(m.G_B2, m.G_B1)
+        assert np.allclose(m.G_B, np.diag([-rot, 0.0]))
 
     def test_stiffness_block_structure(self):
         m = build_material(benchmark_plate(), NetworkParams(inductance=1.0))
@@ -82,7 +81,7 @@ class TestBuildMaterial:
         plate, net = benchmark_plate(), NetworkParams(inductance=1.3, resistance=0.2)
         a = build_material(plate, net)
         b = build_material(plate, net)
-        for name in ("G", "S", "T", "V", "E", "C", "R", "G_B1", "G_B2", "H"):
+        for name in ("G", "S", "T", "V", "E", "C", "R", "G_B", "H"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_validation_errors(self):
