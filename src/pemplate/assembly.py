@@ -233,17 +233,6 @@ def _chunk_slots(geom, quad, tables):
     return slots
 
 
-def _entrywise(scale):
-    """(12, f * 12) map taking a row of 12 DOF values v to scale[f, j] v[j].
-
-    Each output column has a single nonzero coefficient, so its matmul is
-    one exact product per entry.
-    """
-    out = np.zeros((12, len(scale), 12))
-    out[np.arange(12), :, np.arange(12)] = scale.T
-    return out.reshape(12, -1)
-
-
 def _slot_contraction(coef):
     """(k * 12, f * 12) map of slot-major DOF rows through coef[k, f, j].
 
@@ -292,7 +281,7 @@ def _local_matrix_batch(slots, area, mat, quad):
         if trial == neps:
             tb = eps @ _slot_contraction(np.repeat(core.T[:, :, None], 12, 2))
         else:
-            tb = slot(trial) @ _entrywise(core[:, _FIELD])
+            tb = slot(trial) @ _slot_contraction(core[None, :, _FIELD])
         tb = tb.reshape(nel, npts, f * 12)
         tb *= w
         if test == neps:

@@ -31,9 +31,10 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import partial
-from importlib import metadata, resources
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ import scipy
 from . import dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, patch_test
 from .blas import numpy_blas_single_thread
-from .config import load_config
+from .config import load_config, package_file
 from .csvfmt import FMT, format_rows
 from .errors import NumericalError, PemplateError, ValidationError
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
@@ -58,7 +59,6 @@ def write_csv(path, header, rows):
     """Writes ``header`` and the 2-D array ``rows``, one line per row:
     numbers exactly as ``FMT`` writes them (:mod:`.csvfmt`), text
     cells as they are."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     if rows.dtype.kind == "U":
         np.savetxt(path, rows, fmt="%s", delimiter=",",
                    header=",".join(header), comments="")
@@ -101,10 +101,15 @@ class Run:
 
     @_stage("mesh")
     def mesh(self):
+        """The mesh; fails here if it does not hold the impulse point."""
         c = self.cfg
-        if c.mesh_kind == "file":
-            return load_mesh(c.mesh_path)
-        return generate_structured_square(c.mesh_n, c.mesh_side, c.mesh_pattern)
+        mesh = (load_mesh(c.mesh_path) if c.mesh_kind == "file" else
+                generate_structured_square(c.mesh_n, c.mesh_side, c.mesh_pattern))
+        point = c.simulation.point
+        if point is not None and mesh.locate(*point) is None:
+            raise ValidationError(f"config field [simulation] point {point[0]:g} "
+                                  f"{point[1]:g} lies outside the mesh")
+        return mesh
 
     @_stage("assembly")
     def system(self, net):
@@ -335,12 +340,23 @@ def build_parser():
     return p
 
 
-def _config_path(args):
-    if args.preset is None:
-        return Path(args.config)
-    ref = resources.files("pemplate") / "presets" / f"{args.preset}.cfg"
-    with resources.as_file(ref) as concrete:
-        return Path(concrete)
+@contextmanager
+def _output_dir(path):
+    """Makes the output directory for the block; a failed block leaves no
+    directory that was missing before and holds nothing."""
+    out_dir = Path(path)
+    missing = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {path}: {exc.strerror}") from None
+    try:
+        yield out_dir
+    except BaseException:
+        for made in missing:
+            with suppress(OSError):
+                made.rmdir()
+        raise
 
 
 def main(argv=None):
@@ -350,17 +366,18 @@ def main(argv=None):
         try:
             if args.command == "patch-test":
                 return cmd_patch_test(corrupt_mu=args.corrupt_mu)
-            run = Run(load_config(_config_path(args)))
+            run = Run(load_config(args.config if args.preset is None else
+                                  package_file("presets", f"{args.preset}.cfg")))
             reports, _ = COMMANDS[args.command]
-            out_dir = Path(args.out)
-            lines = [line for report in reports for line in report(run, out_dir)]
+            with _output_dir(args.out) as out_dir:
+                lines = [line for report in reports
+                         for line in report(run, out_dir)]
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
-        out_dir.mkdir(parents=True, exist_ok=True)
         manifest = json.dumps(_manifest(run.cfg.source_text), indent=2)
         (out_dir / "manifest.json").write_text(manifest + "\n")
         summary = "".join(f"{line}\n" for line in lines)

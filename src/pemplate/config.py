@@ -144,10 +144,10 @@ class RunConfig:
     """Validated run description driving the pipeline stages."""
 
     mesh_kind: str
-    mesh_n: int
-    mesh_side: float
-    mesh_pattern: str
-    mesh_path: Path | None
+    mesh_n: int | None      # structured meshes only
+    mesh_side: float | None
+    mesh_pattern: str | None
+    mesh_path: Path | None  # file meshes only
     plate: PlateParams
     network: NetworkParams
     bcs: tuple
@@ -161,12 +161,16 @@ class RunConfig:
     source_text: str = field(repr=False, default="")
 
 
+def package_file(folder, name):
+    """Path of the file ``name`` in the package's ``folder``."""
+    ref = resources.files("pemplate") / folder / name
+    with resources.as_file(ref) as concrete:
+        return Path(concrete)
+
+
 def _resolve_mesh_path(raw, base_dir):
     if raw.startswith("builtin:"):
-        name = raw.split(":", 1)[1]
-        ref = resources.files("pemplate").joinpath("data").joinpath(name)
-        with resources.as_file(ref) as concrete:
-            return Path(concrete)
+        return package_file("data", raw.split(":", 1)[1])
     p = Path(raw)
     if not p.is_absolute() and base_dir is not None:
         p = Path(base_dir) / p
@@ -203,11 +207,12 @@ def parse_config(text, origin="<config>", base_dir=None):
     if kind not in ("structured", "file"):
         raise ValidationError(f"config field [mesh] kind must be "
                               f"'structured' or 'file', got '{kind}'")
-    mesh_path = None
-    n = mesh.get_int("n", 16)
-    side = mesh.get_float("side", 1.0)
-    pattern = mesh.get_str("pattern", "crossed")
+    # a key of the other mesh kind is an unknown-key error below
+    n = side = pattern = mesh_path = None
     if kind == "structured":
+        n = mesh.get_int("n", 16)
+        side = mesh.get_float("side", 1.0)
+        pattern = mesh.get_str("pattern", "crossed")
         if n < 1:
             raise ValidationError("config field [mesh] n must be >= 1")
         if side <= 0:

@@ -37,7 +37,6 @@ from .element import specht_shape_functions, triangle_geometry
 from .errors import IntegrationError, ValidationError
 # unused here; kept importable because benchmarks/tracer.py patches it
 from .material import build_material  # noqa: F401
-from .mesh import _barycentric
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SETTLING_FRACTION = 0.05
@@ -75,21 +74,21 @@ def impulse_ic(sys, modes, point, magnitude=1.0):
     """Point mechanical impulse projected on the retained basis.
 
     Builds the consistent nodal impulse p (transverse shape-function weights
-    of the element containing the point) and sets z'(0) = T p, which is the
-    K2-consistent velocity jump expressed in K2-orthonormal coordinates.
+    in the triangle :meth:`~pemplate.mesh.Mesh.locate` finds) and sets
+    z'(0) = T p, which is the K2-consistent velocity jump expressed in
+    K2-orthonormal coordinates.
     """
     x, y = point
-    e = sys.mesh.contains_point(x, y)
-    if e is None:
+    found = sys.mesh.locate(x, y)
+    if found is None:
         raise ValidationError(f"impulse point {point} lies outside the mesh")
+    e, L = found
     tri = sys.mesh.triangles[e]
-    coords = sys.mesh.nodes[tri]
-    geom = triangle_geometry(coords)
-    L = _barycentric(coords, x, y, tol=1e-9)
-    ev = specht_shape_functions(geom, L)
+    geom = triangle_geometry(sys.mesh.nodes[tri])
+    ev = specht_shape_functions(geom, L[None])
 
     p_full = np.zeros((sys.mesh.n_nodes, asm.DOFS_PER_NODE))
-    p_full[tri, :3] = magnitude * ev.value.reshape(3, 3)
+    p_full[tri, :3] = magnitude * ev.value[0].reshape(3, 3)
     p_free = p_full.ravel()[sys.dof_map.free_to_full]
     zdot0 = modes.vectors.T @ p_free
     if not zdot0.any():

@@ -135,12 +135,6 @@ def _monomial_second(L):
     return out
 
 
-def _as_points(L):
-    L = np.asarray(L, dtype=float)
-    single = L.ndim == 1
-    return (L.reshape(1, 3), single) if single else (L, False)
-
-
 def shape_combination(geom):
     """Matrix mapping P components to nodal shape functions (9 x 9).
 
@@ -188,14 +182,14 @@ class ShapeEval:
 
 
 def specht_shape_functions(geom, L):
-    """Evaluate the nine bending shape functions with all derivatives."""
-    pts, single = _as_points(L)
+    """The nine bending shape functions with all derivatives at the points
+    ``L``, an (npts, 3) array of area coordinates."""
     coef = p_coefficients(geom.mu)
     comb = shape_combination(geom) @ coef  # (9 dof, 12 monomials)
 
-    val = _monomials(pts) @ comb.T
-    dL = _monomial_first(pts)  # (3, npts, 12)
-    d2L = _monomial_second(pts)  # (3, 3, npts, 12)
+    val = _monomials(L) @ comb.T
+    dL = _monomial_first(L)  # (3, npts, 12)
+    d2L = _monomial_second(L)  # (3, 3, npts, 12)
 
     gx = geom.b / (2.0 * geom.area)
     gy = geom.c / (2.0 * geom.area)
@@ -204,9 +198,6 @@ def specht_shape_functions(geom, L):
     dxx = np.einsum("l,m,lmpq,dq->pd", gx, gx, d2L, comb)
     dyy = np.einsum("l,m,lmpq,dq->pd", gy, gy, d2L, comb)
     dxy = np.einsum("l,m,lmpq,dq->pd", gx, gy, d2L, comb)
-
-    if single:
-        return ShapeEval(val[0], dx[0], dy[0], dxx[0], dyy[0], dxy[0])
     return ShapeEval(val, dx, dy, dxx, dyy, dxy)
 
 

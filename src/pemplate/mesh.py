@@ -20,6 +20,7 @@ from .errors import (
 )
 
 _AREA_TOL = 1e-14
+_LOCATE_TOL = 1e-12
 
 
 def triangle_signed_area(coords):
@@ -129,23 +130,20 @@ class Mesh:
     def total_area(self):
         return float(self.triangle_areas().sum())
 
-    def contains_point(self, x, y, tol=1e-12):
-        """Index of a triangle containing (x, y), or None."""
-        for e, tri in enumerate(self.triangles):
-            if _barycentric(self.nodes[tri], x, y, tol) is not None:
-                return e
-        return None
-
-
-def _barycentric(coords, x, y, tol):
-    a2 = 2.0 * triangle_signed_area(coords)
-    (x1, y1), (x2, y2), (x3, y3) = coords
-    l1 = ((x2 * y3 - x3 * y2) + (y2 - y3) * x + (x3 - x2) * y) / a2
-    l2 = ((x3 * y1 - x1 * y3) + (y3 - y1) * x + (x1 - x3) * y) / a2
-    l3 = 1.0 - l1 - l2
-    if l1 >= -tol and l2 >= -tol and l3 >= -tol:
-        return np.array([l1, l2, l3])
-    return None
+    def locate(self, x, y):
+        """``(e, L)`` of the first triangle e whose area coordinates L of
+        (x, y) are all >= -1e-12, or None: a point outside the mesh."""
+        p = self.nodes[self.triangles]
+        (x1, x2, x3), (y1, y2, y3) = p[..., 0].T, p[..., 1].T
+        a2 = 2.0 * triangle_signed_area(p)
+        l1 = ((x2 * y3 - x3 * y2) + (y2 - y3) * x + (x3 - x2) * y) / a2
+        l2 = ((x3 * y1 - x1 * y3) + (y3 - y1) * x + (x1 - x3) * y) / a2
+        L = np.column_stack([l1, l2, 1.0 - l1 - l2])
+        hits = np.flatnonzero((L >= -_LOCATE_TOL).all(axis=1))
+        if hits.size == 0:
+            return None
+        e = int(hits[0])
+        return e, L[e]
 
 
 def generate_structured_square(n, side=1.0, pattern="crossed"):

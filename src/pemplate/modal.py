@@ -105,10 +105,10 @@ def _solve_pencil(k0, k2, n):
     return np.sqrt(vals), vecs
 
 
-def _clusters(omegas, rel_gap=CLUSTER_RELATIVE_GAP):
+def _clusters(omegas):
     groups = [[0]]
     for i in range(1, len(omegas)):
-        if omegas[i] - omegas[i - 1] <= rel_gap * max(omegas[i], 1e-300):
+        if omegas[i] - omegas[i - 1] <= CLUSTER_RELATIVE_GAP * max(omegas[i], 1e-300):
             groups[-1].append(i)
         else:
             groups.append([i])

@@ -52,6 +52,14 @@ steps_per_period = 60
 SEARCH = "\n[search]\nr_lo = 0.02\nr_hi = 2.0\n"
 UNTUNED_CFG = SMALL_CFG.replace("[tuning]\nmech_mode = 1\nelec_mode = 1\n", "")
 IMPULSE_CFG = SMALL_CFG.replace("ic = unimodal", "ic = impulse\npoint = 0.6 0.6")
+DEMO_CFG = (resources.files("pemplate") / "presets" / "clamped-demo.cfg").read_text()
+
+
+def never_assemble(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(cli, "assemble", fail)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -106,6 +114,18 @@ class TestConfigParsing:
         cfg = parse_config("[mesh]\nkind = file\npath = builtin:l_shape.mesh\n"
                            "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
         assert cfg.mesh_path.exists()
+
+    @pytest.mark.parametrize("line", ["n = 32", "side = 5", "pattern = bogus"])
+    def test_file_mesh_rejects_structured_keys(self, tmp_path, capsys, line):
+        text = DEMO_CFG.replace("kind = file\n", f"kind = file\n{line}\n")
+        cfg = write_cfg(tmp_path, text)
+        lineno = text.splitlines().index(line) + 1
+        key = line.split(" =")[0]
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"run.cfg:{lineno}: unknown key '{key}' in [mesh]" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_typo_key_names_file_and_line(self, tmp_path):
         text = SMALL_CFG.replace("side = 1.0", "sied = 2.0")
@@ -292,6 +312,30 @@ class TestCommands:
         assert "edge (0, 1) is shared by 3 triangles" in err
         assert "Traceback" not in err
 
+    def test_out_naming_a_file_exits_1_before_assembly(self, tmp_path, capsys,
+                                                       monkeypatch):
+        never_assemble(monkeypatch)
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["modes", "--preset", "paper-square", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --out {out}" in err
+        assert "Traceback" not in err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_impulse_point_off_mesh_exits_1_before_assembly(
+            self, tmp_path, capsys, monkeypatch, command):
+        never_assemble(monkeypatch)
+        text = DEMO_CFG.replace("point = 0.6 0.6", "point = 5 5")
+        out = tmp_path / "runs" / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[stage mesh]" in err
+        assert "[simulation] point 5 5 lies outside the mesh" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_patch_test_exit_codes(self, capsys):
         assert main(["patch-test"]) == 0
         assert "PASSED" in capsys.readouterr().out
@@ -375,8 +419,8 @@ class TestWriter:
         header = ["index", "a", "b", "c", "d"]
         write_csv_reference(tmp_path / "old.csv", header, rows)
         table = np.column_stack([np.arange(1, len(values) + 1), values])
-        cli.write_csv(tmp_path / "new" / "table.csv", header, table)
-        assert (tmp_path / "new" / "table.csv").read_bytes() == \
+        cli.write_csv(tmp_path / "table.csv", header, table)
+        assert (tmp_path / "table.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
 
     def test_text_cells_written_as_given(self, tmp_path):

@@ -191,7 +191,7 @@ class TestShapeFunctions:
                 x0, y0 = coords[m]
 
                 def w_at(x, y):
-                    return interpolate(g, dofs, barycentric(coords, x, y))
+                    return interpolate(g, dofs, barycentric(coords, x, y)[None])[0]
 
                 wx = (w_at(x0 + h, y0) - w_at(x0 - h, y0)) / (2 * h)
                 wy = (w_at(x0, y0 + h) - w_at(x0, y0 - h)) / (2 * h)
@@ -252,17 +252,17 @@ class TestShapeFunctions:
             x, y = p
 
             def w_at(xx, yy):
-                return interpolate(g, dofs, barycentric(coords, xx, yy))
+                return interpolate(g, dofs, barycentric(coords, xx, yy)[None])[0]
 
             fxx = (w_at(x + h, y) - 2 * w_at(x, y) + w_at(x - h, y)) / h**2
             fyy = (w_at(x, y + h) - 2 * w_at(x, y) + w_at(x, y - h)) / h**2
             fxy = (w_at(x + h, y + h) - w_at(x + h, y - h)
                    - w_at(x - h, y + h) + w_at(x - h, y - h)) / (4 * h**2)
             L = barycentric(coords, x, y)
-            ev = specht_shape_functions(g, L)
-            assert ev.dxx @ dofs == pytest.approx(fxx, abs=1e-5 * max(1, abs(fxx)))
-            assert ev.dyy @ dofs == pytest.approx(fyy, abs=1e-5 * max(1, abs(fyy)))
-            assert ev.dxy @ dofs == pytest.approx(fxy, abs=1e-5 * max(1, abs(fxy)))
+            ev = specht_shape_functions(g, L[None])
+            assert ev.dxx[0] @ dofs == pytest.approx(fxx, abs=1e-5 * max(1, abs(fxx)))
+            assert ev.dyy[0] @ dofs == pytest.approx(fyy, abs=1e-5 * max(1, abs(fyy)))
+            assert ev.dxy[0] @ dofs == pytest.approx(fxy, abs=1e-5 * max(1, abs(fxy)))
 
 
 class TestLinearShapes:

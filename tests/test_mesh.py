@@ -283,7 +283,37 @@ class TestStatistics:
         assert s.total_area == pytest.approx(total, abs=1e-12)
 
 
-def test_contains_point():
-    m = generate_structured_square(2, 1.0, "crossed")
-    assert m.contains_point(0.3, 0.4) is not None
-    assert m.contains_point(1.4, 0.4) is None
+def first_triangle_holding(mesh, x, y):
+    # one triangle at a time, with the area-coordinate formula written out
+    for e, ((x1, y1), (x2, y2), (x3, y3)) in enumerate(mesh.nodes[mesh.triangles]):
+        a2 = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+        l1 = ((x2 * y3 - x3 * y2) + (y2 - y3) * x + (x3 - x2) * y) / a2
+        l2 = ((x3 * y1 - x1 * y3) + (y3 - y1) * x + (x1 - x3) * y) / a2
+        l3 = 1.0 - l1 - l2
+        if min(l1, l2, l3) >= -1e-12:
+            return e, np.array([l1, l2, l3])
+    return None
+
+
+@pytest.mark.parametrize("mesh", [
+    generate_structured_square(2, 1.0, "crossed"),
+    load_mesh(resources.files("pemplate") / "data" / "l_shape.mesh"),
+], ids=["square", "lshape"])
+def test_locate(mesh):
+    # nodes, edge midpoints and random points, some outside the domain
+    rng = np.random.default_rng(4)
+    p = mesh.nodes[mesh.triangles]
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    points = [*mesh.nodes, *(0.5 * (p + np.roll(p, 1, axis=1))).reshape(-1, 2),
+              *rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (60, 2))]
+    misses = 0
+    for x, y in points:
+        expect = first_triangle_holding(mesh, x, y)
+        found = mesh.locate(x, y)
+        if expect is None:
+            assert found is None
+            misses += 1
+        else:
+            assert found[0] == expect[0]
+            assert np.array_equal(found[1], expect[1])
+    assert 0 < misses < len(points)
