@@ -19,10 +19,10 @@ network), and only ``Run`` assembles or solves a network::
                         -> modes(net) -> network (L_N tuned by [tuning])
          -> basis -> reduced(net) -> simulation, search
 
-Modes, coupling, basis and simulation use the conservative network
-(``conservative_twin``: R_N = G_N = 0); the search combines the tuned
-network reduced at R_N = 0 and 1 and always drives the tuned mechanical mode
-against the tuned electric mode ([tuning] mech_mode / elec_mode).
+Every network a run assembles is conservative (R_N = G_N = 0), made once
+from the configured one; the search scales R_N and G_N into the simulation's
+reduction (:func:`.dynamics.resistance_family`) and always drives the tuned
+mechanical mode against the tuned electric mode ([tuning] mech_mode / elec_mode).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from functools import partial
 from importlib import metadata
 from pathlib import Path
@@ -96,6 +95,7 @@ class Run:
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.configured = conservative_twin(cfg.network)  # R_N = G_N = 0
         self._memo = {}
         self._workspace = AssemblyWorkspace()
 
@@ -121,28 +121,26 @@ class Run:
     def mechanical_modes(self):
         """Bending-family modes, the same for every network: L_N, R_N and
         G_N reach no entry of the bending block of K2 and K0."""
-        sys = self.system(conservative_twin(self.cfg.network))
+        sys = self.system(self.configured)
         return solve_family_modes(sys, "mechanical", self.cfg.n_mech)
 
     @_stage("modal")
     def modes(self, net):
-        """(mechanical, electric) family modes of the conservative system."""
-        sys = self.system(conservative_twin(net))
+        """(mechanical, electric) family modes of ``net``."""
         return (self.mechanical_modes(),
-                solve_family_modes(sys, "electric", self.cfg.n_elec))
+                solve_family_modes(self.system(net), "electric", self.cfg.n_elec))
 
     @_stage("tuning")
     def network(self):
         c = self.cfg
         if c.tune_mech is None:
-            return c.network
-        return tune_inductance(*self.modes(c.network), c.network,
+            return self.configured
+        return tune_inductance(*self.modes(self.configured), self.configured,
                                c.tune_mech - 1, c.tune_elec - 1)
 
     @_stage("coupling")
     def coupling(self, net):
-        return modal.coupling_table(*self.modes(net),
-                                    self.system(conservative_twin(net)))
+        return modal.coupling_table(*self.modes(net), self.system(net))
 
     @_stage("modal")
     def basis(self):
@@ -157,7 +155,7 @@ class Run:
     @_stage("simulation")
     def simulation(self):
         sim = self.cfg.simulation
-        net = conservative_twin(self.network())
+        net = self.network()
         basis, rs = self.basis(), self.reduced(net)
         drive = (basis.mechanical_indices() if sim.family == "mechanical"
                  else basis.electric_indices())[sim.mode - 1]
@@ -175,17 +173,17 @@ class Run:
     def search(self):
         c = self.cfg
         net = self.network()
-        basis = self.basis()
+        basis, rs = self.basis(), self.reduced(net)
         drive = basis.mechanical_indices()[c.tune_mech - 1]
         partner = basis.electric_indices()[c.tune_elec - 1]
-        beat = dynamics.beat_period(self.reduced(conservative_twin(net)), drive,
-                                    partner)
+        beat = dynamics.beat_period(rs, drive, partner)
         if not np.isfinite(beat):
             raise ValidationError("zero electromechanical coupling: nothing to damp")
-        rs0, rs1 = (self.reduced(replace(net, resistance=r)) for r in (0.0, 1.0))
         evaluate = dynamics.damping_evaluator(
-            dynamics.resistance_family(rs0, rs1, net.inductance), basis, drive,
-            partner, t_f=4.0 * beat, dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
+            dynamics.resistance_family(rs, self.system(net).material,
+                                       c.network.conductance),
+            basis, drive, partner, t_f=4.0 * beat,
+            dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
         report = dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
         if not report.best.converged:
             raise NumericalError("the damping fit did not converge at R* = "
@@ -220,7 +218,7 @@ def report_tuning(run, out_dir, optional=False):
 
 def report_modes(run, out_dir, tuned=True, name="modes.csv"):
     """The mode table of the tuned (else the configured) network."""
-    net = run.network() if tuned else run.cfg.network
+    net = run.network() if tuned else run.configured
     # the square catalogs apply to every structured mesh: the generator only
     # produces squares, and the normalized spectra are side-independent
     header, rows, notices = reference.mode_table(
@@ -233,7 +231,7 @@ def report_modes(run, out_dir, tuned=True, name="modes.csv"):
 
 def report_coupling(run, out_dir, tuned=True, raw=False):
     """The max-normalized coupling table; the raw one too if ``raw``."""
-    table = run.coupling(run.network() if tuned else run.cfg.network)
+    table = run.coupling(run.network() if tuned else run.configured)
     header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
     index = np.arange(1, table.raw.shape[0] + 1)
     write_csv(out_dir / "coupling.csv", header,

@@ -13,12 +13,11 @@ mode 1, and ``[search]`` must give ``r_lo`` and ``r_hi``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .assembly import BoundaryCondition
 from .errors import ValidationError
@@ -93,11 +92,15 @@ class _Section(dict):
     def get_float(self, key, default=None):
         raw = self.get_str(key, None if default is None else str(default))
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ValidationError(
                 f"config field [{self.name}] {key} = '{raw}' is not a number"
             ) from None
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"config field [{self.name}] {key} = '{raw}' is not finite")
+        return value
 
     def get_int(self, key, default=None):
         raw = self.get_str(key, None if default is None else str(default))
@@ -117,11 +120,15 @@ class _Section(dict):
                 f"got '{raw}'"
             )
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
             raise ValidationError(
                 f"config field [{self.name}] {key} = '{raw}' has a non-number"
             ) from None
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(
+                f"config field [{self.name}] {key} = '{raw}' is not finite")
+        return values
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,12 @@ def load_config(path):
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
-    return parse_config(path.read_text(), origin=str(path), base_dir=path.parent)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"config file {path} is unreadable: {reason}") from None
+    return parse_config(text, origin=str(path), base_dir=path.parent)
 
 
 def parse_config(text, origin="<config>", base_dir=None):
@@ -293,11 +305,11 @@ def parse_config(text, origin="<config>", base_dir=None):
     t_f = sim.get_float("t_f") if "t_f" in sim else None
     dt = sim.get_float("dt") if "dt" in sim else None
     for key, value in (("amplitude", amplitude), ("magnitude", magnitude)):
-        if not (np.isfinite(value) and value != 0):
+        if value == 0:
             raise ValidationError(f"config field [simulation] {key} must be "
                                   f"finite and nonzero, got {value}")
     for key, value in (("beats", beats), ("t_f", t_f), ("dt", dt)):
-        if value is not None and not (np.isfinite(value) and value > 0):
+        if value is not None and not value > 0:
             raise ValidationError(f"config field [simulation] {key} must be "
                                   f"finite and positive, got {value}")
     simulation = SimulationBlock(

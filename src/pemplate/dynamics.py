@@ -18,9 +18,9 @@ increment matrix D once, and from it the increments of 1 to ``BLOCK`` steps,
 
 The net-resistance search wraps an evaluator (one evaluation = reduced system
 at the candidate R_N -> integrate -> log-decrement fit) with a coarse scan
-plus golden-section refinement. The reduced matrices are affine in R_N, so
-:func:`resistance_family` turns the caller's two reductions (R_N = 0 and 1)
-into every candidate as a linear combination; nothing here assembles.
+plus golden-section refinement. :func:`resistance_family` scales R_N and G_N
+into the one conservative reduction the simulation also uses; nothing here
+assembles.
 """
 
 from __future__ import annotations
@@ -338,31 +338,33 @@ class DampingReport:
     warnings: tuple
 
 
-# ReducedSystem fields that depend on R_N; all of them are affine in it.
-_RESISTIVE_FIELDS = ("k1red", "k0red", "k0sym")
+def resistance_family(rs, material, conductance):
+    """Map R_N -> ReducedSystem of the network with conductance G_N.
 
+    ``rs`` is a system with R_N = G_N = 0 reduced, ``material`` its material
+    (L_N, C_N). R_N and G_N only scale E2, the electric block of ``k2red``,
+    and K1e, ``k1red`` with its mechanical columns zeroed (:mod:`.assembly`).
+    With r = R_N / L_N:
 
-def resistance_family(rs0, rs1, inductance):
-    """Map R_N -> ReducedSystem from the reductions at R_N = 0 and 1.
-
-    R_N enters the material only linearly (the damping and stiffness
-    couplings S, T and R), so every reduced matrix is affine in it. ``rs0``
-    and ``rs1`` are one network (G_N included) at R_N = 0 and R_N = 1,
-    reduced on one basis; a candidate R is rs0 + R (rs1 - rs0), with the
-    cross-energy ratio R / ``inductance`` (the network's L_N).
+        k1red + (r + G_N / C_N) E2,  k0red + r K1e + (G_N r / C_N) E2,
+        k0sym + (r / 2) (K1e + K1e^T) + (G_N r / C_N) E2,  cross ratio r.
     """
-    slopes = {name: getattr(rs1, name) - getattr(rs0, name)
-              for name in _RESISTIVE_FIELDS}
+    e2 = _family_block(rs, rs.k2red, "electric")
+    k1e = np.where([label == "electric" for label in rs.modes.labels],
+                   rs.k1red, 0.0)
 
     def reduced(resistance):
         r = float(resistance)
         if not r >= 0.0:
             raise ValidationError(
                 f"net resistance must be non-negative, got {resistance}")
+        ratio = r / material.network.inductance
+        shunt = conductance * ratio / material.c_n
         return replace(
-            rs0, cross_ratio=r / inductance,
-            **{name: getattr(rs0, name) + r * slope
-               for name, slope in slopes.items()},
+            rs, cross_ratio=ratio,
+            k1red=rs.k1red + (ratio + conductance / material.c_n) * e2,
+            k0red=rs.k0red + ratio * k1e + shunt * e2,
+            k0sym=rs.k0sym + (0.5 * ratio) * (k1e + k1e.T) + shunt * e2,
         )
 
     return reduced

@@ -185,6 +185,6 @@ def build_material(plate, net):
 
 
 def conservative_twin(net):
-    """The same network with R_N = G_N = 0: the one the modal basis and the
-    simulation are built from."""
+    """The same network with R_N = G_N = 0, the only kind a run assembles:
+    R_N and G_N scale blocks of its reduction (``resistance_family``)."""
     return replace(net, resistance=0.0, conductance=0.0)

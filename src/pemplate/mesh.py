@@ -66,6 +66,12 @@ class Mesh:
             raise ValidationError("node array must have shape (n_nodes, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValidationError("triangle array must have shape (n_triangles, 3)")
+        # a NaN area passes both the zero-area and the clockwise test below
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise ValidationError(f"node {node} has a non-finite coordinate "
+                                  f"{tuple(map(float, self.nodes[node]))}")
         n = len(self.nodes)
         tris = self.triangles
         # per-triangle checks in order: repeated node, dangling node, zero
@@ -211,11 +217,15 @@ def load_mesh(path):
     by swapping two node ids.
     """
     tokens_per_line = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                tokens_per_line.append((lineno, text.split()))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    tokens_per_line.append((lineno, text.split()))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MeshParseError(f"mesh file {path} is unreadable: {reason}") from None
 
     if not tokens_per_line:
         raise MeshParseError(f"{path}: empty mesh file")

@@ -2,15 +2,14 @@
 
 The modal basis neglects the first-order matrix K1, so the conservative
 eigenproblem K0 a = omega^2 K2 a decouples into the pure bending and pure
-electric families: K0 and K2 of the conservative network are block-diagonal
-across the two fields; a dissipative network adds to K0 only a
-mechanical-row, electric-column block (R_N) and a symmetric electric block
-(G_N R_N), so each family's sub-blocks stay symmetric for any R_N and G_N.
-Every mode is solved in one family and is field-pure; the retained basis is
-the merge of the two family solves. Eigenvectors are K2-orthonormal; the
-reduced model follows by projecting all three matrices (and the symmetric
-part of K0, for the energies) on the retained rows. Field-pure vectors make
-each family's energy form the family block of a reduced matrix.
+electric families: K0 and K2 of the conservative network (R_N = G_N = 0)
+are block-diagonal across the two fields. Every mode is solved in one family
+and is field-pure; the retained basis is the merge of the two family solves.
+Eigenvectors are K2-orthonormal; the reduced model follows by projecting all
+three matrices (and the symmetric part of K0, for the energies) on the
+retained rows. Field-pure vectors make each family's energy form the family
+block of a reduced matrix. One conservative reduction serves every R_N and
+G_N: they only scale blocks it holds (:func:`.dynamics.resistance_family`).
 
 One rule settles every tie: :func:`_clusters` groups frequencies closer
 than ``CLUSTER_RELATIVE_GAP``. Inside a family's cluster the eigenvectors

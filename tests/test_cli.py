@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -242,25 +243,75 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("base, key, value, rule", [
-        (SMALL_CFG, "amplitude", "0", "finite and nonzero"),
-        (SMALL_CFG, "amplitude", "nan", "finite and nonzero"),
-        (IMPULSE_CFG, "magnitude", "0", "finite and nonzero"),
-        (SMALL_CFG, "beats", "0", "finite and positive"),
-        (SMALL_CFG, "beats", "-1", "finite and positive"),
-        (SMALL_CFG, "t_f", "0", "finite and positive"),
-        (SMALL_CFG, "dt", "-0.5", "finite and positive"),
+        (SMALL_CFG, "amplitude", "0", "must be finite and nonzero"),
+        (SMALL_CFG, "amplitude", "nan", "= 'nan' is not finite"),
+        (IMPULSE_CFG, "magnitude", "0", "must be finite and nonzero"),
+        (SMALL_CFG, "beats", "0", "must be finite and positive"),
+        (SMALL_CFG, "beats", "-1", "must be finite and positive"),
+        (SMALL_CFG, "t_f", "0", "must be finite and positive"),
+        (SMALL_CFG, "dt", "-0.5", "must be finite and positive"),
     ], ids=["amplitude", "amplitude-nan", "magnitude", "beats-zero",
             "beats-negative", "t_f", "dt"])
     def test_bad_simulation_value_exits_1_at_load(self, tmp_path, capsys,
                                                   base, key, value, rule):
         text = base.replace("beats = 2\n", "") + f"{key} = {value}\n"
-        with pytest.raises(ValidationError,
-                           match=rf"\[simulation\] {key} must be {rule}"):
+        message = f"[simulation] {key} {rule}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             parse_config(text)
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"[simulation] {key} must be {rule}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("material", "rho", "nan"),
+        ("material", "h", "nan"),
+        ("network", "inductance", "inf"),
+        ("network", "capacitance", "nan"),
+        ("mesh", "side", "inf"),
+    ])
+    def test_non_finite_number_exits_1_before_assembly(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
+        never_assemble(monkeypatch)
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SMALL_CFG)
+        assert f"{key} = {value}" in text
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config field [{section}] {key} = '{value}' is not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, monkeypatch,
+                                       kind):
+        never_assemble(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(SMALL_CFG.encode() + b"# \xff\xfe latin-1\n")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config file {cfg} is unreadable" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mesh_path_naming_a_directory_exits_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        never_assemble(monkeypatch)
+        (tmp_path / "plate.mesh").mkdir()
+        text = ("[mesh]\nkind = file\npath = plate.mesh\n"
+                "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"mesh file {tmp_path / 'plate.mesh'} is unreadable" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -311,6 +362,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "edge (0, 1) is shared by 3 triangles" in err
         assert "Traceback" not in err
+
+    def test_nan_mesh_node_exits_1_before_assembly(self, tmp_path, capsys,
+                                                   monkeypatch):
+        never_assemble(monkeypatch)
+        (tmp_path / "plate.mesh").write_text(
+            "nodes 4 triangles 2 groups 1\n0 0\n1 0\nnan 0.5\n0 1\n"
+            "0 1 2\n0 2 3\ngroup boundary\n0 1 2 3\n")
+        text = ("[mesh]\nkind = file\npath = plate.mesh\n"
+                "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[stage mesh] node 2 has a non-finite coordinate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_out_naming_a_file_exits_1_before_assembly(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -579,12 +646,12 @@ class TestStageGraph:
         counted("solve_family_modes")
         run_cli("pipeline", write_cfg(tmp_path, SMALL_CFG + SEARCH),
                 tmp_path / "out")
-        # untuned and tuned conservative systems (the tuned one is also the
-        # search's R_N = 0 system) and the search's R_N = 1 system; one
-        # mechanical family for every network, one electric family each
-        assert counts == {"assemble": 3, "solve_family_modes": 3}
+        # the untuned and the tuned conservative systems (the search scales
+        # R_N into the tuned one's reduction); one mechanical family for
+        # every network, one electric family each
+        assert counts == {"assemble": 2, "solve_family_modes": 3}
 
-    def test_pipeline_with_conductance_assembles_r0_separately(
+    def test_pipeline_with_conductance_assembles_only_conservative_networks(
             self, tmp_path, monkeypatch):
         assembled = []
         assemble = cli.assemble
@@ -598,10 +665,16 @@ class TestStageGraph:
                                  "capacitance = 1.0\nconductance = 0.3")
         out = run_cli("pipeline", write_cfg(tmp_path, text + SEARCH),
                       tmp_path / "out")
+        # G_N, like R_N, only scales blocks of the conservative reduction
         assert [(n.resistance, n.conductance) for n in assembled] == \
-            [(0.0, 0.0), (0.0, 0.0), (0.0, 0.3), (1.0, 0.3)]
-        assert assembled[1].inductance == assembled[2].inductance
+            [(0.0, 0.0), (0.0, 0.0)]
+        assert assembled[0].inductance != assembled[1].inductance
         assert "optimal resistance R*" in (out / "summary.txt").read_text()
+        # and the search still sees G_N
+        plain = run_cli("optimize-r", write_cfg(tmp_path, SMALL_CFG + SEARCH,
+                                                "plain.cfg"), tmp_path / "plain")
+        assert ((plain / "damping.csv").read_bytes()
+                != (out / "damping.csv").read_bytes())
 
     def test_electric_simulation_reports_electric_energy(self, tmp_path,
                                                          capsys):

@@ -23,7 +23,12 @@ from pemplate.dynamics import (
 )
 from pemplate.element import specht_shape_functions, triangle_geometry
 from pemplate.errors import IntegrationError, ValidationError
-from pemplate.material import NetworkParams, PlateParams, build_material
+from pemplate.material import (
+    NetworkParams,
+    PlateParams,
+    build_material,
+    conservative_twin,
+)
 from pemplate.mesh import generate_structured_square
 from pemplate.modal import (
     ModeSet,
@@ -156,29 +161,51 @@ def direct_family(mesh, plate, net, basis):
 
 
 def affine_family(mesh, plate, net, basis):
-    """The search's family: the reductions at R_N = 0 and 1, combined."""
-    direct = direct_family(mesh, plate, net, basis)
-    return dynamics.resistance_family(direct(0.0), direct(1.0), net.inductance)
+    """The search's family: R_N and G_N scaled into the one reduction of the
+    conservative network."""
+    sys = assemble(mesh, build_material(plate, conservative_twin(net)), bcs_ss())
+    return dynamics.resistance_family(reduce(sys, basis), sys.material,
+                                      net.conductance)
 
 
 def relative_drift(en):
     return np.abs(en.total - en.total[0]).max() / en.total[0]
 
 
-@pytest.fixture(scope="module")
-def tuned_square4():
+def tuned_square(piezo_capacitance=0.0, capacitance=1.0):
     mesh = generate_structured_square(4, 1.0, "crossed")
-    plate = PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3, coupling=(0.1, 0.1, 0.0))
-    sys0 = assemble(mesh, build_material(plate, NetworkParams(inductance=1.0)),
-                    bcs_ss())
+    plate = PlateParams.isotropic(1e-3, 500.0, 1.0, 0.3, coupling=(0.1, 0.1, 0.0),
+                                  piezo_capacitance=piezo_capacitance)
+    net0 = NetworkParams(inductance=1.0, capacitance=capacitance)
+    sys0 = assemble(mesh, build_material(plate, net0), bcs_ss())
     mech = modal.solve_family_modes(sys0, "mechanical", 6)
     elec = modal.solve_family_modes(sys0, "electric", 6)
-    net = tune_inductance(mech, elec, NetworkParams(inductance=1.0), 0, 0)
+    net = tune_inductance(mech, elec, net0, 0, 0)
     sys_t = assemble(mesh, build_material(plate, net), bcs_ss())
     basis = build_modal_basis(modal.solve_family_modes(sys_t, "mechanical", 6),
                               modal.solve_family_modes(sys_t, "electric", 6))
     rs = reduce(sys_t, basis)
     return mesh, plate, net, sys_t, basis, rs
+
+
+@pytest.fixture(scope="module")
+def tuned_square4():
+    return tuned_square()
+
+
+@pytest.fixture(scope="module")
+def tuned_square4_cn():
+    """C_N = K_c + g_ee = 1.65: a family that drops C_N from its G_N terms
+    is wrong here, and right at C_N = 1."""
+    return tuned_square(piezo_capacitance=0.35, capacitance=1.3)
+
+
+# (G_N, fixture) of the family-versus-assembly checks
+FAMILY_CASES = [
+    pytest.param(0.0, "tuned_square4", id="0.0"),
+    pytest.param(0.7, "tuned_square4", id="0.7"),
+    pytest.param(0.7, "tuned_square4_cn", id="0.7-C_N1.65"),
+]
 
 
 class TestIntegrate:
@@ -580,10 +607,10 @@ class TestDampingMachinery:
         fit = fit_damping(traj, en.mech, basis.omegas[m1], beat_period=Tb)
         assert fit.zeta <= 1e-6
 
-    @pytest.mark.parametrize("conductance", [0.0, 0.7])
-    def test_resistance_family_matches_direct_assembly(self, tuned_square4,
-                                                       conductance):
-        mesh, plate, net, _, basis, _ = tuned_square4
+    @pytest.mark.parametrize("conductance, case", FAMILY_CASES)
+    def test_resistance_family_matches_direct_assembly(self, request,
+                                                       conductance, case):
+        mesh, plate, net, _, basis, _ = request.getfixturevalue(case)
         net = replace(net, conductance=conductance)
         reduced = affine_family(mesh, plate, net, basis)
         for r in (0.013, 0.4, 3.7):
@@ -596,9 +623,9 @@ class TestDampingMachinery:
                                                        rel=1e-15)
             assert affine.modes is basis
 
-    @pytest.mark.parametrize("conductance", [0.0, 0.7])
-    def test_evaluator_matches_direct_path(self, tuned_square4, conductance):
-        mesh, plate, net, _, basis, rs = tuned_square4
+    @pytest.mark.parametrize("conductance, case", FAMILY_CASES)
+    def test_evaluator_matches_direct_path(self, request, conductance, case):
+        mesh, plate, net, _, basis, rs = request.getfixturevalue(case)
         net = replace(net, conductance=conductance)
         m1 = basis.mechanical_indices()[0]
         e1 = basis.electric_indices()[0]

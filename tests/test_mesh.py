@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -146,6 +147,15 @@ class TestMeshValidation:
         with pytest.raises(ValidationError, match="node 3"):
             Mesh(nodes, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_named(self, value):
+        # a NaN area would pass both the zero-area and the clockwise test
+        nodes = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
+        nodes[2, 1] = value
+        with pytest.raises(ValidationError,
+                           match="node 2 has a non-finite coordinate"):
+            Mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]))
+
     def test_nodes_immutable(self):
         m = generate_structured_square(1, 1.0, "diagonal")
         with pytest.raises(ValueError):
@@ -210,6 +220,22 @@ group rim
     def test_group_count_mismatch(self, tmp_path):
         p = self._write(tmp_path, "nodes 3 triangles 1 groups 2\n0 0\n1 0\n0 1\n0 1 2\ngroup rim\n0 1\n")
         with pytest.raises(MeshParseError, match="groups"):
+            load_mesh(p)
+
+    def test_nan_coordinate_named(self, tmp_path):
+        p = self._write(tmp_path, "nodes 3 triangles 1 groups 0\n0 0\nnan 0.5\n0 1\n0 1 2\n")
+        with pytest.raises(ValidationError, match="node 1 has a non-finite"):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_file_named(self, tmp_path, kind):
+        p = tmp_path / "m.mesh"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b"# \xff\xfe\nnodes 3 triangles 1 groups 0\n0 0\n1 0\n0 1\n0 1 2\n")
+        with pytest.raises(MeshParseError,
+                           match=re.escape(f"mesh file {p} is unreadable")):
             load_mesh(p)
 
     def test_save_load_roundtrip(self, tmp_path):
