@@ -29,12 +29,20 @@ Every sum runs in a fixed index order and leaves out only terms that are
 zero by the field structure. BLAS kernels that add each product in index
 order (OpenBLAS's do, except its small-matrix kernels, which the batch size
 keeps out of the way) therefore give the same matrices, to the last bit, as
-the plain padded two-field evaluation, whatever the batching. Batches
-are shared out over one thread per CPU, with numpy's BLAS on one thread
-(:mod:`pemplate.blas`); each batch computes and stores its own elements, so
-the worker count and the order in which batches finish change no bit
-either. Local matrices are summed straight into the free-DOF CSR pattern,
-in the order in which converting the full COO matrix to CSR would add them.
+the plain padded two-field evaluation, whatever the batching. So
+triangles whose geometry (b, c, area, mu) agrees bit for bit have bit-equal
+local matrices, and assembly computes them once per distinct geometry: a
+crossed square on a dyadic grid (side 1.0, n a power of 2) has 4, whatever
+n, and a mesh of all-distinct triangles computes every one. (So few
+geometries make a batch small enough for BLAS's small-matrix kernels where
+it has any; OpenBLAS's Haswell kernels give the same bits down to a single
+geometry.) Batches of
+distinct geometries are shared out over one thread per CPU, with numpy's
+BLAS on one thread (:mod:`pemplate.blas`); each batch computes and stores
+its own geometries, so the worker count and the order in which batches
+finish change no bit either. Local matrices are summed straight into the
+free-DOF CSR pattern, in the order in which converting the full COO matrix
+to CSR would add them.
 Last bits matter here: the eigenvalues of the ill-conditioned bending
 pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 """
@@ -63,7 +71,7 @@ _BC_COMPONENTS = {
     "free": (),
 }
 
-_CHUNK = 64  # elements per batch, keeps the per-batch arrays in cache
+_CHUNK = 64  # geometries per batch, keeps the per-batch arrays in cache
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -414,7 +422,8 @@ class AssemblyWorkspace:
 
     One workspace serves one mesh: it keeps the free-DOF sparsity pattern
     and summation plan of each boundary-condition set, so a repeated
-    assembly only computes the local matrices. The CLI keeps one per run
+    assembly only computes the element geometry, the local matrices of its
+    distinct geometries and their sums. The CLI keeps one per run
     (:class:`pemplate.cli.Run`), shared by every network that run assembles.
     """
 
@@ -475,6 +484,12 @@ def _run_batches(batch, n_batches, workers):
         raise min(failures, key=lambda f: f[0])[1]
 
 
+def _select(geom, index):
+    """The triangles ``index`` of the stacked geometry ``geom``."""
+    return el.TriangleGeometry(area=geom.area[index], b=geom.b[index],
+                               c=geom.c[index], mu=geom.mu[index])
+
+
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
@@ -487,22 +502,30 @@ def assemble(mesh, mat, bcs=(), workspace=None):
         workspace = AssemblyWorkspace()
     plan = workspace.scatter_plan(mesh, bcs, dof_map)
 
+    # triangles whose (b, c, area, mu) agree bit for bit have bit-equal
+    # local matrices: compute each distinct geometry's once. Keys are bit
+    # patterns, not values, so -0.0 and +0.0 stay apart.
+    geom = el.triangle_geometry(mesh.nodes[mesh.triangles])
+    keys = np.column_stack([geom.b, geom.c, geom.area, geom.mu])
+    _, first, inverse = np.unique(keys.view(np.int64), axis=0,
+                                  return_index=True, return_inverse=True)
+
     tables = _monomial_tables(quad)
-    entries = np.empty((3, mesh.n_triangles, 12, 12))
+    local = np.empty((3, len(first), 12, 12))
     # near-equal batches: a much smaller last batch would go through BLAS's
     # small-matrix kernels, which need not add products in index order
-    n_batches = -(-mesh.n_triangles // _CHUNK)
-    edges = np.linspace(0, mesh.n_triangles, n_batches + 1).round().astype(int)
+    n_batches = -(-len(first) // _CHUNK)
+    edges = np.linspace(0, len(first), n_batches + 1).round().astype(int)
 
     def batch(i):
-        start, stop = edges[i], edges[i + 1]
-        geom = el.triangle_geometry(mesh.nodes[mesh.triangles[start:stop]])
-        slots = _chunk_slots(geom, quad, tables)
-        entries[:, start:stop] = _local_matrix_batch(slots, geom.area, mat,
-                                                     quad)
+        part = slice(edges[i], edges[i + 1])
+        chunk = _select(geom, first[part])
+        slots = _chunk_slots(chunk, quad, tables)
+        local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
 
     with numpy_blas_single_thread() as pinned:
         _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
+    entries = local[:, inverse]
     k2, k1, k0 = (plan.collect(e.ravel()) for e in entries)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)

@@ -249,9 +249,13 @@ def parse_config(text, origin="<config>", base_dir=None):
         piezo_capacitance=m.get_float("g_ee", 0.0),
     )
     nw = section("network")
+    if nw.get_float("resistance", 0.0) != 0.0:
+        raise ValidationError(
+            f"config field [network] resistance = '{nw['resistance']}' would "
+            "be ignored: the simulation runs the conservative network "
+            "(R_N = 0) and the search scans [search] r_lo..r_hi; set it to 0")
     network = NetworkParams(
         inductance=nw.get_float("inductance", 1.0),
-        resistance=nw.get_float("resistance", 0.0),
         capacitance=nw.get_float("capacitance", 1.0),
         conductance=nw.get_float("conductance", 0.0),
     )

@@ -466,6 +466,56 @@ class TestDofMap:
             BoundaryCondition("boundary", "welded")
 
 
+def jittered_square(n, rng, amount=0.04):
+    """Crossed n x n unit square with every interior node moved at random."""
+    base = generate_structured_square(n, 1.0, "crossed")
+    nodes = base.nodes.copy()
+    inner = [i for i in range(base.n_nodes)
+             if i not in base.edge_groups["boundary"]]
+    nodes[inner] += rng.uniform(-amount, amount, size=(len(inner), 2))
+    return Mesh(nodes, base.triangles, base.edge_groups)
+
+
+def coo_oracle(mesh, mat, bcs):
+    """Free-DOF K2, K1, K0 from per-element local matrices, summed by
+    scipy's COO -> CSR on all DOFs, constrained rows and columns sliced out."""
+    local = local_matrices(
+        triangle_geometry(mesh.nodes[mesh.triangles]), mat)
+    g = (4 * mesh.triangles[:, :, None] + np.arange(4)).reshape(-1, 12)
+    rows = np.repeat(g, 12, axis=1).ravel()
+    cols = np.tile(g, (1, 12)).ravel()
+    n_full = 4 * mesh.n_nodes
+    free = build_dof_map(mesh, bcs).free_to_full
+    want = {}
+    for name in ("k2", "k1", "k0"):
+        data = getattr(local, name).ravel()
+        full = sp.coo_matrix((data, (rows, cols)),
+                             shape=(n_full, n_full)).tocsr()
+        want[name] = full[free][:, free].tocsr()
+    return want
+
+
+def assert_bits_equal(sys, want):
+    for name in ("k2", "k1", "k0"):
+        got = getattr(sys, name)
+        assert np.array_equal(got.indptr, want[name].indptr)
+        assert np.array_equal(got.indices, want[name].indices)
+        assert np.array_equal(got.data, want[name].data)
+
+
+def count_local_batches(monkeypatch):
+    """The element count of every later ``_local_matrix_batch`` call."""
+    sizes = []
+    batch = assembly._local_matrix_batch
+
+    def counted(slots, area, mat, quad):
+        sizes.append(len(area))
+        return batch(slots, area, mat, quad)
+
+    monkeypatch.setattr(assembly, "_local_matrix_batch", counted)
+    return sizes
+
+
 class TestAssemble:
     def test_single_triangle_global_equals_local(self):
         mesh = Mesh(np.array([[0.0, 0], [1, 0], [0, 1]]), np.array([[0, 1, 2]]))
@@ -477,14 +527,7 @@ class TestAssemble:
             assert np.abs(full.toarray() - local).max() < 1e-14 * scale
 
     def test_k2_symmetry_on_jittered_mesh(self):
-        rng = np.random.default_rng(3)
-        base = generate_structured_square(4, 1.0, "crossed")
-        nodes = base.nodes.copy()
-        boundary = base.edge_groups["boundary"]
-        for i in range(base.n_nodes):
-            if i not in boundary:
-                nodes[i] += rng.uniform(-0.04, 0.04, size=2)
-        mesh = Mesh(nodes, base.triangles, base.edge_groups)
+        mesh = jittered_square(4, np.random.default_rng(3))
         sys = assemble(mesh, material(), bcs_ss())
         assert np.abs((sys.k2 - sys.k2.T)).max() <= 1e-12
         assert np.abs((sys.k0 - sys.k0.T)).max() <= 1e-10 * np.abs(sys.k0).max()
@@ -538,34 +581,17 @@ class TestAssemble:
                      workspace=ws)
 
     def test_bits_match_full_coo_assembly(self, monkeypatch):
-
         # element by element, summed by scipy's COO -> CSR on all DOFs, then
         # the free rows and columns sliced out: the batched assembly and its
         # direct free-DOF summation must agree to the last bit, whatever the
         # batch size, the number of threads sharing the batches and numpy's
-        # BLAS thread count
-        rng = np.random.default_rng(11)
-        base = generate_structured_square(3, 1.0, "crossed")
-        nodes = base.nodes.copy()
-        inner = [i for i in range(base.n_nodes)
-                 if i not in base.edge_groups["boundary"]]
-        nodes[inner] += rng.uniform(-0.04, 0.04, size=(len(inner), 2))
-        mesh = Mesh(nodes, base.triangles, base.edge_groups)
+        # BLAS thread count. Every geometry of the jittered mesh is distinct,
+        # so every triangle goes through the element stage.
+        mesh = jittered_square(3, np.random.default_rng(11))
         mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
         bcs = [BoundaryCondition("boundary", "clamped")]
-        local = local_matrices(
-            triangle_geometry(mesh.nodes[mesh.triangles]), mat)
-        g = (4 * mesh.triangles[:, :, None] + np.arange(4)).reshape(-1, 12)
-        rows = np.repeat(g, 12, axis=1).ravel()
-        cols = np.tile(g, (1, 12)).ravel()
-        n_full = 4 * mesh.n_nodes
-        want = {}
-        free = build_dof_map(mesh, bcs).free_to_full
-        for name in ("k2", "k1", "k0"):
-            data = getattr(local, name).ravel()
-            full = sp.coo_matrix((data, (rows, cols)),
-                                 shape=(n_full, n_full)).tocsr()
-            want[name] = full[free][:, free].tocsr()
+        want = coo_oracle(mesh, mat, bcs)
+        sizes = count_local_batches(monkeypatch)
         # 36 triangles: 8 batches of 5, dealt round-robin to the workers; one
         # batch of 512 with a single worker
         runs = [(5, workers, pinned) for workers in (1, 2, 3)
@@ -574,30 +600,60 @@ class TestAssemble:
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
             monkeypatch.setattr(assembly, "_worker_count",
                                 lambda n_batches, _pinned: workers)
+            sizes.clear()
             with monkeypatch.context() as m:
                 if not pinned:
                     m.setattr(blas, "_numpy_openblas", lambda: None)
                 sys = assemble(mesh, mat, bcs)
-            for name in ("k2", "k1", "k0"):
-                got = getattr(sys, name)
-                assert np.array_equal(got.indptr, want[name].indptr)
-                assert np.array_equal(got.indices, want[name].indices)
-                assert np.array_equal(got.data, want[name].data)
+            assert_bits_equal(sys, want)
+            assert sum(sizes) == mesh.n_triangles
+            assert len(sizes) == -(-mesh.n_triangles // chunk)
+
+    @pytest.mark.parametrize("n, side, distinct", [
+        (4, 1.0, 4),  # dyadic: every coordinate difference is exact
+        (4, 0.3, None),
+        (3, 1.0, None),
+    ])
+    def test_congruent_triangles_computed_once(self, monkeypatch, n, side,
+                                               distinct):
+        # triangles whose geometry agrees bit for bit share one local matrix
+        # computation; the matrices still match the element-by-element
+        # oracle to the last bit
+        mesh = generate_structured_square(n, side, "crossed")
+        mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        bcs = [BoundaryCondition("boundary", "clamped")]
+        want = coo_oracle(mesh, mat, bcs)
+        sizes = count_local_batches(monkeypatch)
+        assert_bits_equal(assemble(mesh, mat, bcs), want)
+        if distinct is not None:
+            assert sum(sizes) == distinct
 
     def test_lowest_failing_batch_raises(self, monkeypatch):
         # batches 3 and 4 fail, on different workers, and with more than one
         # worker batch 3 only after batch 4 has: the error is batch 3's, as
-        # in a serial run
-        mesh = generate_structured_square(3, 1.0, "crossed")
-        monkeypatch.setattr(assembly, "_CHUNK", 4)  # 9 batches of 4
-        first = {mesh.nodes[t].tobytes(): e
-                 for e, t in enumerate(mesh.triangles)}
-        geometry = el.triangle_geometry
+        # in a serial run. Every geometry of the jittered mesh is distinct,
+        # so its 36 triangles make 9 batches of 4.
+        mesh = jittered_square(3, np.random.default_rng(5))
+        monkeypatch.setattr(assembly, "_CHUNK", 4)
+        slots = assembly._chunk_slots
+
+        # a serial run tells each batch by the bits of its first triangle
+        first = {}
+
+        def record(geom, quad, tables):
+            first[geom.b[0].tobytes()] = len(first)
+            return slots(geom, quad, tables)
+
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "_chunk_slots", record)
+            m.setattr(assembly, "_worker_count", lambda n_batches, pinned: 1)
+            assemble(mesh, material(), bcs_ss())
+        assert len(first) == 9
         later_failed = threading.Event()
         workers = 1
 
-        def failing(coords):
-            batch = first[coords[0].tobytes()] // 4
+        def failing(geom, quad, tables):
+            batch = first[geom.b[0].tobytes()]
             if batch == 3:
                 if workers > 1:
                     assert later_failed.wait(timeout=10.0)
@@ -605,9 +661,9 @@ class TestAssemble:
             if batch == 4:
                 later_failed.set()
                 raise ValidationError("batch 4 failed")
-            return geometry(coords)
+            return slots(geom, quad, tables)
 
-        monkeypatch.setattr(el, "triangle_geometry", failing)
+        monkeypatch.setattr(assembly, "_chunk_slots", failing)
         monkeypatch.setattr(assembly, "_worker_count",
                             lambda n_batches, pinned: workers)
         for workers in (1, 2, 3, 4):
@@ -621,12 +677,7 @@ class TestAssemble:
         # dense sum of the per-element oracle, then the constrained rows and
         # columns dropped: the direct free-DOF scatter must agree
         rng = np.random.default_rng(10)
-        base = generate_structured_square(2, 1.0, "crossed")
-        nodes = base.nodes.copy()
-        inner = [i for i in range(base.n_nodes)
-                 if i not in base.edge_groups["boundary"]]
-        nodes[inner] += rng.uniform(-0.05, 0.05, size=(len(inner), 2))
-        mesh = Mesh(nodes, base.triangles, base.edge_groups)
+        mesh = jittered_square(2, rng, 0.05)
         mat = dense_random_material(rng)
         bcs = [BoundaryCondition("boundary", "simply_supported")]
         sys = assemble(mesh, mat, bcs)

@@ -284,6 +284,30 @@ class TestConfigParsing:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["5.0", "-1.0", "1e-300"])
+    def test_nonzero_network_resistance_exits_1_at_load(
+            self, tmp_path, capsys, monkeypatch, value):
+        # the run simulates the conservative network and the search scans
+        # its own bracket, so a configured R_N would reach no output
+        never_assemble(monkeypatch)
+        text = SMALL_CFG.replace("[network]\n",
+                                 f"[network]\nresistance = {value}\n") + SEARCH
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config field [network] resistance = '{value}'" in err
+        assert "the simulation runs the conservative network" in err
+        assert "[search] r_lo..r_hi" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.0", "0", "-0.0"])
+    def test_zero_network_resistance_is_valid(self, value):
+        text = SMALL_CFG.replace("[network]\n",
+                                 f"[network]\nresistance = {value}\n")
+        assert parse_config(text).network == parse_config(SMALL_CFG).network
+
     @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
     def test_unreadable_config_exits_1(self, tmp_path, capsys, monkeypatch,
                                        kind):
