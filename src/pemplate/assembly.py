@@ -40,9 +40,10 @@ geometry.) Batches of
 distinct geometries are shared out over one thread per CPU, with numpy's
 BLAS on one thread (:mod:`pemplate.blas`); each batch computes and stores
 its own geometries, so the worker count and the order in which batches
-finish change no bit either. Local matrices are summed straight into the
-free-DOF CSR pattern, in the order in which converting the full COO matrix
-to CSR would add them.
+finish change no bit either. Each triangle's entries are read from its
+geometry's local matrices, with no per-triangle copy, and summed straight
+into the free-DOF CSR pattern, in the order in which converting the full
+COO matrix to CSR would add them.
 Last bits matter here: the eigenvalues of the ill-conditioned bending
 pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 """
@@ -337,13 +338,16 @@ def local_matrices(geom, mat):
 class _ScatterPlan:
     """Element entries -> free-DOF CSR, summed in scipy's COO -> CSR order.
 
+    ``first`` holds one triangle of each bit-distinct geometry; the entries
+    summed are those of the local matrices of these triangles, in this order.
     Runs of entries that meet in one matrix position are summed left to
     right, the i-th addend of every run of length > i at once: ``gather[i]``
-    holds those addends' element-entry indices for the ``gather[i]``-long
-    head of the runs ordered by decreasing length, and ``position`` puts each
-    run's sum at its CSR slot.
+    holds those addends' indices in the distinct local matrices for the
+    ``gather[i]``-long head of the runs ordered by decreasing length, and
+    ``position`` puts each run's sum at its CSR slot.
     """
 
+    first: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     gather: tuple
@@ -361,7 +365,8 @@ class _ScatterPlan:
 
 
 def _scatter_plan(mesh, dof_map):
-    """The CSR pattern of the free-DOF system and how to sum into it.
+    """The distinct geometries, the CSR pattern of the free-DOF system and
+    how to sum into it.
 
     The summation order is the one ``coo_matrix.tocsr`` gives the full
     matrix (a stable bucket sort by row, then scipy's sort of each row by
@@ -369,6 +374,14 @@ def _scatter_plan(mesh, dof_map):
     same to the last bit as assembling the full matrix and slicing out the
     free DOFs.
     """
+    # triangles whose (b, c, area, mu) agree bit for bit have bit-equal
+    # local matrices: each element entry is read from its geometry's first
+    # triangle. Keys are bit patterns, not values, so -0.0 and +0.0 stay
+    # apart.
+    geom = el.triangle_geometry(mesh.nodes[mesh.triangles])
+    keys = np.column_stack([geom.b, geom.c, geom.area, geom.mu])
+    _, distinct, inverse = np.unique(keys.view(np.int64), axis=0,
+                                     return_index=True, return_inverse=True)
     n_full = dof_map.n_full
     gdofs = (DOFS_PER_NODE * mesh.triangles[:, :, None]
              + np.arange(DOFS_PER_NODE, dtype=mesh.triangles.dtype)).ravel()
@@ -378,10 +391,10 @@ def _scatter_plan(mesh, dof_map):
     indptr = np.zeros(n_full + 1, dtype=np.int32)
     np.cumsum(12 * np.bincount(gdofs, minlength=n_full), out=indptr[1:])
     cols = gdofs.reshape(-1, 12)[incidence // 12].ravel()
-    # tag each entry with its index in the element matrices, whose DOFs are
-    # stored in _FIELD_ORDER
+    # tag each entry with its index in the local matrices of its triangle's
+    # distinct geometry, whose DOFs are stored in _FIELD_ORDER
     pos = np.argsort(_FIELD_ORDER)
-    row_start = 12.0 * (incidence - incidence % 12 + pos[incidence % 12])
+    row_start = 12.0 * (12 * inverse[incidence // 12] + pos[incidence % 12])
     tags = (row_start[:, None] + pos).ravel()
     full = sp.csr_matrix((tags, cols.astype(np.int32), indptr),
                          shape=(n_full, n_full))
@@ -412,19 +425,20 @@ def _scatter_plan(mesh, dof_map):
     # plan for as long as it keeps its systems
     gather = tuple(entry[first[length > i] + i].astype(np.int32)
                    for i in range(depth))
-    return _ScatterPlan(indptr=out_ptr, indices=free_col.astype(np.int32),
-                        gather=gather, position=by_length.astype(np.int32),
-                        n_free=n_free)
+    return _ScatterPlan(first=distinct, indptr=out_ptr,
+                        indices=free_col.astype(np.int32), gather=gather,
+                        position=by_length.astype(np.int32), n_free=n_free)
 
 
 class AssemblyWorkspace:
     """Reuses the mesh-dependent stages of assembly across repeated calls.
 
-    One workspace serves one mesh: it keeps the free-DOF sparsity pattern
-    and summation plan of each boundary-condition set, so a repeated
-    assembly only computes the element geometry, the local matrices of its
-    distinct geometries and their sums. The CLI keeps one per run
-    (:class:`pemplate.cli.Run`), shared by every network that run assembles.
+    One workspace serves one mesh: for each boundary-condition set it keeps
+    one triangle of each bit-distinct element geometry, the free-DOF
+    sparsity pattern and the summation plan, so a repeated assembly only
+    computes the local matrices of the distinct geometries and their sums.
+    The CLI keeps one per run (:class:`pemplate.cli.Run`), shared by every
+    network that run assembles.
     """
 
     def __init__(self):
@@ -484,31 +498,18 @@ def _run_batches(batch, n_batches, workers):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _select(geom, index):
-    """The triangles ``index`` of the stacked geometry ``geom``."""
-    return el.TriangleGeometry(area=geom.area[index], b=geom.b[index],
-                               c=geom.c[index], mu=geom.mu[index])
-
-
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
-    Pass an :class:`AssemblyWorkspace` to reuse the sparsity pattern across
-    repeated assemblies of the same mesh.
+    Pass an :class:`AssemblyWorkspace` to reuse the distinct geometries and
+    the sparsity pattern across repeated assemblies of the same mesh.
     """
     quad = el.triangle_quadrature()
     dof_map = build_dof_map(mesh, bcs)
     if workspace is None:
         workspace = AssemblyWorkspace()
     plan = workspace.scatter_plan(mesh, bcs, dof_map)
-
-    # triangles whose (b, c, area, mu) agree bit for bit have bit-equal
-    # local matrices: compute each distinct geometry's once. Keys are bit
-    # patterns, not values, so -0.0 and +0.0 stay apart.
-    geom = el.triangle_geometry(mesh.nodes[mesh.triangles])
-    keys = np.column_stack([geom.b, geom.c, geom.area, geom.mu])
-    _, first, inverse = np.unique(keys.view(np.int64), axis=0,
-                                  return_index=True, return_inverse=True)
+    first = plan.first
 
     tables = _monomial_tables(quad)
     local = np.empty((3, len(first), 12, 12))
@@ -519,14 +520,13 @@ def assemble(mesh, mat, bcs=(), workspace=None):
 
     def batch(i):
         part = slice(edges[i], edges[i + 1])
-        chunk = _select(geom, first[part])
+        chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
         slots = _chunk_slots(chunk, quad, tables)
         local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
 
     with numpy_blas_single_thread() as pinned:
         _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
-    entries = local[:, inverse]
-    k2, k1, k0 = (plan.collect(e.ravel()) for e in entries)
+    k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)
 

@@ -1,39 +1,45 @@
-"""numpy's OpenBLAS on one thread for the length of a block.
+"""numpy's or scipy's OpenBLAS on one thread for the length of a block.
 
 numpy and scipy load separate OpenBLAS copies. Assembly runs its element
 batches on a thread pool, and the products in a batch are small: with
 numpy's copy at its default thread count, each wakes a helper thread that
 mostly spins, and concurrent threaded calls from the pool are serialized.
-So numpy's copy is pinned to one thread for the length of a run. Its thread count moves no output bit.
-scipy's copy, which the eigensolvers use, stays at its default, because
-the eigensolvers' results depend on it.
+So numpy's copy is pinned to one thread for the length of a run. Its thread
+count moves no output bit.
+
+scipy's copy serves the eigensolvers. The sparse shift-invert solve spends
+its time in ARPACK's level-1/2 calls and SuperLU's triangular solves, where
+a second thread only spins, and its results depend on the thread count. So
+scipy's copy is pinned to one thread for each sparse solve, which makes
+that solve's output independent of the thread count. The dense solve
+keeps the default thread count: it gains wall time from the second thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 
 @functools.cache
-def _numpy_openblas():
-    """Thread-count (get, set) of numpy's scipy-openblas, or None if absent.
+def _openblas(package, suffix):
+    """Thread-count (get, set) of a package's scipy-openblas, or None.
 
-    numpy's wheels keep the library in ``numpy.libs`` (Linux, Windows) or
-    ``numpy/.dylibs`` (macOS). Loading it again gives the copy numpy
-    already loaded.
+    The wheels keep the library in ``<package>.libs`` (Linux, Windows) or
+    ``<package>/.dylibs`` (macOS); its exported names end in ``suffix``
+    ("64_" for numpy's ILP64 build, "" for scipy's). Loading it again gives
+    the copy the package already loaded.
     """
-    package = Path(np.__file__).parent
-    for folder in (package.parent / "numpy.libs", package / ".dylibs"):
-        for path in sorted(folder.glob("libscipy_openblas64_*")):
+    root = Path(importlib.import_module(package).__file__).parent
+    for folder in (root.parent / f"{package}.libs", root / ".dylibs"):
+        for path in sorted(folder.glob(f"libscipy_openblas{suffix}*")):
             try:
                 lib = ctypes.CDLL(str(path))
-                get = lib.scipy_openblas_get_num_threads64_
-                set_ = lib.scipy_openblas_set_num_threads64_
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
             except (OSError, AttributeError):
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
@@ -42,15 +48,16 @@ def _numpy_openblas():
     return None
 
 
-@contextmanager
-def numpy_blas_single_thread():
-    """Run the block with numpy's OpenBLAS on one thread.
+def _numpy_openblas():
+    return _openblas("numpy", "64_")
 
-    Yields whether the thread count could be set; where numpy's BLAS is not
-    a scipy-openblas library (e.g. Accelerate) nothing changes and it yields
-    False. The previous thread count is restored on exit.
-    """
-    lib = _numpy_openblas()
+
+def _scipy_openblas():
+    return _openblas("scipy", "")
+
+
+@contextmanager
+def _single_thread(lib):
     if lib is None:
         yield False
         return
@@ -61,3 +68,18 @@ def numpy_blas_single_thread():
         yield True
     finally:
         set_(previous)
+
+
+def numpy_blas_single_thread():
+    """Run the block with numpy's OpenBLAS on one thread.
+
+    Yields whether the thread count could be set; where numpy's BLAS is not
+    a scipy-openblas library (e.g. Accelerate) nothing changes and it yields
+    False. The previous thread count is restored on exit.
+    """
+    return _single_thread(_numpy_openblas())
+
+
+def scipy_blas_single_thread():
+    """:func:`numpy_blas_single_thread` for scipy's OpenBLAS."""
+    return _single_thread(_scipy_openblas())

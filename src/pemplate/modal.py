@@ -29,6 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .blas import scipy_blas_single_thread
 from .errors import NumericalError, ValidationError
 
 CLUSTER_RELATIVE_GAP = 1e-6
@@ -63,7 +64,12 @@ def _solve_pencil(k0, k2, n):
     """Smallest-n eigenpairs of K0 a = w^2 K2 a with K2-orthonormal vectors.
 
     ``k0`` and ``k2`` are CSC; a pencil of at most ``_DENSE_LIMIT`` rows is
-    solved dense, a larger one by shift-invert Lanczos.
+    solved dense, a larger one by shift-invert Lanczos. The Lanczos solve
+    runs with scipy's OpenBLAS on one thread (:mod:`pemplate.blas`): a
+    second thread gains nothing in its level-1/2 calls and triangular
+    solves, and one thread makes its result independent of the thread
+    count. The dense solve keeps scipy's default thread count, which speeds
+    it up.
     """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
@@ -79,7 +85,9 @@ def _solve_pencil(k0, k2, n):
     else:
         v0 = np.ones(size)
         try:
-            vals, vecs = spla.eigsh(k0, k=n, M=k2, sigma=0.0, which="LM", v0=v0)
+            with scipy_blas_single_thread():
+                vals, vecs = spla.eigsh(k0, k=n, M=k2, sigma=0.0, which="LM",
+                                        v0=v0)
         except RuntimeError as exc:
             raise NumericalError(f"sparse eigensolve failed: {exc}") from None
         order = np.argsort(vals)

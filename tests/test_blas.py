@@ -39,17 +39,33 @@ def scipy_openblas_threads():
     return None
 
 
-def test_restores_thread_count_on_exit_and_on_error(monkeypatch):
+def check_restores(monkeypatch, loader, pinner):
     fake = FakeOpenblas(threads=3)
-    monkeypatch.setattr(blas, "_numpy_openblas", lambda: (fake.get, fake.set))
-    with blas.numpy_blas_single_thread() as pinned:
+    monkeypatch.setattr(blas, loader, lambda: (fake.get, fake.set))
+    with pinner() as pinned:
         assert pinned and fake.threads == 1
     assert fake.threads == 3
     with pytest.raises(KeyError):
-        with blas.numpy_blas_single_thread():
+        with pinner():
             assert fake.threads == 1
             raise KeyError("inside")
     assert fake.threads == 3
+
+
+def test_restores_thread_count_on_exit_and_on_error(monkeypatch):
+    check_restores(monkeypatch, "_numpy_openblas",
+                   blas.numpy_blas_single_thread)
+
+
+def test_scipy_pin_restores_thread_count_on_exit_and_on_error(monkeypatch):
+    check_restores(monkeypatch, "_scipy_openblas",
+                   blas.scipy_blas_single_thread)
+
+
+def test_no_scipy_library_changes_nothing(monkeypatch):
+    monkeypatch.setattr(blas, "_scipy_openblas", lambda: None)
+    with blas.scipy_blas_single_thread() as pinned:
+        assert not pinned
 
 
 def test_pins_numpy_blas_and_leaves_scipy_blas():
@@ -61,6 +77,24 @@ def test_pins_numpy_blas_and_leaves_scipy_blas():
         with blas.numpy_blas_single_thread():
             assert get() == 1
             assert scipy_openblas_threads() == scipy_before
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_pins_scipy_blas_and_leaves_numpy_blas():
+    lib = blas._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy's BLAS is not scipy-openblas")
+    get, set_ = lib
+    numpy_get, _ = numpy_openblas_or_skip()
+    before = get()
+    numpy_before = numpy_get()
+    set_(2)
+    try:
+        with blas.scipy_blas_single_thread():
+            assert get() == 1 and scipy_openblas_threads() == 1
+            assert numpy_get() == numpy_before
         assert get() == 2
     finally:
         set_(before)
@@ -97,3 +131,16 @@ def test_finds_the_library_numpy_names():
     if name != "scipy-openblas":
         pytest.skip(f"numpy's BLAS is {name}")
     assert blas._numpy_openblas() is not None
+
+
+def test_finds_the_library_scipy_names():
+    # a renamed wheel library must fail here, not silently leave the sparse
+    # eigensolves unpinned
+    try:
+        config = scipy.show_config(mode="dicts")
+    except TypeError:  # scipy without build-config dicts
+        pytest.skip("scipy.show_config has no dict mode")
+    name = config["Build Dependencies"]["blas"]["name"]
+    if name != "scipy-openblas":
+        pytest.skip(f"scipy's BLAS is {name}")
+    assert blas._scipy_openblas() is not None

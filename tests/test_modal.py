@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from pemplate import cli, modal
+from pemplate import blas, cli, modal
 from pemplate.assembly import BoundaryCondition, assemble
 from pemplate.config import load_config
 from pemplate.errors import NumericalError, ValidationError
@@ -61,6 +62,92 @@ def test_scalar_pencil():
                                        sp.csc_matrix([[1.0]]), 1)
     assert omegas[0] == pytest.approx(2.0, rel=1e-14)
     assert abs(vecs[0, 0]) == pytest.approx(1.0, rel=1e-12)
+
+
+def laplacian_pencil(m):
+    """K0 the 2-D Laplacian of an m x m grid, K2 a graded diagonal."""
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    k0 = sp.kronsum(t, t, format="csc")
+    k2 = sp.diags(np.linspace(1.0, 2.0, m * m), format="csc")
+    return k0, k2
+
+
+def test_sparse_pencil_independent_of_scipy_blas_threads():
+    # with scipy's OpenBLAS on two threads, ARPACK's and SuperLU's BLAS calls
+    # would move omega by ~1e-15 against one thread; the sparse branch pins
+    # it, so both settings give the same bits
+    lib = blas._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy's BLAS is not scipy-openblas")
+    get, set_ = lib
+    k0, k2 = laplacian_pencil(120)
+    assert k0.shape[0] > modal._DENSE_LIMIT
+    before = get()
+    runs = []
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            runs.append(modal._solve_pencil(k0, k2, 6))
+            assert get() == threads
+    finally:
+        set_(before)
+    (w2, v2), (w1, v1) = runs
+    assert np.array_equal(w2, w1)
+    assert np.array_equal(v2, v1)
+
+
+class LoggedOpenblas:
+    """Fake scipy OpenBLAS: a thread count and a log of every call to it."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.log = []
+
+    def get(self):
+        self.log.append("get")
+        return self.threads
+
+    def set(self, n):
+        self.log.append(n)
+        self.threads = n
+
+
+@pytest.fixture
+def fake_scipy_blas(monkeypatch):
+    fake = LoggedOpenblas(threads=3)
+    monkeypatch.setattr(blas, "_scipy_openblas", lambda: (fake.get, fake.set))
+    return fake
+
+
+def test_sparse_branch_runs_eigsh_on_one_thread(monkeypatch, fake_scipy_blas):
+    k0, k2 = laplacian_pencil(6)
+    monkeypatch.setattr(modal, "_DENSE_LIMIT", 10)
+    eigsh = spla.eigsh
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(fake_scipy_blas.threads)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(modal.spla, "eigsh", spy)
+    modal._solve_pencil(k0, k2, 3)
+    assert seen == [1] and fake_scipy_blas.threads == 3
+
+    def failing(*args, **kwargs):
+        seen.append(fake_scipy_blas.threads)
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(modal.spla, "eigsh", failing)
+    with pytest.raises(NumericalError, match="no convergence"):
+        modal._solve_pencil(k0, k2, 3)
+    assert seen == [1, 1] and fake_scipy_blas.threads == 3
+
+
+def test_dense_branch_leaves_scipy_blas(fake_scipy_blas):
+    k0, k2 = laplacian_pencil(6)
+    assert k0.shape[0] <= modal._DENSE_LIMIT
+    modal._solve_pencil(k0, k2, 3)
+    assert fake_scipy_blas.log == []
 
 
 FAMILIES = ("mechanical", "electric")
