@@ -59,7 +59,7 @@ import scipy.sparse as sp
 
 from . import element as el
 from .blas import numpy_blas_single_thread
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .mesh import Mesh
 
 DOFS_PER_NODE = 4  # (w, theta_x, theta_y, alpha)
@@ -498,11 +498,32 @@ def _run_batches(batch, n_batches, workers):
         raise min(failures, key=lambda f: f[0])[1]
 
 
+# the material blocks each element matrix is formed from
+_MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
+                  ("K0", ("T", "E", "R")))
+
+
+def _require_finite(local, mat):
+    """Raise a NumericalError naming the first of K2, K1, K0 whose distinct
+    local matrices hold an inf or nan, and its material blocks' sizes."""
+    for (name, blocks), m in zip(_MATRIX_BLOCKS, local):
+        if not np.isfinite(m).all():
+            sizes = ", ".join(f"max |{b}| = {np.abs(getattr(mat, b)).max():.3g}"
+                              for b in blocks)
+            raise NumericalError(
+                f"non-finite {name} element matrices: the material's "
+                f"magnitudes overflow float64 ({sizes}); rescale the "
+                "material parameters"
+            )
+
+
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
     Pass an :class:`AssemblyWorkspace` to reuse the distinct geometries and
     the sparsity pattern across repeated assemblies of the same mesh.
+    Raises ``NumericalError`` when the material's magnitudes overflow the
+    element matrices, before their inf and nan entries are summed.
     """
     quad = el.triangle_quadrature()
     dof_map = build_dof_map(mesh, bcs)
@@ -522,10 +543,13 @@ def assemble(mesh, mat, bcs=(), workspace=None):
         part = slice(edges[i], edges[i + 1])
         chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
         slots = _chunk_slots(chunk, quad, tables)
-        local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
+        # an overflowing material is reported below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
 
     with numpy_blas_single_thread() as pinned:
         _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
+    _require_finite(local, mat)
     k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)

@@ -64,19 +64,23 @@ def _solve_pencil(k0, k2, n):
     """Smallest-n eigenpairs of K0 a = w^2 K2 a with K2-orthonormal vectors.
 
     ``k0`` and ``k2`` are CSC; a pencil of at most ``_DENSE_LIMIT`` rows is
-    solved dense, a larger one by shift-invert Lanczos. The Lanczos solve
-    runs with scipy's OpenBLAS on one thread (:mod:`pemplate.blas`): a
-    second thread gains nothing in its level-1/2 calls and triangular
-    solves, and one thread makes its result independent of the thread
-    count. The dense solve keeps scipy's default thread count, which speeds
-    it up.
+    solved dense, a larger one by shift-invert Lanczos. The dense solve
+    holds exactly two n x n arrays, built in Fortran order and factored and
+    reduced in place by LAPACK's ``dsygvx`` (~40 MB at 1,571 rows, ~108 MB
+    at ``_DENSE_LIMIT``); it keeps scipy's default thread count, which
+    speeds it up. The Lanczos solve runs with scipy's OpenBLAS on one thread
+    (:mod:`pemplate.blas`): a second thread gains nothing in its level-1/2
+    calls and triangular solves, and one thread makes its result independent
+    of the thread count.
     """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
-        # eigh factors K2 itself and fails when it is not positive definite
+        # eigh factors K2 itself and fails when it is not positive definite;
+        # Fortran-ordered blocks are what LAPACK takes without a copy
         try:
-            vals, vecs = sla.eigh(k0.toarray(), k2.toarray(),
-                                  subset_by_index=[0, n - 1])
+            vals, vecs = sla.eigh(k0.toarray(order="F"), k2.toarray(order="F"),
+                                  subset_by_index=[0, n - 1],
+                                  overwrite_a=True, overwrite_b=True)
         except np.linalg.LinAlgError:
             raise NumericalError(
                 "K2 is not positive definite; check boundary conditions and "

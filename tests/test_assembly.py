@@ -23,7 +23,7 @@ from pemplate.element import (
     triangle_geometry,
     triangle_quadrature,
 )
-from pemplate.errors import ValidationError
+from pemplate.errors import NumericalError, ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
 from pemplate.mesh import Mesh, generate_structured_square
 
@@ -525,6 +525,18 @@ class TestAssemble:
         for full, local in ((sys.k0, loc.k0), (sys.k2, loc.k2), (sys.k1, loc.k1)):
             scale = max(1.0, np.abs(local).max())
             assert np.abs(full.toarray() - local).max() < 1e-14 * scale
+
+    def test_overflowing_material_raises_before_summing(self):
+        # rigidity 1e306 overflows K0's local matrices; assembly names them
+        # before the sums meet inf + -inf, and no RuntimeWarning (an error
+        # under this suite) fires on the way
+        plate = PlateParams.isotropic(1e-3, 500.0, 1e306, 0.3,
+                                      coupling=(0.1, 0.1, 0.0))
+        mat = build_material(plate, NetworkParams(inductance=1.0))
+        mesh = generate_structured_square(4, 1.0, "crossed")
+        with pytest.raises(NumericalError,
+                           match=r"non-finite K0 .*max \|E\| = 1e\+306"):
+            assemble(mesh, mat, bcs_ss())
 
     def test_k2_symmetry_on_jittered_mesh(self):
         mesh = jittered_square(4, np.random.default_rng(3))

@@ -368,6 +368,14 @@ class TestCommands:
         header = (out / "modes.csv").read_text().splitlines()[0]
         assert "analytic_normalized" not in header
 
+    def test_overflowing_material_exits_2_at_assembly(self, tmp_path, capsys):
+        text = SMALL_CFG.replace("rigidity = 1.0", "rigidity = 1e306")
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[stage assembly] non-finite K0 element matrices" in err
+        assert "Traceback" not in err
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG.replace("n = 4", "n = 0"))
         assert main(["modes", "--config", str(cfg), "--out", str(tmp_path)]) == 1

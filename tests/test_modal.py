@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import subprocess
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from sys import executable
@@ -148,6 +149,48 @@ def test_dense_branch_leaves_scipy_blas(fake_scipy_blas):
     assert k0.shape[0] <= modal._DENSE_LIMIT
     modal._solve_pencil(k0, k2, 3)
     assert fake_scipy_blas.log == []
+
+
+def copying_eigh(k0, k2, n):
+    """The reference dense solve: eigh on C-ordered copies of the blocks,
+    which it copies again into Fortran order for LAPACK."""
+    vals, vecs = sla.eigh(k0.toarray(), k2.toarray(), subset_by_index=[0, n - 1])
+    return np.sqrt(vals), vecs
+
+
+@pytest.mark.parametrize("case", ["paper-square-bending", "laplacian-30"])
+def test_dense_branch_matches_copying_eigh(preset_runs, case):
+    # solving in place hands LAPACK the same numbers, so it returns the same
+    # bits as the copying call
+    if case == "laplacian-30":
+        (k0, k2), n = laplacian_pencil(30), 8
+    else:
+        run = preset_runs["paper-square"]
+        sys = run.system(run.configured)
+        idx = np.flatnonzero(sys.dof_map.mechanical_mask)
+        k0, k2 = (sp.csc_matrix(m.tocsr()[idx][:, idx])
+                  for m in (sys.k0, sys.k2))
+        n = run.cfg.n_mech
+    assert k0.shape[0] <= modal._DENSE_LIMIT
+    omegas, vecs = modal._solve_pencil(k0, k2, n)
+    want_omegas, want_vecs = copying_eigh(k0, k2, n)
+    assert np.array_equal(omegas, want_omegas)
+    assert np.array_equal(vecs, want_vecs)
+
+
+def test_dense_branch_holds_two_blocks():
+    # the two n x n blocks are factored and reduced in place: the traced peak
+    # reads 2.13 x 8 n^2 (eigh's finiteness check adds n^2 booleans), so one
+    # more copy of either block fails the bound
+    k0, k2 = laplacian_pencil(30)
+    size = k0.shape[0]
+    tracemalloc.start()
+    try:
+        modal._solve_pencil(k0, k2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * size**2
 
 
 FAMILIES = ("mechanical", "electric")
