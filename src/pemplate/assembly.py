@@ -36,29 +36,22 @@ crossed square on a dyadic grid (side 1.0, n a power of 2) has 4, whatever
 n, and a mesh of all-distinct triangles computes every one. (So few
 geometries make a batch small enough for BLAS's small-matrix kernels where
 it has any; OpenBLAS's Haswell kernels give the same bits down to a single
-geometry.) Batches of
-distinct geometries are shared out over one thread per CPU, with numpy's
-BLAS on one thread (:mod:`pemplate.blas`); each batch computes and stores
-its own geometries, so the worker count and the order in which batches
-finish change no bit either. Each triangle's entries are read from its
-geometry's local matrices, with no per-triangle copy, and summed straight
-into the free-DOF CSR pattern, in the order in which converting the full
-COO matrix to CSR would add them.
+geometry.) Each triangle's entries are read from its geometry's local
+matrices, with no per-triangle copy, and summed straight into the free-DOF
+CSR pattern, in the order in which converting the full COO matrix to CSR
+would add them.
 Last bits matter here: the eigenvalues of the ill-conditioned bending
 pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .blas import numpy_blas_single_thread
 from .errors import NumericalError, ValidationError
 from .mesh import Mesh
 
@@ -456,48 +449,6 @@ class AssemblyWorkspace:
         return self._plans[key]
 
 
-def _worker_count(n_batches, pinned):
-    """Threads for the element batches: one per usable CPU, at most one each.
-
-    One thread only where numpy's BLAS could not be pinned to one thread:
-    a threaded BLAS serializes concurrent calls, so a pool would be slower.
-    """
-    if not pinned:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_batches))
-
-
-def _run_batches(batch, n_batches, workers):
-    """Call ``batch(i)`` for every i, batch i on worker i % ``workers``.
-
-    The calling thread is worker 0 and a pool runs the others; each worker
-    takes its batches in ascending order and stops at its first failure.
-    If batches fail, the exception of the lowest failing batch is raised,
-    the one a serial run would raise, whatever the scheduling.
-    """
-    def share(worker):
-        for i in range(worker, n_batches, workers):
-            try:
-                batch(i)
-            except Exception as exc:  # re-raised below, on the calling thread
-                return i, exc
-        return None
-
-    if workers == 1:
-        failures = [share(0)]
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(share, w) for w in range(1, workers)]
-            failures = [share(0)] + [f.result() for f in futures]
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-
-
 # the material blocks each element matrix is formed from
 _MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
                   ("K0", ("T", "E", "R")))
@@ -538,17 +489,12 @@ def assemble(mesh, mat, bcs=(), workspace=None):
     # small-matrix kernels, which need not add products in index order
     n_batches = -(-len(first) // _CHUNK)
     edges = np.linspace(0, len(first), n_batches + 1).round().astype(int)
-
-    def batch(i):
-        part = slice(edges[i], edges[i + 1])
+    for part in map(slice, edges[:-1], edges[1:]):
         chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
         slots = _chunk_slots(chunk, quad, tables)
         # an overflowing material is reported below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
-
-    with numpy_blas_single_thread() as pinned:
-        _run_batches(batch, n_batches, _worker_count(n_batches, pinned))
     _require_finite(local, mat)
     k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,

@@ -244,6 +244,8 @@ def load_mesh(path):
         n_nodes, n_tris, n_groups = int(header[1]), int(header[3]), int(header[5])
     except ValueError:
         raise MeshParseError(f"{path}:{lineno}: non-integer count in header") from None
+    if min(n_nodes, n_tris, n_groups) < 0:
+        raise MeshParseError(f"{path}:{lineno}: negative count in header")
 
     rows = tokens_per_line[1:]
     if len(rows) < n_nodes + n_tris:

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -596,30 +596,24 @@ class TestAssemble:
         # element by element, summed by scipy's COO -> CSR on all DOFs, then
         # the free rows and columns sliced out: the batched assembly and its
         # direct free-DOF summation must agree to the last bit, whatever the
-        # batch size, the number of threads sharing the batches and numpy's
-        # BLAS thread count. Every geometry of the jittered mesh is distinct,
-        # so every triangle goes through the element stage.
+        # batch size and numpy's BLAS thread count. Every geometry of the
+        # jittered mesh is distinct, so every triangle goes through the
+        # element stage.
         mesh = jittered_square(3, np.random.default_rng(11))
         mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
         bcs = [BoundaryCondition("boundary", "clamped")]
         want = coo_oracle(mesh, mat, bcs)
         sizes = count_local_batches(monkeypatch)
-        # 36 triangles: 8 batches of 5, dealt round-robin to the workers; one
-        # batch of 512 with a single worker
-        runs = [(5, workers, pinned) for workers in (1, 2, 3)
-                for pinned in (True, False)] + [(512, 1, True)]
-        for chunk, workers, pinned in runs:
+        # 36 triangles: 8 batches of 5, or one batch of 512
+        for chunk in (5, 512):
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
-            monkeypatch.setattr(assembly, "_worker_count",
-                                lambda n_batches, _pinned: workers)
-            sizes.clear()
-            with monkeypatch.context() as m:
-                if not pinned:
-                    m.setattr(blas, "_numpy_openblas", lambda: None)
-                sys = assemble(mesh, mat, bcs)
-            assert_bits_equal(sys, want)
-            assert sum(sizes) == mesh.n_triangles
-            assert len(sizes) == -(-mesh.n_triangles // chunk)
+            for pinned in (True, False):
+                sizes.clear()
+                with blas.numpy_blas_single_thread() if pinned else nullcontext():
+                    sys = assemble(mesh, mat, bcs)
+                assert_bits_equal(sys, want)
+                assert sum(sizes) == mesh.n_triangles
+                assert len(sizes) == -(-mesh.n_triangles // chunk)
 
     @pytest.mark.parametrize("n, side, distinct", [
         (4, 1.0, 4),  # dyadic: every coordinate difference is exact
@@ -640,16 +634,15 @@ class TestAssemble:
         if distinct is not None:
             assert sum(sizes) == distinct
 
-    def test_lowest_failing_batch_raises(self, monkeypatch):
-        # batches 3 and 4 fail, on different workers, and with more than one
-        # worker batch 3 only after batch 4 has: the error is batch 3's, as
-        # in a serial run. Every geometry of the jittered mesh is distinct,
+    def test_failing_batch_stops_assembly(self, monkeypatch):
+        # batches 3 and 4 fail: batch 3's error is raised and batch 4 is
+        # never computed. Every geometry of the jittered mesh is distinct,
         # so its 36 triangles make 9 batches of 4.
         mesh = jittered_square(3, np.random.default_rng(5))
         monkeypatch.setattr(assembly, "_CHUNK", 4)
         slots = assembly._chunk_slots
 
-        # a serial run tells each batch by the bits of its first triangle
+        # a full run tells each batch by the bits of its first triangle
         first = {}
 
         def record(geom, quad, tables):
@@ -658,32 +651,21 @@ class TestAssemble:
 
         with monkeypatch.context() as m:
             m.setattr(assembly, "_chunk_slots", record)
-            m.setattr(assembly, "_worker_count", lambda n_batches, pinned: 1)
             assemble(mesh, material(), bcs_ss())
         assert len(first) == 9
-        later_failed = threading.Event()
-        workers = 1
+        computed = []
 
         def failing(geom, quad, tables):
             batch = first[geom.b[0].tobytes()]
-            if batch == 3:
-                if workers > 1:
-                    assert later_failed.wait(timeout=10.0)
-                raise ValidationError("batch 3 failed")
-            if batch == 4:
-                later_failed.set()
-                raise ValidationError("batch 4 failed")
+            computed.append(batch)
+            if batch in (3, 4):
+                raise ValidationError(f"batch {batch} failed")
             return slots(geom, quad, tables)
 
         monkeypatch.setattr(assembly, "_chunk_slots", failing)
-        monkeypatch.setattr(assembly, "_worker_count",
-                            lambda n_batches, pinned: workers)
-        for workers in (1, 2, 3, 4):
-            later_failed.clear()
-            with pytest.raises(ValidationError, match="batch 3 failed"):
-                assemble(mesh, material(), bcs_ss())
-            if workers > 1:
-                assert later_failed.is_set()
+        with pytest.raises(ValidationError, match="batch 3 failed"):
+            assemble(mesh, material(), bcs_ss())
+        assert computed == [0, 1, 2, 3]
 
     def test_free_scatter_matches_oracle_sum(self):
         # dense sum of the per-element oracle, then the constrained rows and

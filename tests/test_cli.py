@@ -411,6 +411,21 @@ class TestCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_mesh_count_exits_1_before_assembly(self, tmp_path, capsys,
+                                                         monkeypatch):
+        never_assemble(monkeypatch)
+        mesh = tmp_path / "plate.mesh"
+        mesh.write_text("nodes -1 triangles 0 groups 0\n")
+        text = ("[mesh]\nkind = file\npath = plate.mesh\n"
+                "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"[stage mesh] {mesh}:1: negative count in header" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_1_before_assembly(self, tmp_path, capsys,
                                                        monkeypatch):
         never_assemble(monkeypatch)

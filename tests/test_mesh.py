@@ -207,6 +207,16 @@ group rim
         with pytest.raises(MeshParseError, match="header"):
             load_mesh(p)
 
+    @pytest.mark.parametrize("header", [
+        "nodes -1 triangles 0 groups 0",
+        "nodes 3 triangles -1 groups 0",
+    ])
+    def test_negative_header_count_names_line(self, tmp_path, header):
+        p = self._write(tmp_path, f"# counts\n{header}\n0 0\n1 0\n0 1\n")
+        with pytest.raises(MeshParseError,
+                           match=re.escape(f"{p}:2: negative count in header")):
+            load_mesh(p)
+
     def test_bad_coordinate_names_line(self, tmp_path):
         p = self._write(tmp_path, "nodes 3 triangles 1 groups 0\n0 zero\n1 0\n0 1\n0 1 2\n")
         with pytest.raises(MeshParseError, match=":2"):

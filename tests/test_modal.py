@@ -151,6 +151,14 @@ def test_dense_branch_leaves_scipy_blas(fake_scipy_blas):
     assert fake_scipy_blas.log == []
 
 
+def family_blocks(sys, family):
+    """A family's K0 and K2 blocks, CSC, as solve_family_modes builds them."""
+    mask = (sys.dof_map.mechanical_mask if family == "mechanical"
+            else sys.dof_map.electric_mask)
+    idx = np.flatnonzero(mask)
+    return tuple(sp.csc_matrix(m.tocsr()[idx][:, idx]) for m in (sys.k0, sys.k2))
+
+
 def copying_eigh(k0, k2, n):
     """The reference dense solve: eigh on C-ordered copies of the blocks,
     which it copies again into Fortran order for LAPACK."""
@@ -166,10 +174,7 @@ def test_dense_branch_matches_copying_eigh(preset_runs, case):
         (k0, k2), n = laplacian_pencil(30), 8
     else:
         run = preset_runs["paper-square"]
-        sys = run.system(run.configured)
-        idx = np.flatnonzero(sys.dof_map.mechanical_mask)
-        k0, k2 = (sp.csc_matrix(m.tocsr()[idx][:, idx])
-                  for m in (sys.k0, sys.k2))
+        k0, k2 = family_blocks(run.system(run.configured), "mechanical")
         n = run.cfg.n_mech
     assert k0.shape[0] <= modal._DENSE_LIMIT
     omegas, vecs = modal._solve_pencil(k0, k2, n)
@@ -476,6 +481,54 @@ class TestPresetModes:
         labels = preset_runs["paper-square"].basis().labels
         assert tuple(json.loads(out)) == labels
         assert labels[:2] == ("mechanical", "electric")
+
+
+def rayleigh_quotients(k0, k2, vectors):
+    """rho(v) = v^T K0 v / v^T K2 v of every column, summed in long double
+    over the sparse entries."""
+    v = vectors.astype(np.longdouble)
+
+    def form(a):
+        a = a.tocoo()
+        return np.sum(a.data.astype(np.longdouble)[:, None]
+                      * v[a.row] * v[a.col], axis=0)
+
+    return form(k0) / form(k2)
+
+
+# The solver's own omega^2 against the long-double Rayleigh quotient of its
+# own vector, max over the retained modes (rho is quadratically accurate in
+# the vector error, so it is the reference: Parlett, The Symmetric
+# Eigenvalue Problem, SIAM 1998). Floors
+# are the larger of the values measured with the default two OpenBLAS threads
+# and with OPENBLAS_NUM_THREADS=1, over the configured and the tuned network:
+# paper-square bending 2.61e-10 (dense, mode 1, two threads; 2.01e-10 at
+# one), clamped-demo bending 4.71e-12 (one thread; 3.78e-12 at two), electric
+# 8.45e-14 (paper-square, configured, two threads). Each bound is 10x its
+# floor.
+RAYLEIGH_FLOORS = {("paper-square", "mechanical"): 2.61e-10,
+                   ("clamped-demo", "mechanical"): 4.71e-12,
+                   ("paper-square", "electric"): 8.45e-14,
+                   ("clamped-demo", "electric"): 8.45e-14}
+RAYLEIGH_BOUND_FACTOR = 10
+
+
+@pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+@pytest.mark.parametrize("tuned", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_eigenvalues_match_rayleigh_quotients(preset_runs, preset,
+                                                     tuned, family):
+    # the raw solver vectors: _orient_modes rotates a cluster's vectors
+    # within it, which moves rho by up to the cluster's width
+    run = preset_runs[preset]
+    k0, k2 = family_blocks(run.system(run.network() if tuned else
+                                      run.configured), family)
+    n = run.cfg.n_mech if family == "mechanical" else run.cfg.n_elec
+    omegas, vectors = modal._solve_pencil(k0, k2, n)
+    rho = rayleigh_quotients(k0, k2, vectors)
+    error = np.abs(omegas.astype(np.longdouble) ** 2 - rho) / rho
+    bound = RAYLEIGH_BOUND_FACTOR * RAYLEIGH_FLOORS[preset, family]
+    assert float(error.max()) <= bound
 
 
 class TestTuning:
