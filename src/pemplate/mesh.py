@@ -2,7 +2,7 @@
 
 One mesh carries both fields of the coupled problem: the bending field uses
 the three corner DOFs per node, the electric field one corner DOF. Meshes are
-immutable after construction and safe to share between threads.
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class Mesh:
             raise ValidationError("node array must have shape (n_nodes, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValidationError("triangle array must have shape (n_triangles, 3)")
+        if len(self.triangles) == 0:
+            raise ValidationError("mesh has no triangles")
         # a NaN area passes both the zero-area and the clockwise test below
         finite = np.isfinite(self.nodes).all(axis=1)
         if not finite.all():
@@ -168,44 +170,37 @@ def generate_structured_square(n, side=1.0, pattern="crossed"):
         raise ValidationError(f"unknown pattern '{pattern}'")
 
     h = side / n
-    grid = np.array(
-        [[ix * h, iy * h] for iy in range(n + 1) for ix in range(n + 1)]
-    )
-
-    def gid(ix, iy):
-        return iy * (n + 1) + ix
-
-    triangles = []
+    iy, ix = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    nodes = np.column_stack([ix * h, iy * h])
+    # cell (cx, cy) in row-major order: corners a, b, c, d counterclockwise
+    cell = np.arange(n * n)
+    cy, cx = np.divmod(cell, n)
+    a = cy * (n + 1) + cx
+    b, c, d = a + 1, a + n + 2, a + n + 1
     if pattern == "crossed":
-        centroids = np.array(
-            [[(cx + 0.5) * h, (cy + 0.5) * h] for cy in range(n) for cx in range(n)]
-        )
-        nodes = np.vstack([grid, centroids])
-        for cy in range(n):
-            for cx in range(n):
-                a = gid(cx, cy)
-                b = gid(cx + 1, cy)
-                c = gid(cx + 1, cy + 1)
-                d = gid(cx, cy + 1)
-                m = (n + 1) ** 2 + cy * n + cx
-                triangles += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+        nodes = np.vstack([nodes, np.column_stack([(cx + 0.5) * h, (cy + 0.5) * h])])
+        m = (n + 1) ** 2 + cell
+        corners = [a, b, m, b, c, m, c, d, m, d, a, m]
     else:
-        nodes = grid
-        for cy in range(n):
-            for cx in range(n):
-                a = gid(cx, cy)
-                b = gid(cx + 1, cy)
-                c = gid(cx + 1, cy + 1)
-                d = gid(cx, cy + 1)
-                triangles += [(a, b, c), (a, c, d)]
+        corners = [a, b, c, a, c, d]
+    triangles = np.column_stack(corners).reshape(-1, 3)
+    rim = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
+    boundary = frozenset(np.flatnonzero(rim).tolist())
+    return Mesh(nodes, triangles, {"boundary": boundary})
 
-    boundary = frozenset(
-        gid(ix, iy)
-        for iy in range(n + 1)
-        for ix in range(n + 1)
-        if ix in (0, n) or iy in (0, n)
-    )
-    return Mesh(nodes, np.array(triangles), {"boundary": boundary})
+
+def _table(path, rows, convert, form, bad):
+    """The tokens of ``rows`` through ``convert``, in one flat list; each
+    row must have the tokens of ``form``."""
+    values = []
+    for lineno, toks in rows:
+        if len(toks) != len(form.split()):
+            raise MeshParseError(f"{path}:{lineno}: expected '{form}', got {' '.join(toks)}")
+        try:
+            values += [convert(t) for t in toks]
+        except ValueError:
+            raise MeshParseError(f"{path}:{lineno}: {bad}") from None
+    return values
 
 
 def load_mesh(path):
@@ -214,7 +209,8 @@ def load_mesh(path):
     Format: header ``nodes N triangles T groups G``, then N ``x y`` lines,
     T ``i j k`` lines (0-based), and G blocks of ``group NAME`` followed by
     node-index lines. ``#`` starts a comment. Clockwise triangles are fixed
-    by swapping two node ids.
+    by swapping two node ids. This reads the file only; :class:`Mesh` checks
+    the geometry, and its errors are raised with the file path in front.
     """
     tokens_per_line = []
     try:
@@ -251,36 +247,22 @@ def load_mesh(path):
     if len(rows) < n_nodes + n_tris:
         raise MeshParseError(f"{path}: truncated file (expected more data lines)")
 
-    nodes = np.empty((n_nodes, 2))
-    for k in range(n_nodes):
-        lineno, toks = rows[k]
-        if len(toks) != 2:
-            raise MeshParseError(f"{path}:{lineno}: expected 'x y', got {' '.join(toks)}")
-        try:
-            nodes[k] = [float(toks[0]), float(toks[1])]
-        except ValueError:
-            raise MeshParseError(f"{path}:{lineno}: bad coordinate") from None
-
-    triangles = np.empty((n_tris, 3), dtype=np.int64)
-    for k in range(n_tris):
-        lineno, toks = rows[n_nodes + k]
-        if len(toks) != 3:
-            raise MeshParseError(f"{path}:{lineno}: expected 'i j k', got {' '.join(toks)}")
-        try:
-            tri = [int(t) for t in toks]
-        except ValueError:
-            raise MeshParseError(f"{path}:{lineno}: bad node index") from None
-        for i in tri:
-            if not 0 <= i < n_nodes:
-                raise DanglingNodeError(
-                    f"{path}:{lineno}: triangle {k} references node {i} of {n_nodes}"
-                )
-        area = triangle_signed_area(nodes[tri])
-        if abs(area) <= _AREA_TOL:
-            raise ZeroAreaTriangleError(f"{path}:{lineno}: triangle {k} has zero area")
-        if area < 0:
-            tri[1], tri[2] = tri[2], tri[1]
-        triangles[k] = tri
+    nodes = np.array(_table(path, rows[:n_nodes], float, "x y", "bad coordinate"),
+                     dtype=float).reshape(n_nodes, 2)
+    tri_rows = rows[n_nodes:n_nodes + n_tris]
+    ids = _table(path, tri_rows, int, "i j k", "bad node index")
+    try:
+        triangles = np.array(ids, dtype=np.int64).reshape(n_tris, 3)
+    except OverflowError:
+        k = next(k for k, i in enumerate(ids) if not -2**63 <= i < 2**63)
+        raise DanglingNodeError(
+            f"{path}:{tri_rows[k // 3][0]}: triangle {k // 3} references "
+            f"node {ids[k]} of {n_nodes}"
+        ) from None
+    # swap the clockwise triangles whose ids are in range; Mesh rejects the rest
+    inside = np.flatnonzero(((triangles >= 0) & (triangles < n_nodes)).all(axis=1))
+    cw = inside[triangle_signed_area(nodes[triangles[inside]]) < 0]
+    triangles[cw, 1:] = triangles[cw, 2:0:-1]
 
     groups = {}
     current = None
@@ -296,21 +278,18 @@ def load_mesh(path):
                     f"{path}:{lineno}: node indices before any 'group' line"
                 )
             try:
-                ids = [int(t) for t in toks]
+                groups[current].update(int(t) for t in toks)
             except ValueError:
                 raise MeshParseError(f"{path}:{lineno}: bad node index in group") from None
-            for i in ids:
-                if not 0 <= i < n_nodes:
-                    raise MeshParseError(
-                        f"{path}:{lineno}: group '{current}' references node {i} of {n_nodes}"
-                    )
-            groups[current].update(ids)
 
     if len(groups) != n_groups:
         raise MeshParseError(
             f"{path}: header declares {n_groups} groups, file defines {len(groups)}"
         )
-    return Mesh(nodes, triangles, {k: frozenset(v) for k, v in groups.items()})
+    try:
+        return Mesh(nodes, triangles, {k: frozenset(v) for k, v in groups.items()})
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_mesh(mesh, path):

@@ -398,7 +398,8 @@ class TestCommands:
     def test_nan_mesh_node_exits_1_before_assembly(self, tmp_path, capsys,
                                                    monkeypatch):
         never_assemble(monkeypatch)
-        (tmp_path / "plate.mesh").write_text(
+        mesh = tmp_path / "plate.mesh"
+        mesh.write_text(
             "nodes 4 triangles 2 groups 1\n0 0\n1 0\nnan 0.5\n0 1\n"
             "0 1 2\n0 2 3\ngroup boundary\n0 1 2 3\n")
         text = ("[mesh]\nkind = file\npath = plate.mesh\n"
@@ -407,7 +408,29 @@ class TestCommands:
         assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "[stage mesh] node 2 has a non-finite coordinate" in err
+        assert f"[stage mesh] {mesh}: node 2 has a non-finite coordinate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("nodes 0 triangles 0 groups 1\ngroup boundary\n",
+         ": mesh has no triangles"),
+        ("nodes 3 triangles 1 groups 1\n0 0\n1 0\n0 1\n"
+         "0 1 99999999999999999999999\ngroup boundary\n0 1 2\n",
+         ":5: triangle 0 references node 99999999999999999999999 of 3"),
+    ], ids=["empty", "oversized-index"])
+    def test_bad_mesh_file_exits_1_naming_it(self, tmp_path, capsys,
+                                             monkeypatch, body, message):
+        never_assemble(monkeypatch)
+        mesh = tmp_path / "plate.mesh"
+        mesh.write_text(body)
+        text = ("[mesh]\nkind = file\npath = plate.mesh\n"
+                "[bc]\ngroup = boundary\nkind = clamped+grounded\n")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"[stage mesh] {mesh}{message}" in err
         assert "Traceback" not in err
         assert not out.exists()
 

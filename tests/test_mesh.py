@@ -25,7 +25,64 @@ def shoelace(coords):
     return 0.5 * (x[0] * (y[1] - y[2]) + x[1] * (y[2] - y[0]) + x[2] * (y[0] - y[1]))
 
 
+def structured_square_loops(n, side=1.0, pattern="crossed"):
+    """The former loop-built generator: (nodes, triangles, boundary), the
+    oracle for ``generate_structured_square``."""
+    h = side / n
+    grid = np.array(
+        [[ix * h, iy * h] for iy in range(n + 1) for ix in range(n + 1)]
+    )
+
+    def gid(ix, iy):
+        return iy * (n + 1) + ix
+
+    triangles = []
+    if pattern == "crossed":
+        centroids = np.array(
+            [[(cx + 0.5) * h, (cy + 0.5) * h] for cy in range(n) for cx in range(n)]
+        )
+        nodes = np.vstack([grid, centroids])
+        for cy in range(n):
+            for cx in range(n):
+                a = gid(cx, cy)
+                b = gid(cx + 1, cy)
+                c = gid(cx + 1, cy + 1)
+                d = gid(cx, cy + 1)
+                m = (n + 1) ** 2 + cy * n + cx
+                triangles += [(a, b, m), (b, c, m), (c, d, m), (d, a, m)]
+    else:
+        nodes = grid
+        for cy in range(n):
+            for cx in range(n):
+                a = gid(cx, cy)
+                b = gid(cx + 1, cy)
+                c = gid(cx + 1, cy + 1)
+                d = gid(cx, cy + 1)
+                triangles += [(a, b, c), (a, c, d)]
+
+    boundary = frozenset(
+        gid(ix, iy)
+        for iy in range(n + 1)
+        for ix in range(n + 1)
+        if ix in (0, n) or iy in (0, n)
+    )
+    return nodes, np.array(triangles, dtype=np.int64), boundary
+
+
 class TestStructuredSquare:
+    @pytest.mark.parametrize("pattern", ["crossed", "diagonal"])
+    @pytest.mark.parametrize("side", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_matches_loop_oracle_bit_for_bit(self, n, side, pattern):
+        m = generate_structured_square(n, side, pattern)
+        nodes, triangles, boundary = structured_square_loops(n, side, pattern)
+        assert m.nodes.shape == nodes.shape
+        assert m.nodes.tobytes() == nodes.tobytes()
+        assert m.triangles.shape == triangles.shape
+        assert m.triangles.tobytes() == triangles.tobytes()
+        assert m.edge_groups == {"boundary": boundary}
+        assert all(type(i) is int for i in m.edge_groups["boundary"])
+
     def test_single_cell_diagonal(self):
         m = generate_structured_square(1, 1.0, "diagonal")
         assert m.n_nodes == 4
@@ -94,6 +151,11 @@ class TestMeshValidation:
     def test_repeated_node_rejected(self):
         with pytest.raises(ValidationError):
             Mesh(np.array([[0.0, 0], [1, 0], [0, 1]]), np.array([[0, 1, 1]]))
+
+    def test_no_triangles_rejected(self):
+        with pytest.raises(ValidationError, match="mesh has no triangles"):
+            Mesh(np.empty((0, 2)), np.empty((0, 3), dtype=np.int64),
+                 {"boundary": frozenset()})
 
     @staticmethod
     def _faulty(faults):
@@ -189,9 +251,45 @@ group rim
         assert shoelace(m.nodes[m.triangles[0]]) > 0
         assert set(m.triangles[0]) == {0, 1, 2}
 
+    def test_only_clockwise_triangles_swapped(self, tmp_path):
+        # the 2x2 diagonal square, triangles 1, 4 and 6 written clockwise
+        m = generate_structured_square(2, 1.0, "diagonal")
+        tris = m.triangles.copy()
+        clockwise = [1, 4, 6]
+        tris[clockwise] = tris[clockwise][:, [0, 2, 1]]
+        lines = [f"nodes {m.n_nodes} triangles {len(tris)} groups 0"]
+        lines += [f"{x:.17g} {y:.17g}" for x, y in m.nodes]
+        lines += [f"{i} {j} {k}" for i, j, k in tris]
+        loaded = load_mesh(self._write(tmp_path, "\n".join(lines) + "\n"))
+        assert loaded.triangles.tobytes() == m.triangles.tobytes()
+        changed = np.flatnonzero((loaded.triangles != tris).any(axis=1))
+        assert changed.tolist() == clockwise
+
     def test_dangling_index_names_element(self, tmp_path):
         p = self._write(tmp_path, "nodes 3 triangles 1 groups 0\n0 0\n1 0\n0 1\n0 1 99\n")
         with pytest.raises(DanglingNodeError, match="triangle 0 references node 99 of 3"):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999999",
+                                       "-99999999999999999999999"])
+    def test_index_beyond_int64_names_line(self, tmp_path, index):
+        p = self._write(tmp_path, f"nodes 3 triangles 2 groups 0\n0 0\n1 0\n0 1\n"
+                                  f"0 1 2\n0 1 {index}\n")
+        with pytest.raises(DanglingNodeError, match=re.escape(
+                f"{p}:6: triangle 1 references node {int(index)} of 3")):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("body, message", [
+        ("nodes 3 triangles 1 groups 0\n0 0\n1 0\n0 1\n0 1 1\n",
+         "triangle 0 repeats a node"),
+        ("nodes 3 triangles 1 groups 1\n0 0\n1 0\n0 1\n0 1 2\ngroup rim\n0 1 7\n",
+         "edge group 'rim' references node 7 of 3"),
+        ("nodes 0 triangles 0 groups 1\ngroup boundary\n",
+         "mesh has no triangles"),
+    ], ids=["repeated-node", "group-node", "no-triangles"])
+    def test_mesh_error_names_file(self, tmp_path, body, message):
+        p = self._write(tmp_path, body)
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: {message}")):
             load_mesh(p)
 
     def test_zero_area_named(self, tmp_path):
@@ -249,13 +347,15 @@ group rim
             load_mesh(p)
 
     def test_save_load_roundtrip(self, tmp_path):
-        m = generate_structured_square(3, 1.5, "crossed")
-        p = tmp_path / "sq.mesh"
-        save_mesh(m, p)
-        m2 = load_mesh(p)
-        assert np.allclose(m.nodes, m2.nodes)
-        assert np.array_equal(m.triangles, m2.triangles)
-        assert m.edge_groups == m2.edge_groups
+        # %.17g round-trips every float64 exactly
+        for n, side in [(3, 1.5), (7, 0.3)]:
+            m = generate_structured_square(n, side, "crossed")
+            p = tmp_path / "sq.mesh"
+            save_mesh(m, p)
+            m2 = load_mesh(p)
+            assert m2.nodes.tobytes() == m.nodes.tobytes()
+            assert m2.triangles.tobytes() == m.triangles.tobytes()
+            assert m.edge_groups == m2.edge_groups
 
 
 BUILTIN_L_SHAPE = resources.files("pemplate") / "data" / "l_shape.mesh"
