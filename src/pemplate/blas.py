@@ -15,6 +15,16 @@ a second thread only spins, and its results depend on the thread count. So
 scipy's copy is pinned to one thread for each sparse solve, which makes
 that solve's output independent of the thread count. The dense solve
 keeps the default thread count: it gains wall time from the second thread.
+
+An idle worker of either copy spins for 2**OPENBLAS_THREAD_TIMEOUT TSC
+ticks before it sleeps, once after its library loads and again after each
+threaded call. At OpenBLAS's built-in 28 (0.13 s at 2.1 GHz) numpy's worker,
+which does no work in a run, spun 0.13 s, and scipy's spun 0.32 s on
+clamped-demo; on paper-square scipy's read 0.59 s, 0.31 s of it the dense
+solve's work. :mod:`pemplate.cli` sets the variable to 20 (0.5 ms) before
+numpy loads, unless the user set it, and the workers then read 0.001 s and
+0.03 s (0.31 s on paper-square). The timeout moves no work between threads,
+so no output bit moves with it.
 """
 
 from __future__ import annotations

@@ -30,11 +30,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
 from importlib import metadata
 from pathlib import Path
+
+# An idle OpenBLAS worker spins for 2**timeout cycles before it sleeps; the
+# built-in 28 (~0.1 s) burns a core after every threaded call. Each bundled
+# copy (numpy's, scipy's) reads the variable once, when it loads, so this
+# must come before numpy's first import. A value the user set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 import numpy as np
 import scipy
@@ -44,7 +51,8 @@ from .assembly import AssemblyWorkspace, assemble, patch_test
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
 from .csvfmt import FMT, format_rows
-from .errors import NumericalError, PemplateError, ValidationError
+from .errors import (NumericalError, PemplateError, StepStabilityError,
+                     ValidationError)
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
@@ -166,7 +174,12 @@ class Run:
                                      sim.magnitude)
         t_f, dt = dynamics.default_horizon(rs, drive, sim.beats,
                                            sim.steps_per_period)
-        traj = dynamics.integrate(rs, ic, sim.t_f or t_f, sim.dt or dt)
+        try:
+            traj = dynamics.integrate(rs, ic, sim.t_f or t_f, sim.dt or dt)
+        except StepStabilityError as exc:
+            if sim.dt is None:
+                raise
+            raise ValidationError(f"config field [simulation] dt: {exc}") from None
         return traj, dynamics.energies(rs, traj)
 
     @_stage("resistance-search")

@@ -316,6 +316,9 @@ def parse_config(text, origin="<config>", base_dir=None):
         if value is not None and not value > 0:
             raise ValidationError(f"config field [simulation] {key} must be "
                                   f"finite and positive, got {value}")
+    if t_f is not None and dt is not None and dt > t_f:
+        raise ValidationError(f"config field [simulation] dt = {dt:g} exceeds "
+                              f"[simulation] t_f = {t_f:g}")
     simulation = SimulationBlock(
         ic=ic, mode=sim.get_int("mode", 1), family=family, on=on,
         amplitude=amplitude, point=point, magnitude=magnitude, beats=beats,

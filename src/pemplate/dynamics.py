@@ -34,7 +34,7 @@ import numpy as np
 from . import assembly as asm
 from . import modal
 from .element import specht_shape_functions, triangle_geometry
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, StepStabilityError, ValidationError
 # unused here; kept importable because benchmarks/tracer.py patches it
 from .material import build_material  # noqa: F401
 
@@ -47,6 +47,10 @@ COARSE_POINTS = 9  # logarithmic scan that brackets the zeta peak
 FALLBACK_POINTS = 33  # grid scan when the coarse scan is not single-peaked
 BLOCK = 64  # RK4 output rows per matrix product in integrate
 UNCOUPLED_KAPPA = 1e-9  # |kappa| / omega at or below which a pair is uncoupled
+# round-off allowance on the RK4 propagator's spectral radius: far above the
+# ~1e-15 that eigenvalue round-off reaches, and a radius of 1 + 1e-9 grows a
+# state by 0.1% over a million steps
+STEP_RADIUS_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,15 @@ def integrate(rs, ic, t_f, dt):
     and doubling keeps the stack's error growing with log2(BLOCK) products
     rather than with BLOCK of them.
 
+    The eigenvalues of I + D are the stability polynomial
+    R(mu) = 1 + mu + mu^2/2 + mu^3/6 + mu^4/24 of those of hA, and those
+    of the exact one-step flow exp(hA) are exp(mu). A step whose propagator
+    has a spectral radius above 1 and above the flow's own (each up to
+    ``STEP_RADIUS_MARGIN``) grows what the system does not: it raises
+    :class:`StepStabilityError` naming ``dt``, the radius and the largest
+    |omega| = |mu| / dt. An undamped mode is stable for dt |omega| up to
+    2 sqrt(2).
+
     Raises :class:`IntegrationError` naming the step if the state stops
     being finite, and naming ``t_f``, ``dt`` and the step count if the
     trajectory cannot be allocated.
@@ -145,9 +158,11 @@ def integrate(rs, ic, t_f, dt):
 
     minv = np.linalg.inv(rs.k2red)
     ha = np.zeros((m, m))
-    ha[:n, n:] = dt * np.eye(n)
-    ha[n:, :n] = -dt * (minv @ rs.k0red)
-    ha[n:, n:] = -dt * (minv @ rs.k1red)
+    with np.errstate(over="ignore"):  # an overflowing hA fails the check
+        ha[:n, n:] = dt * np.eye(n)
+        ha[n:, :n] = -dt * (minv @ rs.k0red)
+        ha[n:, n:] = -dt * (minv @ rs.k1red)
+    _check_step(ha, dt)
     eye = np.eye(m)
 
     try:
@@ -183,6 +198,25 @@ def integrate(rs, ic, t_f, dt):
         )
     t = dt * np.arange(steps + 1)
     return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:])
+
+
+def _check_step(ha, dt):
+    """Raises :class:`StepStabilityError` if one RK4 step of the step
+    matrix ``ha`` grows faster than 1 and than the flow exp(ha)."""
+    radius, flow, omega = math.inf, 1.0, math.inf
+    if np.isfinite(ha).all():
+        mu = np.linalg.eigvals(ha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = np.abs(1.0 + mu * (1.0 + mu / 2.0 * (
+                1.0 + mu / 3.0 * (1.0 + mu / 4.0)))).max()
+            flow = np.exp(mu.real.max())
+        omega = np.abs(mu).max() / dt
+    if not radius <= (1.0 + STEP_RADIUS_MARGIN) * max(1.0, flow):
+        raise StepStabilityError(
+            f"the RK4 step dt = {dt:g} lies outside the stability region: "
+            f"the one-step propagator's spectral radius is {radius:.6g} "
+            f"(largest |omega| {omega:.6g}; an undamped mode needs "
+            f"dt |omega| <= 2.83)")
 
 
 def _quadratic_trace(a, form, b):

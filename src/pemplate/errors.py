@@ -32,3 +32,7 @@ class ZeroAreaTriangleError(ValidationError):
 
 class IntegrationError(NumericalError):
     """Time integration produced a non-finite state."""
+
+
+class StepStabilityError(IntegrationError):
+    """The time step lies outside the integrator's stability region."""

@@ -68,10 +68,14 @@ def _solve_pencil(k0, k2, n):
     holds exactly two n x n arrays, built in Fortran order and factored and
     reduced in place by LAPACK's ``dsygvx`` (~40 MB at 1,571 rows, ~108 MB
     at ``_DENSE_LIMIT``); it keeps scipy's default thread count, which
-    speeds it up. The Lanczos solve runs with scipy's OpenBLAS on one thread
-    (:mod:`pemplate.blas`): a second thread gains nothing in its level-1/2
-    calls and triangular solves, and one thread makes its result independent
-    of the thread count.
+    speeds it up. Its second thread sleeps within about 0.5 ms of its last
+    call (``OPENBLAS_THREAD_TIMEOUT``, set by :mod:`pemplate.cli`): over a
+    paper-square run that thread's CPU fell from 0.59 s to 0.31 s, the
+    solves' own work, and their wall time did not change. The Lanczos solve
+    runs with scipy's OpenBLAS on one thread (:mod:`pemplate.blas`): a
+    second thread gains nothing in its level-1/2 calls and triangular
+    solves, and one thread makes its result independent of the thread
+    count.
     """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:

@@ -1,4 +1,7 @@
 import ctypes
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,3 +130,87 @@ def test_finds_the_library_scipy_names():
     if name != "scipy-openblas":
         pytest.skip(f"scipy's BLAS is {name}")
     assert blas._scipy_openblas() is not None
+
+
+def run_child(code, **env_changes):
+    """Runs ``code`` in a fresh interpreter that imports this checkout's
+    package; ``None`` removes a variable. Returns its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(blas.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    for key, value in env_changes.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+# prints the timeout when numpy is first looked up, then after the import
+TIMEOUT_AT_NUMPY = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Watch())
+import pemplate.cli
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+@pytest.mark.parametrize("user, expect", [(None, "20"), ("28", "28")])
+def test_cli_sets_thread_timeout_before_numpy_loads(user, expect):
+    # OpenBLAS reads the variable when its library loads, so it must be set
+    # when numpy is first imported; a value the user set is kept
+    lines = run_child(TIMEOUT_AT_NUMPY, OPENBLAS_THREAD_TIMEOUT=user).split()
+    assert lines == [expect, expect]
+
+
+# CPU of every thread but the main one, while the main thread runs pure
+# Python for 0.3 s after one threaded dense solve
+IDLE_WORKERS = """
+import os, threading, time
+import pemplate.cli
+import numpy as np
+import scipy.linalg as sla
+
+def others_cpu():
+    main, total = threading.get_native_id(), 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != main:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+            total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total / os.sysconf("SC_CLK_TCK")
+
+a = np.random.default_rng(0).standard_normal((800, 800))
+k, m = a @ a.T + 800 * np.eye(800), np.eye(800) + 1e-4
+before = others_cpu()
+sla.eigh(k, m)
+start = others_cpu()
+t0 = time.perf_counter()
+while time.perf_counter() - t0 < 0.3:
+    pass
+print(start - before, others_cpu() - start)
+"""
+
+
+def test_idle_blas_workers_sleep():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads per-thread CPU from /proc")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: OpenBLAS starts no worker thread")
+    if blas._scipy_openblas() is None:
+        pytest.skip("scipy's BLAS is not scipy-openblas")
+    solve, idle = map(float, run_child(
+        IDLE_WORKERS, OPENBLAS_THREAD_TIMEOUT=None,
+        OPENBLAS_NUM_THREADS=None).split())
+    assert solve > 0.0, "the dense solve ran on one thread"
+    # OpenBLAS's built-in timeout spins the worker for ~0.13 s here
+    assert idle < 0.03

@@ -264,6 +264,22 @@ class TestConfigParsing:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_longer_than_horizon_exits_1_at_load(self, tmp_path, capsys):
+        # one step of 1 would run the trajectory to t = 1, past t_f
+        text = SMALL_CFG + "t_f = 0.001\ndt = 1.0\n"
+        message = "[simulation] dt = 1 exceeds [simulation] t_f = 0.001"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_config(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_equal_to_horizon_is_valid(self):
+        sim = parse_config(SMALL_CFG + "t_f = 0.5\ndt = 0.5\n").simulation
+        assert sim.t_f == sim.dt == 0.5
+
     @pytest.mark.parametrize("section, key, value", [
         ("material", "rho", "nan"),
         ("material", "h", "nan"),
@@ -818,6 +834,46 @@ class TestStageGraph:
         err = capsys.readouterr().err
         assert "[stage simulation]" in err and "t_f" in err
 
+    def test_configured_unstable_step_exits_1(self, tmp_path, capsys):
+        # the (1,1) mode alone has omega ~ 20, so dt = 1 is far outside the
+        # RK4 stability region
+        cfg = write_cfg(tmp_path, SMALL_CFG + "dt = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "[stage simulation] config field [simulation] dt:" in err
+        assert "spectral radius" in err and "largest |omega|" in err
+        assert not out.exists()
+
+    def test_chosen_unstable_step_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(dynamics, "default_horizon",
+                            lambda *args: (10.0, 1.0))
+        cfg = write_cfg(tmp_path, SMALL_CFG)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[stage simulation] the RK4 step dt = 1 lies outside" in err
+        assert "config field" not in err
+
+    def test_search_unstable_step_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        # one step per drive period: dt |omega| = 2 pi
+        evaluator = dynamics.damping_evaluator
+
+        def coarse(reduced, basis, mode_index, partner, **kwargs):
+            period = 2 * math.pi / basis.omegas[mode_index]
+            return evaluator(reduced, basis, mode_index, partner,
+                             t_f=kwargs["t_f"], dt=period)
+
+        monkeypatch.setattr(dynamics, "damping_evaluator", coarse)
+        cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+        assert main(["optimize-r", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[stage resistance-search] the RK4 step" in err
+        assert "spectral radius" in err
+
     def test_untuned_drive_runs_twenty_periods(self, tmp_path):
         # untuned, the driven mode's nearest electric mode does not couple to
         # it by symmetry (kappa ~ 1e-14 omega, round-off): no beat, so the
@@ -847,3 +903,25 @@ class TestStageGraph:
             assert "nothing to damp" in capsys.readouterr().err
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "simulate")]) == 0
+
+
+# Key numbers of `pipeline --preset paper-square` at the default OpenBLAS
+# thread count (two threads), each within a relative bound of 10x the spread
+# measured between that and OPENBLAS_NUM_THREADS=1: L_N 5.95e-11, zeta*
+# 6.52e-10, drift 2.60e-5. R* is where the golden-section comparisons end,
+# and it was the same to the last bit at both thread counts: bound 0.
+PAPER_SQUARE_KEYS = {
+    r"tuned L_N: \S+ -> (\S+)": (0.050697179860801578, 5.95e-10),
+    r"optimal resistance R\* (\S+),": (0.17838262559945961, 0.0),
+    r", zeta (\S+)": (0.037323924059153711, 6.52e-9),
+    r", drift (\S+),": (7.2216516962752453e-08, 2.60e-4),
+}
+
+
+def test_paper_square_key_numbers(tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--preset", "paper-square", "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    for pattern, (expected, bound) in PAPER_SQUARE_KEYS.items():
+        value = float(re.search(pattern, summary).group(1))
+        assert abs(value - expected) <= bound * expected, (pattern, value)

@@ -22,7 +22,7 @@ from pemplate.dynamics import (
     unimodal_ic,
 )
 from pemplate.element import specht_shape_functions, triangle_geometry
-from pemplate.errors import IntegrationError, ValidationError
+from pemplate.errors import IntegrationError, StepStabilityError, ValidationError
 from pemplate.material import (
     NetworkParams,
     PlateParams,
@@ -268,6 +268,33 @@ class TestIntegrate:
         ic = unimodal_ic(rs, 0, 1.0)
         with pytest.raises(IntegrationError, match="step"):
             integrate(rs, ic, 2000.0, 1.0)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0])
+    def test_step_outside_stability_region_raises(self, amplitude):
+        # an undamped mode is stable for dt |omega| up to 2 sqrt(2) = 2.828:
+        # |R(2.84 i)| = 1.029 grows the state, and a zero state as well
+        rs = single_oscillator(omega=2.0)
+        with pytest.raises(StepStabilityError) as exc:
+            integrate(rs, unimodal_ic(rs, 0, amplitude), 100.0, 1.42)
+        msg = str(exc.value)
+        assert "dt = 1.42" in msg and "largest |omega| 2;" in msg
+        assert "spectral radius is 1.029" in msg
+
+    def test_step_just_inside_stability_region_runs(self):
+        rs = single_oscillator(omega=2.0)
+        traj = integrate(rs, unimodal_ic(rs, 0, 1.0), 100.0, 1.41)
+        assert np.abs(traj.z).max() <= 1.0
+
+    def test_overflowing_step_matrix_raises(self):
+        rs = single_oscillator(omega=1e5)
+        with pytest.raises(StepStabilityError, match="spectral radius is inf"):
+            integrate(rs, unimodal_ic(rs, 0, 1.0), 1e301, 1e300)
+
+    def test_damped_pair_outside_stability_region_raises(self):
+        # damping shrinks the propagator, but not enough at dt |omega| = 4
+        rs = two_mode_surrogate(1.0, 0.1, 0.3, 1.0)
+        with pytest.raises(StepStabilityError, match="spectral radius"):
+            integrate(rs, unimodal_ic(rs, 0, 1.0), 40.0, 4.0)
 
     def test_non_finite_step_count_rejected(self):
         rs = single_oscillator()
