@@ -34,7 +34,6 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
-from importlib import metadata
 from pathlib import Path
 
 # An idle OpenBLAS worker spins for 2**timeout cycles before it sleeps; the
@@ -46,7 +45,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 import numpy as np
 import scipy
 
-from . import dynamics, modal, reference
+from . import __version__, dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, patch_test
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
@@ -304,12 +303,8 @@ def cmd_patch_test(corrupt_mu=False):
 
 
 def _manifest(config_text):
-    try:
-        package = metadata.version("pemplate")
-    except metadata.PackageNotFoundError:
-        package = "unknown"
     return {"config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
-            "package": package, "numpy": np.__version__,
+            "package": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__}
 
 

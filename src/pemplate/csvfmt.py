@@ -1,24 +1,34 @@
 """Numeric CSV tables in exactly the bytes of ``"%.17g" %``, at array speed.
 
 CPython's ``%`` conversion is correctly rounded (Gay, 1990) but costs about
-a microsecond per double. Here each value x != 0 is scaled in
-``np.longdouble`` to s = |x| * 10**(16 - e), e = floor(log10 |x|), so that s
-lies in [1e16, 1e17); its nearest integer N holds the 17 significant digits
-(the scaled-integer idea of Ryu, Adams 2018). s carries two roundings (the
-power and the product), so where the fraction of s lies within ``MARGIN`` of
-0.5 the rounding of N is uncertain, and that value, like every non-finite
-value and ±0, is formatted by ``%`` itself. So is every value where
-``np.longdouble`` has fewer than 63 mantissa bits (where it is ``float64``):
-there the output is the same, only slower.
+a microsecond per double. Here each value x != 0 is scaled to
+s = |x| * 10**(16 - e), e = floor(log10 |x|), in [1e16, 1e17); its nearest
+integer N holds the 17 significant digits (the scaled-integer idea of Ryu,
+Adams 2018). s is held in float64 as p + q: the power is tabulated as
+hi + lo, both correctly rounded from the exact ``Fraction``, |x| * hi is
+p + q0 exactly by Dekker's TwoProduct with a Veltkamp split (Numer. Math.
+18, 1971), and q = q0 + |x| * lo. p >= 2**53 is an integer, so
+N = p + round(q). With u = 2**-53 and s < 2**57, lo's own rounding and that
+of |x| * lo each move s by at most u**2 * s < 2**-49, and the sum q
+(|q| <= 8 + 16) by half an ulp of 2**4, 2**-49: s is off by less than
+2**-47. ``MARGIN`` is 2**7 times that. Where q's fraction lies within it
+of 0.5 (every exact tie, and about 2**-39 of other values) the rounding of
+N is uncertain, and ``%`` formats the value; so it does ±0, inf, nan and
+|x| outside ``_RANGE``, where the power or a split half would leave the
+normal range.
 
-Digits come from a base-10000 lookup table and are laid out by the C ``%g``
-rules (fixed notation for exponents -4 <= X < 17, else ``e±XX``; trailing
-zeros and a bare ``.`` dropped) into fixed-width cells whose unused bytes are
-0, which ``bytes.translate`` removes. The tables are built on first use.
+Each value becomes a 32-byte cell of four little-endian words, by the C
+``%g`` rules (fixed notation for exponents -4 <= X < 17, else ``e±XX``;
+trailing zeros and a bare ``.`` dropped): the head (sign, ``0.`` and up to
+three zeros below 1, the first digit, the point after it); digits 1-8 and
+9-16 from a base-10000 ASCII table, cut to their length, with a fixed
+point inserted at its byte; the tail (the digit the point pushed out, the
+exponent text, the delimiter). ``bytes.translate`` drops the 0 bytes left.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -27,94 +37,89 @@ import numpy as np
 FMT = "%.17g"
 # rows formatted per pass; the temporaries cost about 200 B per cell
 CHUNK = 256
-# 63 on x87 extended precision; with fewer (float64) the scaled s cannot
-# hold 17 digits and a rounding fraction
-MANTISSA_BITS = np.finfo(np.longdouble).nmant
-# two roundings of at most eps/2 each, and s < 2**57:
-# |s_computed - s| <= s * (eps + eps**2 / 4) < 2**57 * eps
-MARGIN = 2 ** 57 * float(np.finfo(np.longdouble).eps)
-
-# decimal exponents e of finite doubles (-324..308), one more on each side
-# for the correction of floor(log10 |x|); the tables are indexed by e - _E_MIN
-_E_MIN, _E_MAX = -325, 309
-
-# Each value's 32-byte source row: bytes 0-7 the constants 0 '.' '0' 'e',
-# the sign ('-' or 0), the point ('.', or 0 with no fraction digit left) and
-# the delimiter; bytes 8-11 the exponent text; byte 15 the leading digit and
-# bytes 16-31 the other 16, as four base-10000 groups.
-_NUL, _POINT, _ZERO, _E, _SIGN, _DOT, _DELIM = range(7)
-_EXP, _DIGITS = 8, 15
-_ROW = 32
-_WIDTH = 25  # sign, 23 body bytes at most ('d.' 16 digits 'e-308'), delimiter
+MARGIN = 2.0 ** -40
+_RANGE = 1e-280, 1e280
+# the decimal exponents in _RANGE, one more each side for the correction
+# of floor(log10 |x|); the tables are indexed by e - _E_MIN
+_E_MIN, _E_MAX = -282, 281
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp: halves of at most 26 significant bits
 
 
-def _template(x_exp):
-    """Source-row indices of a cell of decimal exponent ``x_exp``
-    (``None``: exponential notation)."""
-    digits = [_DIGITS + j for j in range(17)]
-    if x_exp is None:
-        body = [digits[0], _DOT, *digits[1:], _E, *range(_EXP, _EXP + 4)]
-    elif x_exp >= 0:
-        body = [*digits[:x_exp + 1], _DOT, *digits[x_exp + 1:]]
-    else:
-        body = [_ZERO, _POINT, *[_ZERO] * (-x_exp - 1), *digits]
-    cell = [_SIGN, *body]
-    return cell + [_NUL] * (_WIDTH - 1 - len(cell)) + [_DELIM]
+def _split(v):
+    c = _SPLIT * v
+    high = c - (c - v)
+    return high, v - high
 
 
 @cache
 def _tables():
-    """The lookup tables, built on the first vectorized call."""
+    """The lookup tables, built on the first call."""
     e = np.arange(_E_MIN, _E_MAX + 1)
+    power = [Fraction(10) ** int(k) for k in 16 - e]
+    hi = np.array([float(p) for p in power])
+    lo = np.array([float(p - Fraction(h)) for p, h in zip(power, hi.tolist())])
+    # the head's '0.' and zeros below 1 (at byte 1), the tail's exponent
+    # text (at byte 1: 'e', sign, two or three digits)
+    text = np.zeros((2, len(e)), np.uint64)
+    for i, x in enumerate(e.tolist()):
+        if -4 <= x < 0:
+            text[0, i] = int.from_bytes(b"0." + b"0" * (-x - 1), "little") << 8
+        elif not -4 <= x < 17:
+            text[1, i] = int.from_bytes(f"e{x:+03d}".encode(), "little") << 8
+    # the digits always written, and the point's place among them: after
+    # digit 1..15 of words 1-2, 16 nowhere, 17 after the head's digit
     fixed = (-4 <= e) & (e < 17)
-    # the four ASCII digits of 0..9999 (as one little-endian uint32 each, so
-    # the first digit is the low byte)
-    ascii4 = np.ascontiguousarray(
-        np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0"))
-    # the exponent text, '+'/'-' and three digits; C prints at least two,
-    # so a 0 byte stands for the third when it would be a leading zero
-    exp_text = np.column_stack([np.where(e < 0, ord("-"), ord("+")),
-                                ascii4[np.abs(e), 1:]]).astype(np.uint8)
-    exp_text[np.abs(e) < 100, 1] = 0
+    place = np.array([np.where(fixed & (e >= 0), e + 1, 1),
+                      np.where(~fixed | (e == 0), 17, np.where(e > 0, e, 16))],
+                     np.int8)
+    # [j, n]: word j + 1 with digits 1..n kept (n <= 16), or all of it
+    masks = np.array([[(1 << 8 * min(max(n - 8 * j, 0), 8)) - 1
+                       for n in range(18)] for j in (0, 1)], np.uint64)
+    # [0, 17] the head's point, [1 + j, n] word j + 1's after digit n
+    dots = np.zeros((3, 18), np.uint64)
+    dots[0, 17] = ord(".") << 56
+    for n in range(1, 16):
+        dots[1 + n // 8, n] = ord(".") << 8 * (n % 8)
+    digits = np.indices((10,) * 4, dtype=np.uint64).reshape(4, -1) + ord("0")
     return SimpleNamespace(
-        # 10**(16 - e), parsed (so correctly rounded) from its decimal string
-        pow10=np.array([f"1e{16 - k}" for k in e], dtype=np.longdouble),
-        # digits before the point: e + 1 in fixed notation (<= 0 below 1)
-        point_at=np.where(fixed, e + 1, 1),
-        exp_text=exp_text.view("<u4").ravel(),
-        quad=ascii4.view("<u4").ravel(),
-        trailing_zeros=sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)),
-        # [n]: the masks keeping the first n - 1 - 4j bytes (0..4) of group j
-        keep=((1 << 8 * np.clip(np.arange(18)[:, None] - 1 - 4 * np.arange(4),
-                                0, 4)) - 1).astype("<u4"),
-        # one per exponent: fixed notation's 21 templates, else exponential
-        templates=np.array([_template(x) for x in range(-4, 17)]
-                           + [_template(None)], dtype=np.intp)[
-                               np.where(fixed, e + 4, 21)],
-    )
+        scale=np.stack([hi, *_split(hi), lo]), text=text, place=place,
+        masks=masks, dots=dots,
+        # the four ASCII digits of 0..9999, the first in the low byte
+        quad=sum(digits[j] << np.uint64(8 * j) for j in range(4)),
+        first=(np.arange(10, dtype=np.uint64) + ord("0")) << np.uint64(48),
+        trailing_zeros=sum(np.arange(10000) % 10 ** j == 0
+                           for j in range(1, 5)).astype(np.int8))
 
 
-def _scaled_digits(x, pow10):
+def _scaled(a, e, t):
+    """s = a * 10**(16 - e) as the pair (p, q)."""
+    hi, hi_high, hi_low, lo = np.take(t.scale, e - _E_MIN, axis=1)
+    a_high, a_low = _split(a)
+    p = a * hi
+    q = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) \
+        + a_low * hi_low
+    return p, q + a * lo
+
+
+def _scaled_digits(x, t):
     """(N, e, fallback) of the flat ``x``: 17 significant digits N, decimal
     exponent e, and the mask of values that ``%`` must format."""
     a = np.abs(x)
-    fallback = ~np.isfinite(a) | (a == 0)
+    fallback = ~((a >= _RANGE[0]) & (a < _RANGE[1]))
     a[fallback] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    a = a.astype(np.longdouble)
-    s = a * pow10[e - _E_MIN]
-    off = (s >= 1e17).astype(np.intp) - (s < 1e16)
-    if off.any():  # log10 rounded across a power of ten
+    p, q = _scaled(a, e, t)
+    # log10 rounded across a power of ten: s outside [1e16, 1e17)
+    off = ((p - 1e17) + q >= 0).astype(np.intp) - ((p - 1e16) + q < 0)
+    if off.any():
         e += off
-        s = a * pow10[e - _E_MIN]
-    n = s.astype(np.int64)
-    frac = (s - n).astype(np.float64)
-    fallback |= np.abs(frac - 0.5) <= MARGIN
-    n += frac > 0.5
+        p, q = _scaled(a, e, t)
+    r = np.rint(q)
+    fallback |= np.abs(q - r) >= 0.5 - MARGIN
+    n = p.astype(np.int64) + r.astype(np.int64)
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
-    e += carry
-    return n, e, fallback
+    return n, e + carry, fallback
 
 
 def format_rows(table):
@@ -122,51 +127,46 @@ def format_rows(table):
     rows at a time: cells ``"%.17g" % v`` separated by ``,``, each row ended
     by a newline."""
     table = np.asarray(table, dtype=np.float64)
-    if MANTISSA_BITS < 63:
-        yield "".join(",".join(FMT % v for v in row) + "\n"
-                      for row in table.tolist()).encode()
-        return
     t = _tables()
     n_cols = table.shape[1]
-    size = min(CHUNK, len(table)) * n_cols
-    # bytes 0-7 of the source rows of one table row
-    heads = np.zeros((n_cols, 8), np.uint8)
-    heads[:, _POINT], heads[:, _ZERO], heads[:, _E] = b".0e"
-    heads[:, _DELIM] = ord(",")
-    heads[-1, _DELIM] = ord("\n")
-    heads = np.tile(heads.view("<u8").ravel(), size // n_cols)
-    rows = np.empty((size, _ROW), np.uint8)
-    words = rows.view("<u4")
-    index = np.empty((size, _WIDTH), np.intp)
-    starts = (np.arange(size) * _ROW)[:, None]
+    delims = np.full((min(CHUNK, len(table)), n_cols), ord(",") << 48, np.uint64)
+    delims[:, -1] = ord("\n") << 48
+    cells = np.empty((delims.size, 4), np.uint64)
     for start in range(0, len(table), CHUNK):
         x = table[start:start + CHUNK].ravel()
         m = len(x)
-        n, e, fallback = _scaled_digits(x, t.pow10)
-        rows[:m].view("<u8")[:, 0] = heads[:m]
-        rows[:m, _SIGN] = (x < 0) * np.uint8(ord("-"))
-        trailing = np.zeros(m, np.intp)
-        zero = np.ones(m, bool)
-        for j in range(7, 3, -1):  # base-10000 groups, the last one first
-            group = n % 10000
-            n //= 10000
-            words[:m, j] = t.quad[group]
-            trailing += zero * t.trailing_zeros[group]
-            zero &= group == 0
-        rows[:m, _DIGITS] = ord("0") + n
-        # keep the digits up to the last nonzero one and, in fixed
-        # notation, all before the point
-        ei = e - _E_MIN
-        point = t.point_at[ei]
-        length = np.maximum(17 - trailing, point)
-        words[:m, 4:] &= t.keep[length]
-        rows[:m, _DOT] = (length > point) * np.uint8(ord("."))
-        words[:m, _EXP // 4] = t.exp_text[ei]
-        np.take(t.templates, ei, axis=0, out=index[:m])
-        index[:m] += starts[:m]
-        cells = np.take(rows, index[:m])
+        n, e, fallback = _scaled_digits(x, t)
+        prefix, exponent = np.take(t.text, e - _E_MIN, axis=1)
+        lead, place = np.take(t.place, e - _E_MIN, axis=1)
+        # the first digit, and four groups of four: n's leading 1, 5, 9, 13
+        # and 17 digits less 10**4 times the ones before (np.divmod is slower)
+        leading = [*(n // 10 ** k for k in (16, 12, 8, 4)), n]
+        groups = [b - a * 10 ** 4 for a, b in zip(leading, leading[1:])]
+        length, zero = 17, True  # significant digits
+        for g in groups[::-1]:
+            length = length - zero * t.trailing_zeros[g]
+            zero = zero & (g == 0)
+        place = np.where(length > lead, place, 16)
+        cells[:m, 0] = (t.first[leading[0]] | prefix | t.dots[0, place]
+                        | (x < 0) * np.uint64(ord("-")))
+        keep = np.take(t.masks, np.maximum(length, lead) - 1, axis=1)
+        for j in (1, 2):
+            cells[:m, j] = keep[j - 1] & (t.quad[groups[2 * j - 2]]
+                                          | t.quad[groups[2 * j - 1]] << np.uint64(32))
+        cells[:m, 3] = exponent | delims.ravel()[:m]
+        # a point after digit 1..15: the bytes after it move up one; word 2
+        # goes first, so the byte word 1 pushes out lands in its freed byte 0
+        i = np.flatnonzero(place < 16)
+        words, place = cells[i], place[i]
+        for j in (2, 1):
+            before = t.masks[j - 1, place]
+            after = words[:, j] & ~before
+            words[:, j] = (words[:, j] & before | t.dots[j, place]
+                           | after << np.uint64(8))
+            words[:, j + 1] |= after >> np.uint64(56)
+        cells[i] = words
         if fallback.any():
-            text = np.array([FMT % v for v in x[fallback].tolist()],
-                            dtype=f"S{_WIDTH - 1}")
-            cells[fallback, :-1] = text.view(np.uint8).reshape(-1, _WIDTH - 1)
-        yield cells.tobytes().translate(None, b"\0")
+            text = np.array([FMT % v for v in x[fallback].tolist()], "S30")
+            cells[:m].view(np.uint8)[fallback, :30] = \
+                text.view(np.uint8).reshape(-1, 30)
+        yield cells[:m].tobytes().translate(None, b"\0")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .blas import scipy_blas_single_thread
 from .errors import NumericalError, ValidationError
@@ -91,6 +90,9 @@ def _solve_pencil(k0, k2, n):
                 "material parameters"
             ) from None
     else:
+        # imported here: it takes 15-24 ms, and dense-only runs never use it
+        import scipy.sparse.linalg as spla
+
         v0 = np.ones(size)
         try:
             with scipy_blas_single_thread():

@@ -1,11 +1,14 @@
+import json
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import pemplate
 from pemplate import cli, csvfmt, dynamics
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
@@ -606,19 +609,38 @@ class TestWriter:
         self.assert_formats_exactly(np.concatenate(
             [p, np.nextafter(p, 0), np.nextafter(p, np.inf), -p]))
 
-    def test_exact_ties_round_half_even(self):
-        # odd m * 2**-k with exactly 18 significant digits, the last a 5:
-        # the 17-digit rounding is an exact tie
+    @staticmethod
+    def exact_ties():
+        """Odd m * 2**-k with exactly 18 significant digits, the last a 5:
+        the 17-digit rounding is an exact tie."""
         rng = np.random.default_rng(12)
         ties = []
         for k in range(2, 25):
             lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
             ties += [(m | 1) * 2.0 ** -k for m in rng.integers(lo, hi - 1, 30)]
+        return np.array(ties)
+
+    def test_exact_ties_round_half_even(self):
+        ties = self.exact_ties()
         for v in ties:
             digits = str(Fraction(v).numerator * 10 ** 30
                          // Fraction(v).denominator).rstrip("0")
             assert len(digits.lstrip("0")) == 18 and digits[-1] == "5"
-        self.assert_formats_exactly(ties + [-v for v in ties])
+        self.assert_formats_exactly(np.concatenate([ties, -ties]))
+
+    @pytest.mark.parametrize("error", [2.0 ** -47, -2.0 ** -47])
+    def test_ties_take_percent_at_the_error_bound(self, monkeypatch, error):
+        # the ties scale exactly; moved by the documented bound on the
+        # scaling error, they must still reach ``%``, not be rounded
+        scaled = csvfmt._scaled
+
+        def off_by_the_bound(a, e, t):
+            p, q = scaled(a, e, t)
+            return p, q + error
+
+        monkeypatch.setattr(csvfmt, "_scaled", off_by_the_bound)
+        ties = self.exact_ties()
+        self.assert_formats_exactly(np.concatenate([ties, -ties]))
 
     def test_integers_up_to_2_53(self):
         rng = np.random.default_rng(13)
@@ -644,21 +666,53 @@ class TestWriter:
         assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n" + \
             self.percent(table)
 
-    def test_without_long_double_every_value_takes_percent(self, monkeypatch):
-        def vectorized(x, pow10):
-            raise AssertionError("the vectorized path ran")
-
-        monkeypatch.setattr(csvfmt, "MANTISSA_BITS", 52)
-        monkeypatch.setattr(csvfmt, "_scaled_digits", vectorized)
-        rng = np.random.default_rng(15)
-        bits = rng.integers(0, 2 ** 64, 3000, dtype=np.uint64)
-        self.assert_formats_exactly(bits.view(np.float64))
+    def test_every_notation_class(self):
+        # 1..17 significant digits at every fixed-notation exponent
+        # X = -4..16 and at exponential ones, also with short binary
+        # fractions; the oracle's cells must cover each class with and
+        # without fraction digits (X < 0 has them always, X = 16 never)
+        digits = "12345678901234567"
+        exps = [*range(-4, 17), -5, 17, -99, 100, -279, 279]
+        values = [float(f"{digits[:n]}e{x - n + 1}") for x in exps
+                  for n in range(1, 18)]
+        values += [m * 10.0 ** x for x in exps for m in (1.0, 1.5, 2.25, 9.875)]
+        cells = self.percent(np.array([values])).decode().strip().split(",")
+        seen = {("e" if "e" in c else Decimal(c).adjusted(), "." in c)
+                for c in cells}
+        assert seen >= {*((x, True) for x in [*range(-4, 16), "e"]),
+                        *((x, False) for x in [*range(0, 17), "e"])}
+        self.assert_formats_exactly(values + [-v for v in values])
 
     def test_power_table_is_correctly_rounded(self):
-        pow10 = csvfmt._tables().pow10
-        for e, p in zip(range(csvfmt._E_MIN, csvfmt._E_MAX + 1), pow10):
-            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(10) ** (16 - e))
-            assert error <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, e
+        # 10**(16 - e) = hi + lo: hi correctly rounded, lo the correctly
+        # rounded remainder, and hi's Veltkamp halves exact and 26 bits each
+        hi, hi_high, hi_low, lo = csvfmt._tables().scale
+        for e, h, hh, hl, l in zip(range(csvfmt._E_MIN, csvfmt._E_MAX + 1),
+                                   hi, hi_high, hi_low, lo):
+            power = Fraction(10) ** (16 - e)
+            assert abs(Fraction(h) - power) <= abs(Fraction(np.spacing(h))) / 2, e
+            rest = power - Fraction(h)
+            assert abs(Fraction(l) - rest) <= abs(Fraction(np.spacing(l))) / 2, e
+            assert hh + hl == h, e
+            for half in (hh, hl):
+                assert (math.frexp(half)[0] * 2 ** 26).is_integer(), e
+
+    def test_only_zeros_reach_percent(self, tmp_path, monkeypatch):
+        # the double-double scaling settles every digit of a trajectory;
+        # ``%`` is left the values it alone can format
+        class CountingFormat(str):
+            def __mod__(self, value):
+                calls.append(value)
+                return str.__mod__(self, value)
+
+        calls = []
+        monkeypatch.setattr(csvfmt, "FMT", CountingFormat("%.17g"))
+        traj, en = cli.Run(load_config(write_cfg(tmp_path, IMPULSE_CFG))).simulation()
+        table = np.column_stack([traj.t, traj.z, en.mech, en.elec, en.total])
+        assert table.size > 10_000
+        assert b"".join(csvfmt.format_rows(table)) == self.percent(table)
+        assert len(calls) == np.count_nonzero(table == 0)
+        assert set(calls) == {0.0}
 
     def test_trajectory_reads_back_exactly(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CFG)
@@ -687,6 +741,13 @@ def test_every_run_explains_itself(tmp_path, capsys, command):
     assert (out / "manifest.json").is_file()
     assert capsys.readouterr().out.splitlines() == \
         [*lines, f"{command} outputs in {out}"]
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    # the version comes from the package itself, installed or not
+    out = run_cli("modes", write_cfg(tmp_path, SMALL_CFG), tmp_path / "modes")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["package"] == pemplate.__version__
 
 
 @pytest.mark.parametrize("command, text, section", [

@@ -130,7 +130,7 @@ def test_sparse_branch_runs_eigsh_on_one_thread(monkeypatch, fake_scipy_blas):
         seen.append(fake_scipy_blas.threads)
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(modal.spla, "eigsh", spy)
+    monkeypatch.setattr(spla, "eigsh", spy)
     modal._solve_pencil(k0, k2, 3)
     assert seen == [1] and fake_scipy_blas.threads == 3
 
@@ -138,7 +138,7 @@ def test_sparse_branch_runs_eigsh_on_one_thread(monkeypatch, fake_scipy_blas):
         seen.append(fake_scipy_blas.threads)
         raise RuntimeError("no convergence")
 
-    monkeypatch.setattr(modal.spla, "eigsh", failing)
+    monkeypatch.setattr(spla, "eigsh", failing)
     with pytest.raises(NumericalError, match="no convergence"):
         modal._solve_pencil(k0, k2, 3)
     assert seen == [1, 1] and fake_scipy_blas.threads == 3
