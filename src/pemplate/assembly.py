@@ -454,17 +454,19 @@ _MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
                   ("K0", ("T", "E", "R")))
 
 
-def _require_finite(local, mat):
+def _require_finite(local, mat, mesh):
     """Raise a NumericalError naming the first of K2, K1, K0 whose distinct
-    local matrices hold an inf or nan, and its material blocks' sizes."""
+    local matrices hold an inf or nan, its material blocks' sizes and the
+    mesh's span: their products overflow, not either alone."""
     for (name, blocks), m in zip(_MATRIX_BLOCKS, local):
         if not np.isfinite(m).all():
             sizes = ", ".join(f"max |{b}| = {np.abs(getattr(mat, b)).max():.3g}"
                               for b in blocks)
+            dx, dy = np.ptp(mesh.nodes, axis=0)
             raise NumericalError(
                 f"non-finite {name} element matrices: the material's "
-                f"magnitudes overflow float64 ({sizes}); rescale the "
-                "material parameters"
+                f"magnitudes ({sizes}) on a mesh spanning {dx:.3g} x {dy:.3g} "
+                "overflow float64; rescale the material parameters or the mesh"
             )
 
 
@@ -473,8 +475,9 @@ def assemble(mesh, mat, bcs=(), workspace=None):
 
     Pass an :class:`AssemblyWorkspace` to reuse the distinct geometries and
     the sparsity pattern across repeated assemblies of the same mesh.
-    Raises ``NumericalError`` when the material's magnitudes overflow the
-    element matrices, before their inf and nan entries are summed.
+    Raises ``NumericalError`` when the material's magnitudes on the mesh's
+    lengths overflow the element matrices, before their inf and nan entries
+    are summed.
     """
     quad = el.triangle_quadrature()
     dof_map = build_dof_map(mesh, bcs)
@@ -495,7 +498,7 @@ def assemble(mesh, mat, bcs=(), workspace=None):
         # an overflowing material is reported below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
-    _require_finite(local, mat)
+    _require_finite(local, mat, mesh)
     k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)

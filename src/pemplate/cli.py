@@ -23,11 +23,18 @@ Every network a run assembles is conservative (R_N = G_N = 0), made once
 from the configured one; the search scales R_N and G_N into the simulation's
 reduction (:func:`.dynamics.resistance_family`) and always drives the tuned
 mechanical mode against the tuned electric mode ([tuning] mech_mode / elec_mode).
+
+Importing this module freezes (:func:`gc.freeze`) every object alive at that
+moment, the caller's as well as numpy's and scipy's: the cyclic garbage
+collector never walks them again, neither in a run's collections nor at
+interpreter exit. It collects nothing while the imports run, and it is left
+enabled or disabled as the importer had it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -41,6 +48,12 @@ from pathlib import Path
 # copy (numpy's, scipy's) reads the variable once, when it loads, so this
 # must come before numpy's first import. A value the user set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+# The imports below leave ~42k container objects alive for the whole run. A
+# collection during the imports walks those made so far, and the one at
+# interpreter exit walks them all (~55 ms of a clamped-demo process). So
+# none runs while importing, and gc.freeze then moves them out of its reach.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
 import numpy as np
 import scipy
@@ -55,6 +68,10 @@ from .errors import (NumericalError, PemplateError, StepStabilityError,
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 
 def _fmt(x):
@@ -110,8 +127,16 @@ class Run:
     def mesh(self):
         """The mesh; fails here if it does not hold the impulse point."""
         c = self.cfg
-        mesh = (load_mesh(c.mesh_path) if c.mesh_kind == "file" else
-                generate_structured_square(c.mesh_n, c.mesh_side, c.mesh_pattern))
+        if c.mesh_kind == "file":
+            mesh = load_mesh(c.mesh_path)
+        else:
+            # the config checked n and pattern; what fails here is the size
+            try:
+                mesh = generate_structured_square(c.mesh_n, c.mesh_side,
+                                                  c.mesh_pattern)
+            except ValidationError as exc:
+                raise ValidationError(f"config field [mesh] side = "
+                                      f"{c.mesh_side:g}: {exc}") from None
         point = c.simulation.point
         if point is not None and mesh.locate(*point) is None:
             raise ValidationError(f"config field [simulation] point {point[0]:g} "
@@ -171,6 +196,16 @@ class Run:
         else:
             ic = dynamics.impulse_ic(self.system(net), basis, sim.point,
                                      sim.magnitude)
+        # the drift and min E / E_0 are read against E_0
+        start = dynamics.Trajectory(np.zeros(1), ic.z0[None], ic.zdot0[None])
+        with np.errstate(all="ignore"):
+            e_0 = dynamics.energies(rs, start).total[0]
+        if not 0.0 < e_0 < np.inf:
+            key = "amplitude" if sim.ic == "unimodal" else "magnitude"
+            raise ValidationError(
+                f"config field [simulation] {key} = {getattr(sim, key):g} "
+                f"gives the initial energy E_0 = {e_0:g}; it must be finite "
+                "and positive")
         t_f, dt = dynamics.default_horizon(rs, drive, sim.beats,
                                            sim.steps_per_period)
         try:

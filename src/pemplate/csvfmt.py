@@ -5,7 +5,7 @@ a microsecond per double. Here each value x != 0 is scaled to
 s = |x| * 10**(16 - e), e = floor(log10 |x|), in [1e16, 1e17); its nearest
 integer N holds the 17 significant digits (the scaled-integer idea of Ryu,
 Adams 2018). s is held in float64 as p + q: the power is tabulated as
-hi + lo, both correctly rounded from the exact ``Fraction``, |x| * hi is
+hi + lo, both correctly rounded from the exact integer ratio, |x| * hi is
 p + q0 exactly by Dekker's TwoProduct with a Veltkamp split (Numer. Math.
 18, 1971), and q = q0 + |x| * lo. p >= 2**53 is an integer, so
 N = p + round(q). With u = 2**-53 and s < 2**57, lo's own rounding and that
@@ -28,7 +28,6 @@ exponent text, the delimiter). ``bytes.translate`` drops the 0 bytes left.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -51,13 +50,20 @@ def _split(v):
     return high, v - high
 
 
+def _power(k):
+    """10**k as (hi, lo): hi correctly rounded, lo the correctly rounded
+    rest. int / int true division is correctly rounded in CPython."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
 @cache
 def _tables():
     """The lookup tables, built on the first call."""
     e = np.arange(_E_MIN, _E_MAX + 1)
-    power = [Fraction(10) ** int(k) for k in 16 - e]
-    hi = np.array([float(p) for p in power])
-    lo = np.array([float(p - Fraction(h)) for p, h in zip(power, hi.tolist())])
+    hi, lo = np.array([_power(k) for k in (16 - e).tolist()]).T
     # the head's '0.' and zeros below 1 (at byte 1), the tail's exponent
     # text (at byte 1: 'e', sign, two or three digits)
     text = np.zeros((2, len(e)), np.uint64)

@@ -156,7 +156,15 @@ def build_material(plate, net):
     h, rho = plate.half_thickness, plate.density
     l_n, r_n, g_n = net.inductance, net.resistance, net.conductance
     g_me = plate.coupling
-    rot = 2.0 * h**3 * rho / 3.0
+    # finite h and rho can still overflow the inertias (h**3 raises for it)
+    try:
+        rot = 2.0 * h**3 * rho / 3.0
+    except OverflowError:
+        rot = np.inf
+    if not np.isfinite([2.0 * h * rho, rot]).all():
+        raise ValidationError(
+            f"config fields [material] h = {h:g} and rho = {rho:g}: the mass "
+            "2 h rho or the rotary inertia 2 h^3 rho / 3 overflows float64")
 
     G = np.diag([-2.0 * h * rho, -c_n * l_n])
     S = np.diag([0.0, -c_n * r_n - g_n * l_n])

@@ -7,6 +7,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -75,6 +76,16 @@ class Mesh:
             raise ValidationError(f"node {node} has a non-finite coordinate "
                                   f"{tuple(map(float, self.nodes[node]))}")
         n = len(self.nodes)
+        # the element geometry multiplies two coordinate differences, each
+        # at most the span dx or dy, and subtracts two such products
+        if n:
+            (x0, y0), (x1, y1) = (self.nodes.min(axis=0).tolist(),
+                                  self.nodes.max(axis=0).tolist())
+            dx, dy = x1 - x0, y1 - y0
+            if not math.isfinite(2.0 * (dx * dx + dy * dy)):
+                raise ValidationError(
+                    f"the nodes span {dx:g} x {dy:g}: the element geometry's "
+                    "squared lengths overflow float64")
         tris = self.triangles
         # per-triangle checks in order: repeated node, dangling node, zero
         # area, clockwise; the first triangle failing any of them is reported
@@ -259,9 +270,11 @@ def load_mesh(path):
             f"{path}:{tri_rows[k // 3][0]}: triangle {k // 3} references "
             f"node {ids[k]} of {n_nodes}"
         ) from None
-    # swap the clockwise triangles whose ids are in range; Mesh rejects the rest
+    # swap the clockwise triangles whose ids are in range; Mesh rejects the
+    # rest, and a span whose areas overflow
     inside = np.flatnonzero(((triangles >= 0) & (triangles < n_nodes)).all(axis=1))
-    cw = inside[triangle_signed_area(nodes[triangles[inside]]) < 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cw = inside[triangle_signed_area(nodes[triangles[inside]]) < 0]
     triangles[cw, 1:] = triangles[cw, 2:0:-1]
 
     groups = {}

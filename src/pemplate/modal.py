@@ -89,6 +89,11 @@ def _solve_pencil(k0, k2, n):
                 "K2 is not positive definite; check boundary conditions and "
                 "material parameters"
             ) from None
+        # an underflowed or overflowed pencil can have none in range
+        if len(vals) < n:
+            raise NumericalError(
+                f"the dense eigensolve returned {len(vals)} of the {n} lowest "
+                "eigenpairs; check the material parameters")
     else:
         # imported here: it takes 15-24 ms, and dense-only runs never use it
         import scipy.sparse.linalg as spla
@@ -182,8 +187,11 @@ def solve_family_modes(sys, family, n):
         )
     # CSC, the form the sparse solve factors, so no second copy of a block
     # stays alive through the solve
-    omegas, sub = _solve_pencil(sp.csc_matrix(sys.k0.tocsr()[idx][:, idx]),
-                                sp.csc_matrix(sys.k2.tocsr()[idx][:, idx]), n)
+    try:
+        omegas, sub = _solve_pencil(sp.csc_matrix(sys.k0.tocsr()[idx][:, idx]),
+                                    sp.csc_matrix(sys.k2.tocsr()[idx][:, idx]), n)
+    except NumericalError as exc:
+        raise type(exc)(f"{family} family solve: {exc}") from None
     vectors = np.zeros((dm.n_free, n))
     vectors[idx] = sub
     return _mode_set(sys, family, omegas, vectors)

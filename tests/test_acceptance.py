@@ -25,6 +25,7 @@ from pemplate.modal import (
     tune_inductance,
 )
 
+from surrogate import two_mode_surrogate
 from test_assembly import oracle_bending_k0, oracle_bending_k2, random_ccw
 
 MECH_EXACT = np.array([1.0, 2.5, 2.5, 4.0, 5.0, 5.0, 6.5, 6.5])
@@ -221,7 +222,7 @@ def test_criterion_8_surrogate_oracle(tuned8):
     l_n = net.inductance
 
     def eig_zeta(r):
-        s = dynamics.two_mode_surrogate(omega, kappa, r, l_n)
+        s = two_mode_surrogate(omega, kappa, r, l_n)
         a = np.block([[np.zeros((2, 2)), np.eye(2)], [-s.k0red, -s.k1red]])
         lam = np.linalg.eigvals(a)
         lam = lam[np.imag(lam) > 0]
@@ -236,7 +237,7 @@ def test_criterion_8_surrogate_oracle(tuned8):
     tb = 2 * math.pi / kappa
 
     def evaluate(r, keep_trajectory=False):
-        s = dynamics.two_mode_surrogate(omega, kappa, r, l_n)
+        s = two_mode_surrogate(omega, kappa, r, l_n)
         ic = dynamics.unimodal_ic(s, 0, 1.0)
         horizon = 6 * tb
         for _ in range(4):

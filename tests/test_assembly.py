@@ -538,6 +538,14 @@ class TestAssemble:
                            match=r"non-finite K0 .*max \|E\| = 1e\+306"):
             assemble(mesh, mat, bcs_ss())
 
+    def test_overflowing_geometry_names_the_mesh_span(self):
+        # a valid mesh on a unit material can still overflow K2's rotary
+        # and slope entries; the message gives the span, not only the material
+        mesh = generate_structured_square(4, 1e100, "crossed")
+        with pytest.raises(NumericalError, match=r"non-finite K2 .*max \|G\| = 1,"
+                           r" .* on a mesh spanning 1e\+100 x 1e\+100"):
+            assemble(mesh, material(), bcs_ss())
+
     def test_k2_symmetry_on_jittered_mesh(self):
         mesh = jittered_square(4, np.random.default_rng(3))
         sys = assemble(mesh, material(), bcs_ss())

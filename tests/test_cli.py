@@ -15,6 +15,8 @@ from pemplate.config import load_config, parse_config
 from pemplate.errors import ValidationError
 from pemplate.mesh import generate_structured_square, save_mesh
 
+from test_blas import run_child
+
 SMALL_CFG = """
 [mesh]
 kind = structured
@@ -395,6 +397,39 @@ class TestCommands:
         assert "[stage assembly] non-finite K0 element matrices" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, text, code, message", [
+        ("modes", SMALL_CFG.replace("h = 0.001", "h = 1e300"), 1,
+         "config fields [material] h = 1e+300 and rho = 500"),
+        ("modes", SMALL_CFG.replace("rho = 500.0", "rho = 1e-300"), 2,
+         "[stage modal] mechanical family solve: the dense eigensolve "
+         "returned 0 of the 4 lowest eigenpairs"),
+        ("simulate", SMALL_CFG.replace("mode = 1\nbeats", "mode = 1\n"
+                                       "amplitude = 1e-300\nbeats"), 1,
+         "config field [simulation] amplitude = 1e-300 gives the initial "
+         "energy E_0 = 0"),
+        ("simulate", SMALL_CFG.replace("mode = 1\nbeats", "mode = 1\n"
+                                       "amplitude = 1e300\nbeats"), 1,
+         "config field [simulation] amplitude = 1e+300 gives the initial "
+         "energy E_0 = inf"),
+        ("simulate", IMPULSE_CFG.replace("0.6 0.6", "0.6 0.6\nmagnitude = 1e300"),
+         1, "config field [simulation] magnitude = 1e+300"),
+        ("modes", SMALL_CFG.replace("side = 1.0", "side = 1e300"), 1,
+         "[stage mesh] config field [mesh] side = 1e+300: the nodes span "
+         "1e+300 x 1e+300"),
+    ], ids=["h=1e300", "rho=1e-300", "amplitude=1e-300", "amplitude=1e300",
+            "magnitude=1e300", "side=1e300"])
+    def test_extreme_finite_values_fail_cleanly(self, tmp_path, capsys,
+                                                command, text, code, message):
+        # each once gave a traceback, a nan summary or a misplaced blame;
+        # a RuntimeWarning on the way is an error under this suite
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG.replace("n = 4", "n = 0"))
         assert main(["modes", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -697,6 +732,17 @@ class TestWriter:
             for half in (hh, hl):
                 assert (math.frexp(half)[0] * 2 ** 26).is_integer(), e
 
+    def test_power_table_matches_a_fraction_oracle(self):
+        # hi and lo bit for bit as float() rounds the exact rationals
+        hi, _, _, lo = csvfmt._tables().scale
+        power = [Fraction(10) ** (16 - e)
+                 for e in range(csvfmt._E_MIN, csvfmt._E_MAX + 1)]
+        want_hi = np.array([float(p) for p in power])
+        want_lo = np.array([float(p - Fraction(h))
+                            for p, h in zip(power, want_hi.tolist())])
+        assert hi.tobytes() == want_hi.tobytes()
+        assert lo.tobytes() == want_lo.tobytes()
+
     def test_only_zeros_reach_percent(self, tmp_path, monkeypatch):
         # the double-double scaling settles every digit of a trajectory;
         # ``%`` is left the values it alone can format
@@ -726,6 +772,26 @@ class TestWriter:
         assert np.array_equal(table[:, 1:n + 1], traj.z)
         assert np.array_equal(table[:, n + 1:],
                               np.column_stack([en.mech, en.elec, en.total]))
+
+
+# the collector's state after importing pemplate.cli, and whether the
+# import loaded fractions or decimal
+GC_AFTER_IMPORT = """
+import gc, sys
+{before}
+import pemplate.cli
+print(gc.isenabled(), gc.get_freeze_count() > 0,
+      "fractions" in sys.modules, "decimal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("before, enabled", [("", "True"),
+                                             ("gc.disable()", "False")])
+def test_import_freezes_what_is_alive(before, enabled):
+    # numpy's and scipy's objects leave the collector's reach, which is
+    # left enabled or disabled as the importer had it
+    out = run_child(GC_AFTER_IMPORT.format(before=before)).split()
+    assert out == [enabled, "True", "False", "False"]
 
 
 def run_cli(command, cfg, out):

@@ -18,7 +18,6 @@ from pemplate.dynamics import (
     integrate,
     optimize_resistance,
     settling_time,
-    two_mode_surrogate,
     unimodal_ic,
 )
 from pemplate.element import specht_shape_functions, triangle_geometry
@@ -37,6 +36,8 @@ from pemplate.modal import (
     reduce,
     tune_inductance,
 )
+
+from surrogate import two_mode_surrogate
 
 
 def material(coupling=(0.1, 0.1, 0.0), l_n=1.0, r_n=0.0):

@@ -104,6 +104,14 @@ class TestBuildMaterial:
                 NetworkParams(inductance=1.0),
             )
 
+    @pytest.mark.parametrize("h, rho", [(1e300, 500.0), (1.0, 1e308)])
+    def test_overflowing_inertia_names_fields(self, h, rho):
+        # h**3 raises OverflowError and 2 h rho silently reads inf
+        with pytest.raises(ValidationError,
+                           match=r"\[material\] h = .* and rho = .*overflows"):
+            build_material(PlateParams.isotropic(h, rho, 1.0, 0.3),
+                           NetworkParams(inductance=1.0))
+
 
 def test_conservative_twin_strips_dissipation():
     net = NetworkParams(inductance=1.5, resistance=0.7, conductance=0.3)

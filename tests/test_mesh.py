@@ -218,6 +218,14 @@ class TestMeshValidation:
                            match="node 2 has a non-finite coordinate"):
             Mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]))
 
+    @pytest.mark.parametrize("far", [1e154, -1e300, 1.7e308])
+    def test_span_whose_squares_overflow_named(self, far):
+        # finite coordinates whose differences' products overflow would
+        # make the element geometry inf or nan
+        nodes = np.array([[0.0, 0], [1, 0], [0, 1], [far, far]])
+        with pytest.raises(ValidationError, match="squared lengths overflow"):
+            Mesh(nodes, np.array([[0, 1, 2], [1, 3, 2]]))
+
     def test_nodes_immutable(self):
         m = generate_structured_square(1, 1.0, "diagonal")
         with pytest.raises(ValueError):
@@ -328,6 +336,13 @@ group rim
     def test_group_count_mismatch(self, tmp_path):
         p = self._write(tmp_path, "nodes 3 triangles 1 groups 2\n0 0\n1 0\n0 1\n0 1 2\ngroup rim\n0 1\n")
         with pytest.raises(MeshParseError, match="groups"):
+            load_mesh(p)
+
+    def test_overflowing_span_names_file(self, tmp_path):
+        p = self._write(tmp_path, "nodes 3 triangles 1 groups 0\n"
+                                  "0 0\n1e300 0\n0 1e300\n0 1 2\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{p}: the nodes span 1e+300 x 1e+300")):
             load_mesh(p)
 
     def test_nan_coordinate_named(self, tmp_path):
