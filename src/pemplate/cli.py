@@ -223,14 +223,12 @@ class Run:
         basis, rs = self.basis(), self.reduced(net)
         drive = basis.mechanical_indices()[c.tune_mech - 1]
         partner = basis.electric_indices()[c.tune_elec - 1]
-        beat = dynamics.beat_period(rs, drive, partner)
-        if not np.isfinite(beat):
+        if not np.isfinite(dynamics.beat_period(rs, drive, partner)):
             raise ValidationError("zero electromechanical coupling: nothing to damp")
         evaluate = dynamics.damping_evaluator(
             dynamics.resistance_family(rs, self.system(net).material,
                                        c.network.conductance),
-            basis, drive, partner, t_f=4.0 * beat,
-            dt=2.0 * np.pi / basis.omegas[drive] / 60.0)
+            basis, drive, partner)
         report = dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
         if not report.best.converged:
             raise NumericalError("the damping fit did not converge at R* = "
@@ -383,17 +381,21 @@ def build_parser():
 
 @contextmanager
 def _output_dir(path):
-    """Makes the output directory for the block; a failed block leaves no
-    directory that was missing before and holds nothing."""
+    """Makes the output directory for the block; a failed block removes the
+    files it added to it and the directories it made."""
     out_dir = Path(path)
     missing = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        before = set(out_dir.iterdir())
     except OSError as exc:
         raise ValidationError(f"--out {path}: {exc.strerror}") from None
     try:
         yield out_dir
     except BaseException:
+        for made in set(out_dir.iterdir()) - before:  # the reports' files
+            with suppress(OSError):
+                made.unlink()
         for made in missing:
             with suppress(OSError):
                 made.rmdir()

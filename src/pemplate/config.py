@@ -316,9 +316,17 @@ def parse_config(text, origin="<config>", base_dir=None):
         if value is not None and not value > 0:
             raise ValidationError(f"config field [simulation] {key} must be "
                                   f"finite and positive, got {value}")
-    if t_f is not None and dt is not None and dt > t_f:
-        raise ValidationError(f"config field [simulation] dt = {dt:g} exceeds "
-                              f"[simulation] t_f = {t_f:g}")
+    if t_f is not None and dt is not None:
+        if dt > t_f:
+            raise ValidationError(f"config field [simulation] dt = {dt:g} "
+                                  f"exceeds [simulation] t_f = {t_f:g}")
+        # a run takes whole steps; a remainder would end it past t_f (an
+        # overflowing count fails in the integration, naming both fields)
+        steps = t_f / dt
+        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(
+                f"config fields [simulation] t_f = {t_f:g} and dt = {dt:g}: "
+                f"t_f / dt = {steps:.10g} is not a whole number of steps")
     simulation = SimulationBlock(
         ic=ic, mode=sim.get_int("mode", 1), family=family, on=on,
         amplitude=amplitude, point=point, magnitude=magnitude, beats=beats,

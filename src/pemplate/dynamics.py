@@ -16,11 +16,16 @@ increment matrix D once, and from it the increments of 1 to ``BLOCK`` steps,
 (I + D)^j - I, built by doubling; one matrix product then advances the state
 ``BLOCK`` output rows at a time.
 
+Every step the program chooses comes from :func:`step`, a share of the drive
+period capped inside RK4's stability region (Hairer & Wanner, *Solving ODEs
+II*, sec. IV.2); :func:`integrate` checks any step it is given.
+
 The net-resistance search wraps an evaluator (one evaluation = reduced system
 at the candidate R_N -> integrate -> log-decrement fit) with a coarse scan
-plus golden-section refinement. :func:`resistance_family` scales R_N and G_N
-into the one conservative reduction the simulation also uses; nothing here
-assembles.
+plus golden-section refinement. The evaluator takes each candidate's step and
+horizon from the system it integrates. :func:`resistance_family` scales R_N
+and G_N into the one conservative reduction the simulation also uses; nothing
+here assembles.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 
 from . import assembly as asm
 from .element import specht_shape_functions, triangle_geometry
-from .errors import IntegrationError, StepStabilityError, ValidationError
+from .errors import (IntegrationError, StepStabilityError, StiffStepError,
+                     ValidationError)
 # unused here; kept importable because benchmarks/tracer.py patches it
 from .material import build_material  # noqa: F401
 
@@ -46,6 +52,14 @@ COARSE_POINTS = 9  # logarithmic scan that brackets the zeta peak
 FALLBACK_POINTS = 33  # grid scan when the coarse scan is not single-peaked
 BLOCK = 64  # RK4 output rows per matrix product in integrate
 UNCOUPLED_KAPPA = 1e-9  # |kappa| / omega at or below which a pair is uncoupled
+# largest dt |lambda| a chosen step allows: RK4's stability region holds the
+# left half-disk of radius ~2.61 (and reaches 2.785 on the real axis, 2.83 on
+# the imaginary one)
+STEP_LIMIT = 2.5
+SEARCH_STEPS_PER_PERIOD = 60  # search steps per drive period, before the cap
+SEARCH_BEATS = 4  # first search horizon, in beats of the driven pair
+MAX_EXTENSIONS = 3  # horizon doublings a search evaluation may add
+MAX_STEP_REFINEMENT = 10  # most a search step may be capped below its share
 # round-off allowance on the RK4 propagator's spectral radius: far above the
 # ~1e-15 that eigenvalue round-off reaches, and a radius of 1 + 1e-9 grows a
 # state by 0.1% over a million steps
@@ -155,12 +169,8 @@ def integrate(rs, ic, t_f, dt):
     n = rs.n_modes
     m = 2 * n
 
-    minv = np.linalg.inv(rs.k2red)
-    ha = np.zeros((m, m))
     with np.errstate(over="ignore"):  # an overflowing hA fails the check
-        ha[:n, n:] = dt * np.eye(n)
-        ha[n:, :n] = -dt * (minv @ rs.k0red)
-        ha[n:, n:] = -dt * (minv @ rs.k1red)
+        ha = dt * _rate_matrix(rs)
     _check_step(ha, dt)
     eye = np.eye(m)
 
@@ -197,6 +207,33 @@ def integrate(rs, ic, t_f, dt):
         )
     t = dt * np.arange(steps + 1)
     return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:])
+
+
+def _rate_matrix(rs):
+    """The rate matrix A of the first-order form y' = A y, y = (z, z')."""
+    n = rs.n_modes
+    minv = np.linalg.inv(rs.k2red)
+    a = np.zeros((2 * n, 2 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[:n, n:] = np.eye(n)
+        a[n:, :n] = -(minv @ rs.k0red)
+        a[n:, n:] = -(minv @ rs.k1red)
+    return a
+
+
+def step(rs, drive, steps_per_period):
+    """The RK4 step of a run that drives basis vector ``drive``: its period
+    over ``steps_per_period``, capped at ``STEP_LIMIT`` / max |lambda| over
+    the eigenvalues of the rate matrix (a search candidate adds the rate
+    R_N / L_N, which the drive period does not see). A rate matrix that is
+    not finite has no stable step: 0.
+    """
+    cap = 0.0
+    a = _rate_matrix(rs)
+    if np.isfinite(a).all():
+        cap = STEP_LIMIT / np.abs(np.linalg.eigvals(a)).max()
+    period = 2.0 * math.pi / rs.modes.omegas[drive]
+    return float(min(period / steps_per_period, cap))
 
 
 def _check_step(ha, dt):
@@ -277,8 +314,8 @@ def default_horizon(rs, drive, beats, steps_per_period):
 
     t_f spans ``beats`` beat periods of the drive with the nearest mode of
     the other family (a beat counts 20 drive periods when the pair does not
-    exchange energy). dt is the drive period over ``steps_per_period``,
-    capped by :func:`suggested_dt` (impulses put energy on the high modes).
+    exchange energy). dt is :func:`step`, capped by :func:`suggested_dt`
+    (impulses put energy on the high modes).
     """
     modes = rs.modes
     omega = modes.omegas[drive]
@@ -290,7 +327,8 @@ def default_horizon(rs, drive, beats, steps_per_period):
     beat = math.inf if partner is None else beat_period(rs, drive, partner)
     if not math.isfinite(beat):
         beat = 20.0 * period
-    return beats * beat, min(period / steps_per_period, suggested_dt(rs))
+    return beats * beat, min(step(rs, drive, steps_per_period),
+                             suggested_dt(rs))
 
 
 def envelope_peaks(values):
@@ -393,40 +431,61 @@ def resistance_family(rs, material, conductance):
                 f"net resistance must be non-negative, got {resistance}")
         ratio = r / material.network.inductance
         shunt = conductance * ratio / material.c_n
-        return replace(
-            rs, cross_ratio=ratio,
-            k1red=rs.k1red + (ratio + conductance / material.c_n) * e2,
-            k0red=rs.k0red + ratio * k1e + shunt * e2,
-            k0sym=rs.k0sym + (0.5 * ratio) * (k1e + k1e.T) + shunt * e2,
-        )
+        # an overflowing ratio leaves a system no step can take (step: 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return replace(
+                rs, cross_ratio=ratio,
+                k1red=rs.k1red + (ratio + conductance / material.c_n) * e2,
+                k0red=rs.k0red + ratio * k1e + shunt * e2,
+                k0sym=rs.k0sym + (0.5 * ratio) * (k1e + k1e.T) + shunt * e2,
+            )
 
     return reduced
 
 
-def damping_evaluator(reduced, basis, mode_index, partner, *, t_f, dt,
-                      max_extensions=3):
+def damping_evaluator(reduced, basis, mode_index, partner):
     """Evaluator R_N -> DampingSample for the resistance search.
 
     ``reduced`` maps a candidate resistance to its reduced system (a
     :func:`resistance_family`), ``basis`` is the retained conservative basis
     it was reduced on, ``mode_index`` the driven basis vector and
-    ``partner`` the electric basis vector it is tuned to, whose beat sets
+    ``partner`` the electric basis vector it is tuned to, whose beat tb sets
     the crest window of the fit. Every call integrates a unit
-    initial-displacement run and fits the log decrement of the
-    mechanical-energy envelope; the horizon doubles automatically until at
+    initial-displacement run at the candidate's own :func:`step` and fits
+    the log decrement of the mechanical-energy envelope. The horizon starts
+    at ``SEARCH_BEATS`` tb (R_N and G_N leave the driven row of ``k1red``
+    as it is, so tb is the same for every candidate) and doubles until at
     least four envelope peaks carrying a visible secular decay (at least
     30 percent over the fit window) are available, at most
-    ``max_extensions`` times (else the sample is not ``converged``). Only
+    ``MAX_EXTENSIONS`` times (else the sample is not ``converged``). Only
     kept trajectories get every energy trace; the fit needs E_mech alone.
+
+    A candidate whose step is capped more than ``MAX_STEP_REFINEMENT``
+    times below the drive period's share raises :class:`StiffStepError`
+    before it is integrated; ``evaluate.step(R_N)`` makes that check alone
+    and returns the candidate's (system, step).
     """
     omega_ref = float(basis.omegas[mode_index])
+    share = 2.0 * math.pi / omega_ref / SEARCH_STEPS_PER_PERIOD
+
+    def candidate_step(resistance):
+        rs = reduced(resistance)
+        dt = step(rs, mode_index, SEARCH_STEPS_PER_PERIOD)
+        if not dt * MAX_STEP_REFINEMENT >= share:
+            factor = share / dt if dt else math.inf
+            raise StiffStepError(
+                f"at R_N = {float(resistance):g} a stable RK4 step is "
+                f"{factor:.3g} times finer than the drive period / "
+                f"{SEARCH_STEPS_PER_PERIOD}, more than the "
+                f"{MAX_STEP_REFINEMENT} the search allows")
+        return rs, dt
 
     def evaluate(resistance, keep_trajectory=False):
-        rs = reduced(resistance)
+        rs, dt = candidate_step(resistance)
         ic = unimodal_ic(rs, mode_index)
         tb = beat_period(rs, mode_index, partner)
-        horizon = t_f
-        for _ in range(max_extensions + 1):
+        horizon = SEARCH_BEATS * tb
+        for _ in range(MAX_EXTENSIONS + 1):
             traj = integrate(rs, ic, horizon, dt)
             mech = mechanical_energy(rs, traj)
             fit = fit_damping(traj, mech, omega_ref, beat_period=tb)
@@ -444,6 +503,7 @@ def damping_evaluator(reduced, basis, mode_index, partner, *, t_f, dt,
             converged=converged,
         )
 
+    evaluate.step = candidate_step
     return evaluate
 
 
@@ -456,6 +516,11 @@ def optimize_resistance(evaluate, bracket):
     grid scan and records a warning. The report carries sub-critical,
     near-critical and super-critical sample runs at R*/10, R* and 10 R*,
     and a warning naming every resistance whose fit did not converge.
+
+    The coarse scan runs stiffest (largest R_N) first, so a bracket with a
+    candidate too stiff to step (:class:`StiffStepError`) fails on its first
+    evaluation, with a :class:`ValidationError` naming ``[search] r_hi``, or
+    ``r_lo`` when ``evaluate.step`` finds even the low end too stiff.
     """
     r_lo, r_hi = bracket
     if not 0 < r_lo < r_hi:
@@ -469,7 +534,16 @@ def optimize_resistance(evaluate, bracket):
         return samples[r]
 
     grid = np.geomspace(r_lo, r_hi, COARSE_POINTS)
-    zetas = np.array([sample(r).zeta for r in grid])
+    try:
+        zetas = np.array([sample(r).zeta for r in grid[::-1]])[::-1]
+    except StiffStepError as exc:
+        end, value = "r_hi", r_hi
+        try:
+            evaluate.step(r_lo)
+        except StiffStepError as low:
+            exc, end, value = low, "r_lo", r_lo
+        raise ValidationError(
+            f"config field [search] {end} = {value:g}: {exc}") from None
     peak = int(np.argmax(zetas))
     tol = 0.02 * zetas[peak]  # fit noise allowance on the flanks
     unimodal = (np.all(np.diff(zetas[:peak + 1]) >= -tol)

@@ -36,3 +36,7 @@ class IntegrationError(NumericalError):
 
 class StepStabilityError(IntegrationError):
     """The time step lies outside the integrator's stability region."""
+
+
+class StiffStepError(ValidationError):
+    """A search candidate's stable RK4 step is too fine to take."""

@@ -190,11 +190,8 @@ def damping_report(tuned8):
     _, _, _, sys_t, basis, rs = tuned8
     m1 = basis.mechanical_indices()[0]
     e1 = basis.electric_indices()[0]
-    t1 = 2 * math.pi / basis.omegas[m1]
-    tb = dynamics.beat_period(rs, m1, e1)
     evaluate = dynamics.damping_evaluator(
-        dynamics.resistance_family(rs, sys_t.material, 0.0), basis, m1, e1,
-        t_f=4 * tb, dt=t1 / 60)
+        dynamics.resistance_family(rs, sys_t.material, 0.0), basis, m1, e1)
     return dynamics.optimize_resistance(evaluate, (0.005, 5.0))
 
 

@@ -12,7 +12,7 @@ import pemplate
 from pemplate import cli, csvfmt, dynamics
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
-from pemplate.errors import ValidationError
+from pemplate.errors import StepStabilityError, ValidationError
 from pemplate.mesh import generate_structured_square, save_mesh
 
 from test_blas import run_child
@@ -285,6 +285,28 @@ class TestConfigParsing:
         sim = parse_config(SMALL_CFG + "t_f = 0.5\ndt = 0.5\n").simulation
         assert sim.t_f == sim.dt == 0.5
 
+    def test_horizon_of_a_partial_step_exits_1_at_load(self, tmp_path, capsys):
+        # two whole steps would end at t = 0.02, past t_f
+        text = SMALL_CFG + "t_f = 0.015\ndt = 0.01\n"
+        message = ("config fields [simulation] t_f = 0.015 and dt = 0.01: "
+                   "t_f / dt = 1.5 is not a whole number of steps")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_config(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_step_count_within_round_off_runs(self, tmp_path):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point; rho = 1e4
+        # brings the largest omega to ~18, so dt = 0.1 is stable
+        text = SMALL_CFG.replace("rho = 500.0", "rho = 10000.0")
+        cfg = write_cfg(tmp_path, text + "t_f = 0.3\ndt = 0.1\n")
+        out = run_cli("simulate", cfg, tmp_path / "out")
+        assert (out / "summary.txt").read_text().startswith(
+            "simulation: 3 steps,")
+
     @pytest.mark.parametrize("section, key, value", [
         ("material", "rho", "nan"),
         ("material", "h", "nan"),
@@ -429,6 +451,22 @@ class TestCommands:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_failed_run_removes_the_files_it_wrote(self, tmp_path, capsys):
+        # the pipeline writes modes.csv and coupling.csv before the
+        # simulation finds E_0 = 0
+        text = SMALL_CFG.replace("mode = 1\nbeats", "mode = 1\n"
+                                 "amplitude = 1e-300\nbeats")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "runs" / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "amplitude = 1e-300" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        # files that were there before the run stay
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG.replace("n = 4", "n = 0"))
@@ -925,15 +963,15 @@ class TestStageGraph:
     def test_unconverged_optimum_exits_2(self, tmp_path, capsys, monkeypatch):
         # one drive period holds two energy peaks, and nothing extends it, so
         # no fit converges and R* would be the bracket's first sample
-        evaluator = dynamics.damping_evaluator
-
-        def one_period(reduced, basis, mode_index, partner, **kwargs):
-            period = 2 * math.pi / basis.omegas[mode_index]
-            return evaluator(reduced, basis, mode_index, partner, t_f=period,
-                             dt=period / 60, max_extensions=0)
-
-        monkeypatch.setattr(dynamics, "damping_evaluator", one_period)
         cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+        run = cli.Run(load_config(cfg))
+        basis, rs = run.basis(), run.reduced(run.network())
+        drive = basis.mechanical_indices()[0]
+        partner = basis.electric_indices()[0]
+        period = 2 * math.pi / basis.omegas[drive]
+        monkeypatch.setattr(dynamics, "SEARCH_BEATS",
+                            period / dynamics.beat_period(rs, drive, partner))
+        monkeypatch.setattr(dynamics, "MAX_EXTENSIONS", 0)
         assert main(["optimize-r", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
@@ -983,23 +1021,54 @@ class TestStageGraph:
         assert "[stage simulation] the RK4 step dt = 1 lies outside" in err
         assert "config field" not in err
 
-    def test_search_unstable_step_exits_2(self, tmp_path, capsys,
-                                          monkeypatch):
-        # one step per drive period: dt |omega| = 2 pi
-        evaluator = dynamics.damping_evaluator
+    @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
+    def test_search_steps_a_stiff_candidate_stably(self, tmp_path):
+        # at rho = 0.5 tuning sets L_N ~ 5e-5, so R_N = 5 adds a rate ~150x
+        # the drive's omega: one drive period / 60 leaves RK4's stability
+        # region there, and the candidate's own step does not
+        text = SMALL_CFG.replace("rho = 500.0", "rho = 0.5")
+        cfg = write_cfg(tmp_path,
+                        text + "\n[search]\nr_lo = 0.005\nr_hi = 5.0\n")
+        run = cli.Run(load_config(cfg))
+        basis, rs = run.basis(), run.reduced(run.network())
+        drive = basis.mechanical_indices()[0]
+        partner = basis.electric_indices()[0]
+        evaluate = dynamics.damping_evaluator(
+            dynamics.resistance_family(rs, run.system(run.network()).material,
+                                       0.0), basis, drive, partner)
+        stiff, dt = evaluate.step(5.0)
+        share = 2 * math.pi / basis.omegas[drive] / 60
+        assert dt < share
+        ic = dynamics.unimodal_ic(stiff, drive)
+        with pytest.raises(StepStabilityError):
+            dynamics.integrate(stiff, ic, 100 * share, share)
+        dynamics.integrate(stiff, ic, 100 * dt, dt)
+        out = run_cli("optimize-r", cfg, tmp_path / "out")
+        assert "optimal resistance R*" in (out / "summary.txt").read_text()
 
-        def coarse(reduced, basis, mode_index, partner, **kwargs):
-            period = 2 * math.pi / basis.omegas[mode_index]
-            return evaluator(reduced, basis, mode_index, partner,
-                             t_f=kwargs["t_f"], dt=period)
-
-        monkeypatch.setattr(dynamics, "damping_evaluator", coarse)
-        cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
-        assert main(["optimize-r", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
+    @pytest.mark.parametrize("key, value, end, named", [
+        ("r_hi", "1e5", "r_hi", "100000"),
+        # R_N / L_N overflows: no step is stable
+        ("r_hi", "1e307", "r_hi", "1e+307"),
+        ("rigidity", "1e5", "r_hi", "2"),
+        ("capacitance", "1e5", "r_lo", "0.02"),
+    ])
+    def test_too_stiff_bracket_exits_1_naming_its_end(self, tmp_path, capsys,
+                                                      key, value, end, named):
+        # the rate R_N / L_N grows with R_N, and with 1 / L_N: a stiffer
+        # plate (higher omega) or a larger capacitance tunes L_N down
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                      SMALL_CFG + SEARCH)
+        assert f"{key} = {value}" in text
+        out = tmp_path / "out"
+        assert main(["optimize-r", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "[stage resistance-search] the RK4 step" in err
-        assert "spectral radius" in err
+        assert (f"[stage resistance-search] config field [search] {end} = "
+                f"{named}: at R_N = {named} a stable RK4 step is ") in err
+        assert "times finer than the drive period / 60" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_untuned_drive_runs_twenty_periods(self, tmp_path):
         # untuned, the driven mode's nearest electric mode does not couple to

@@ -21,7 +21,12 @@ from pemplate.dynamics import (
     unimodal_ic,
 )
 from pemplate.element import specht_shape_functions, triangle_geometry
-from pemplate.errors import IntegrationError, StepStabilityError, ValidationError
+from pemplate.errors import (
+    IntegrationError,
+    StepStabilityError,
+    StiffStepError,
+    ValidationError,
+)
 from pemplate.material import (
     NetworkParams,
     PlateParams,
@@ -296,6 +301,23 @@ class TestIntegrate:
         rs = two_mode_surrogate(1.0, 0.1, 0.3, 1.0)
         with pytest.raises(StepStabilityError, match="spectral radius"):
             integrate(rs, unimodal_ic(rs, 0, 1.0), 40.0, 4.0)
+
+    def test_step_caps_a_fast_rate_inside_the_stability_region(self):
+        # R / L = 500 puts a real eigenvalue near -500 next to the drive's
+        # omega = 1: a drive period / 60 is dt |lambda| ~ 52, far outside
+        rs = two_mode_surrogate(1.0, 0.1, 500.0, 1.0)
+        share = 2 * math.pi / 60
+        rate = np.abs(np.linalg.eigvals(dynamics._rate_matrix(rs))).max()
+        dt = dynamics.step(rs, 0, 60)
+        assert dt == dynamics.STEP_LIMIT / rate < share
+        ic = unimodal_ic(rs, 0, 1.0)
+        with pytest.raises(StepStabilityError):
+            integrate(rs, ic, 100 * share, share)
+        traj = integrate(rs, ic, 100 * share, dt)
+        assert np.abs(traj.z).max() <= 1.0
+        # a slow system keeps the drive period's share to the bit
+        rs = single_oscillator(omega=2.0)
+        assert dynamics.step(rs, 0, 60) == 2.0 * math.pi / 2.0 / 60
 
     def test_non_finite_step_count_rejected(self):
         rs = single_oscillator()
@@ -653,16 +675,14 @@ class TestDampingMachinery:
 
     @pytest.mark.parametrize("conductance, case", FAMILY_CASES)
     def test_evaluator_matches_direct_path(self, request, conductance, case):
-        mesh, plate, net, _, basis, rs = request.getfixturevalue(case)
+        mesh, plate, net, _, basis, _ = request.getfixturevalue(case)
         net = replace(net, conductance=conductance)
         m1 = basis.mechanical_indices()[0]
         e1 = basis.electric_indices()[0]
-        kwargs = dict(t_f=4 * beat_period(rs, m1, e1),
-                      dt=2 * math.pi / basis.omegas[m1] / 60)
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1, **kwargs)
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
         direct = dynamics.damping_evaluator(
-            direct_family(mesh, plate, net, basis), basis, m1, e1, **kwargs)
+            direct_family(mesh, plate, net, basis), basis, m1, e1)
         for r in (0.013, 0.4, 3.7):
             got, want = evaluate(r), direct(r)
             assert got.zeta == pytest.approx(want.zeta, rel=1e-9, abs=1e-15)
@@ -670,11 +690,10 @@ class TestDampingMachinery:
             assert got.settling_time == pytest.approx(want.settling_time)
 
     def test_evaluator_rejects_negative_resistance(self, tuned_square4):
-        mesh, plate, net, _, basis, rs = tuned_square4
+        mesh, plate, net, _, basis, _ = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1, t_f=1.0,
-            dt=0.01)
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
         with pytest.raises(ValidationError, match="resistance"):
             evaluate(-0.1)
         with pytest.raises(ValidationError, match="resistance"):
@@ -700,9 +719,8 @@ class TestDampingMachinery:
             dynamics, "fit_damping",
             lambda *a, beat_period: beats.append(beat_period)
             or fit(*a, beat_period=beat_period))
-        evaluate = dynamics.damping_evaluator(
-            lambda r: rs, modes, 0, partner, t_f=4 * math.pi,
-            dt=2 * math.pi / 60, max_extensions=0)
+        monkeypatch.setattr(dynamics, "MAX_EXTENSIONS", 0)
+        evaluate = dynamics.damping_evaluator(lambda r: rs, modes, 0, partner)
         evaluate(0.0)
         assert beats == [2 * math.pi / kappa[partner - 1]]
 
@@ -727,6 +745,29 @@ class TestDampingMachinery:
             report = optimize_resistance(evaluate, (0.01, 10.0))
         assert report.warnings
         assert report.best.zeta >= 0.95
+
+    @pytest.mark.parametrize("limit, end", [(3.0, "r_hi = 10"),
+                                            (0.005, "r_lo = 0.01")])
+    def test_stiff_bracket_fails_on_its_first_evaluation(self, limit, end):
+        # candidates above ``limit`` are too stiff to step; the largest R_N
+        # is evaluated first, and only the check runs at the low end
+        calls, checks = [], []
+
+        def stiff_step(r):
+            checks.append(r)
+            if r > limit:
+                raise StiffStepError(f"at R_N = {r:g} too stiff")
+
+        def evaluate(r, keep_trajectory=False):
+            calls.append(r)
+            stiff_step(r)
+
+        evaluate.step = stiff_step
+        with pytest.raises(ValidationError) as exc:
+            optimize_resistance(evaluate, (0.01, 10.0))
+        assert calls == [10.0] and checks == [10.0, 0.01]
+        assert str(exc.value).startswith(
+            f"config field [search] {end}: at R_N = ")
 
     def test_golden_section_finds_quadratic_peak(self):
         def evaluate(r, keep_trajectory=False):
@@ -818,12 +859,10 @@ class TestSearchEnergies:
 
     def test_evaluator_builds_all_traces_only_for_kept_runs(
             self, tuned_square4, monkeypatch):
-        mesh, plate, net, _, basis, rs = tuned_square4
+        mesh, plate, net, _, basis, _ = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1,
-            t_f=4 * beat_period(rs, m1, e1),
-            dt=2 * math.pi / basis.omegas[m1] / 60)
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
         calls = []
         full = dynamics.energies
         monkeypatch.setattr(dynamics, "energies",
@@ -838,14 +877,16 @@ class TestSearchEnergies:
                                                    plain.settling_time)
 
     @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
-    def test_unconverged_fits_are_reported(self, tuned_square4):
-        mesh, plate, net, _, basis, _ = tuned_square4
+    def test_unconverged_fits_are_reported(self, tuned_square4, monkeypatch):
+        mesh, plate, net, _, basis, rs = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         # one drive period holds two energy peaks, and nothing extends it
         period = 2 * math.pi / basis.omegas[m1]
+        monkeypatch.setattr(dynamics, "SEARCH_BEATS",
+                            period / beat_period(rs, m1, e1))
+        monkeypatch.setattr(dynamics, "MAX_EXTENSIONS", 0)
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1,
-            t_f=period, dt=period / 60, max_extensions=0)
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
         report = optimize_resistance(evaluate, (0.02, 2.0))
         assert not any(s.converged for s in report.samples)
         warning, = [w for w in report.warnings if "not converged" in w]
@@ -855,12 +896,10 @@ class TestSearchEnergies:
         assert sorted(float(r) for r in named) == sorted(evaluated)
 
     def test_converged_search_has_no_fit_warning(self, tuned_square4):
-        mesh, plate, net, _, basis, rs = tuned_square4
+        mesh, plate, net, _, basis, _ = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
         evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1,
-            t_f=4 * beat_period(rs, m1, e1),
-            dt=2 * math.pi / basis.omegas[m1] / 60)
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
         report = optimize_resistance(evaluate, (0.02, 2.0))
         assert all(s.converged for s in report.samples)
         assert not any("not converged" in w for w in report.warnings)
