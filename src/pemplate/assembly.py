@@ -125,8 +125,10 @@ def build_dof_map(mesh, bcs=()):
     constrained_by = {}
     for bc in bcs:
         if bc.group not in mesh.edge_groups:
+            groups = ", ".join(map(repr, sorted(mesh.edge_groups))) or "none"
             raise ValidationError(
-                f"boundary condition references unknown edge group '{bc.group}'"
+                f"boundary condition references unknown edge group "
+                f"'{bc.group}' (the mesh's groups: {groups})"
             )
         for node in sorted(mesh.edge_groups[bc.group]):
             for comp in bc.components:

@@ -59,7 +59,7 @@ import numpy as np
 import scipy
 
 from . import __version__, dynamics, modal, reference
-from .assembly import AssemblyWorkspace, assemble, patch_test
+from .assembly import AssemblyWorkspace, assemble, build_dof_map, patch_test
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
 from .csvfmt import FMT, format_rows
@@ -82,13 +82,12 @@ def write_csv(path, header, rows):
     """Writes ``header`` and the 2-D array ``rows``, one line per row:
     numbers exactly as ``FMT`` writes them (:mod:`.csvfmt`), text
     cells as they are."""
-    if rows.dtype.kind == "U":
-        np.savetxt(path, rows, fmt="%s", delimiter=",",
-                   header=",".join(header), comments="")
-        return
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        fh.writelines(format_rows(rows))
+        if rows.dtype.kind == "U":
+            fh.writelines(",".join(row).encode() + b"\n" for row in rows)
+        else:
+            fh.writelines(format_rows(rows))
 
 
 def _stage(name):
@@ -125,7 +124,8 @@ class Run:
 
     @_stage("mesh")
     def mesh(self):
-        """The mesh; fails here if it does not hold the impulse point."""
+        """The mesh; fails here if it does not hold the impulse point or a
+        [bc] group."""
         c = self.cfg
         if c.mesh_kind == "file":
             mesh = load_mesh(c.mesh_path)
@@ -141,6 +141,10 @@ class Run:
         if point is not None and mesh.locate(*point) is None:
             raise ValidationError(f"config field [simulation] point {point[0]:g} "
                                   f"{point[1]:g} lies outside the mesh")
+        try:
+            build_dof_map(mesh, c.bcs)
+        except ValidationError as exc:
+            raise ValidationError(f"config field [bc] group: {exc}") from None
         return mesh
 
     @_stage("assembly")
@@ -224,7 +228,11 @@ class Run:
         drive = basis.mechanical_indices()[c.tune_mech - 1]
         partner = basis.electric_indices()[c.tune_elec - 1]
         if not np.isfinite(dynamics.beat_period(rs, drive, partner)):
-            raise ValidationError("zero electromechanical coupling: nothing to damp")
+            raise ValidationError(
+                f"config fields [tuning] mech_mode = {c.tune_mech} and elec_mode "
+                f"= {c.tune_elec}: zero electromechanical coupling: nothing to "
+                "damp (the coupling comes from [material] g_me, [network] "
+                "capacitance and [material] g_ee)")
         evaluate = dynamics.damping_evaluator(
             dynamics.resistance_family(rs, self.system(net).material,
                                        c.network.conductance),

@@ -3,10 +3,11 @@
 Grammar: a flat structured-text file of ``[section]`` headers followed by
 ``key = value`` lines. ``#`` starts a comment, values may be quoted (a
 quoted value may contain ``#``), and only the ``[bc]`` section may repeat
-(each block declares one boundary condition). Every numeric parameter is
-validated against the owning module's invariants before any computation
-starts, and an unknown section or a key the run does not read is an error
-naming its line. The optional ``[tuning]`` and ``[search]`` blocks are
+(each block declares one boundary condition). The section getters check
+each value as they read it, before any computation starts, and a bad one
+fails naming the field: ``config field [S] K must be <rule>, got <value>``.
+An unknown section or a key the run does not read is an error naming its
+line. The optional ``[tuning]`` and ``[search]`` blocks are
 switched on by their header alone: an empty ``[tuning]`` tunes mode 1 to
 mode 1, and ``[search]`` must give ``r_lo`` and ``r_hi``.
 """
@@ -89,27 +90,42 @@ class _Section(dict):
             raise ValidationError(f"missing config field [{self.name}] {key}")
         return default
 
-    def get_float(self, key, default=None):
+    def check(self, key, value, holds, rule):
+        """``value``; fails naming the field unless ``holds``."""
+        if not holds:
+            raise ValidationError(f"config field [{self.name}] {key} must be "
+                                  f"{rule}, got {value!r}")
+        return value
+
+    def _number(self, key, default, convert, what):
         raw = self.get_str(key, None if default is None else str(default))
         try:
-            value = float(raw)
+            return raw, convert(raw)
         except ValueError:
             raise ValidationError(
-                f"config field [{self.name}] {key} = '{raw}' is not a number"
+                f"config field [{self.name}] {key} = '{raw}' is not {what}"
             ) from None
+
+    def get_float(self, key, default=None, positive=False):
+        raw, value = self._number(key, default, float, "a number")
         if not math.isfinite(value):
             raise ValidationError(
                 f"config field [{self.name}] {key} = '{raw}' is not finite")
-        return value
+        return self.check(key, value, value > 0 or not positive,
+                          "finite and positive")
 
-    def get_int(self, key, default=None):
-        raw = self.get_str(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"config field [{self.name}] {key} = '{raw}' is not an integer"
-            ) from None
+    def get_int(self, key, default=None, least=1, most=None):
+        value = self._number(key, default, int, "an integer")[1]
+        if most is None:
+            return self.check(key, value, value >= least, f">= {least}")
+        return self.check(key, value, least <= value <= most,
+                          f"between {least} and {most}")
+
+    def get_choice(self, key, default, choices):
+        value = self.get_str(key, default)
+        names = [repr(c) for c in choices]
+        return self.check(key, value, value in choices,
+                          f"{', '.join(names[:-1])} or {names[-1]}")
 
     def get_floats(self, key, count, default=None):
         raw = self.get_str(key, default)
@@ -215,36 +231,30 @@ def parse_config(text, origin="<config>", base_dir=None):
         return singles.get(name, _Section(name, {}))
 
     mesh = section("mesh")
-    kind = mesh.get_str("kind", "structured")
-    if kind not in ("structured", "file"):
-        raise ValidationError(f"config field [mesh] kind must be "
-                              f"'structured' or 'file', got '{kind}'")
+    kind = mesh.get_choice("kind", "structured", ("structured", "file"))
     # a key of the other mesh kind is an unknown-key error below
     n = side = pattern = mesh_path = None
     if kind == "structured":
         n = mesh.get_int("n", 16)
-        side = mesh.get_float("side", 1.0)
-        pattern = mesh.get_str("pattern", "crossed")
-        if n < 1:
-            raise ValidationError("config field [mesh] n must be >= 1")
-        if side <= 0:
-            raise ValidationError("config field [mesh] side must be positive")
-        if pattern not in ("crossed", "diagonal"):
-            raise ValidationError(
-                f"config field [mesh] pattern must be 'crossed' or "
-                f"'diagonal', got '{pattern}'"
-            )
+        side = mesh.get_float("side", 1.0, positive=True)
+        pattern = mesh.get_choice("pattern", "crossed", ("crossed", "diagonal"))
     else:
         mesh_path = _resolve_mesh_path(mesh.get_str("path"), base_dir)
         if not mesh_path.exists():
             raise ValidationError(f"mesh file not found: {mesh_path}")
 
+    # build_material's invariants, checked here to name their fields; it
+    # still runs them below, with its inertia overflow check
     m = section("material")
+    poisson = m.get_float("poisson", 0.3)
     plate = PlateParams.isotropic(
-        half_thickness=m.get_float("h", 1e-3),
-        density=m.get_float("rho", 500.0),
-        rigidity=m.get_float("rigidity", 1.0),
-        poisson=m.get_float("poisson", 0.3),
+        half_thickness=m.get_float("h", 1e-3, positive=True),
+        density=m.get_float("rho", 500.0, positive=True),
+        rigidity=m.get_float("rigidity", 1.0, positive=True),
+        # D [[1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]] is positive
+        # definite for D > 0 and |nu| < 1
+        poisson=m.check("poisson", poisson, -1 < poisson < 1,
+                        "between -1 and 1, exclusive"),
         coupling=m.get_floats("g_me", 3, default="0.1 0.1 0.0"),
         piezo_capacitance=m.get_float("g_ee", 0.0),
     )
@@ -254,68 +264,59 @@ def parse_config(text, origin="<config>", base_dir=None):
             f"config field [network] resistance = '{nw['resistance']}' would "
             "be ignored: the simulation runs the conservative network "
             "(R_N = 0) and the search scans [search] r_lo..r_hi; set it to 0")
+    conductance = nw.get_float("conductance", 0.0)
     network = NetworkParams(
-        inductance=nw.get_float("inductance", 1.0),
+        inductance=nw.get_float("inductance", 1.0, positive=True),
         capacitance=nw.get_float("capacitance", 1.0),
-        conductance=nw.get_float("conductance", 0.0),
+        conductance=nw.check("conductance", conductance, conductance >= 0,
+                             "non-negative"),
     )
-    build_material(plate, network)  # runs the material invariants now
+    c_n = network.capacitance + plate.piezo_capacitance
+    if not c_n > 0:
+        raise ValidationError(
+            f"config fields [network] capacitance = {network.capacitance!r} and "
+            f"[material] g_ee = {plate.piezo_capacitance!r}: the total "
+            f"capacitance C_N = capacitance + g_ee must be positive, got {c_n!r}")
+    build_material(plate, network)
 
     bcs = []
     for s in bc_sections:
         group = s.get_str("group")
         for kind_name in s.get_str("kind").split("+"):
-            bcs.append(BoundaryCondition(group=group, kind=kind_name.strip()))
+            try:
+                bcs.append(BoundaryCondition(group=group, kind=kind_name.strip()))
+            except ValidationError as exc:
+                raise ValidationError(f"config field [bc] kind: {exc}") from None
     if not bcs:
         raise ValidationError("config declares no [bc] section")
 
     modal_s = section("modal")
     n_mech = modal_s.get_int("n_mech", 8)
     n_elec = modal_s.get_int("n_elec", 8)
-    if n_mech < 1 or n_elec < 1:
-        raise ValidationError("retained mode counts must be >= 1")
 
     tune_mech = tune_elec = None
     if "tuning" in singles:
         tuning = singles["tuning"]
-        tune_mech = tuning.get_int("mech_mode", 1)
-        tune_elec = tuning.get_int("elec_mode", 1)
-        if tune_mech < 1 or tune_elec < 1:
-            raise ValidationError("tuning mode indices are 1-based (>= 1)")
-        if tune_mech > n_mech or tune_elec > n_elec:
-            raise ValidationError("tuning target outside the retained modes")
+        tune_mech = tuning.get_int("mech_mode", 1, most=n_mech)
+        tune_elec = tuning.get_int("elec_mode", 1, most=n_elec)
 
     sim = section("simulation")
-    ic = sim.get_str("ic", "unimodal")
-    if ic not in ("unimodal", "impulse"):
-        raise ValidationError("config field [simulation] ic must be "
-                              "'unimodal' or 'impulse'")
-    family = sim.get_str("family", "mechanical")
-    if family not in ("mechanical", "electric"):
-        raise ValidationError("[simulation] family must be mechanical|electric")
+    ic = sim.get_choice("ic", "unimodal", ("unimodal", "impulse"))
+    family = sim.get_choice("family", "mechanical", ("mechanical", "electric"))
     # each initial condition reads only its own keys, so setting a key of
     # the other one is an unknown-key error below
     on, amplitude, point, magnitude = "displacement", 1.0, None, 1.0
     if ic == "unimodal":
-        on = sim.get_str("on", on)
-        if on not in ("displacement", "velocity"):
-            raise ValidationError("config field [simulation] on must be "
-                                  f"'displacement' or 'velocity', got '{on}'")
+        on = sim.get_choice("on", on, ("displacement", "velocity"))
         amplitude = sim.get_float("amplitude", amplitude)
     else:
         point = sim.get_floats("point", 2)
         magnitude = sim.get_float("magnitude", magnitude)
-    beats = sim.get_float("beats", 10.0)
-    t_f = sim.get_float("t_f") if "t_f" in sim else None
-    dt = sim.get_float("dt") if "dt" in sim else None
     for key, value in (("amplitude", amplitude), ("magnitude", magnitude)):
-        if value == 0:
-            raise ValidationError(f"config field [simulation] {key} must be "
-                                  f"finite and nonzero, got {value}")
-    for key, value in (("beats", beats), ("t_f", t_f), ("dt", dt)):
-        if value is not None and not value > 0:
-            raise ValidationError(f"config field [simulation] {key} must be "
-                                  f"finite and positive, got {value}")
+        sim.check(key, value, value != 0, "finite and nonzero")
+    beats = sim.get_float("beats", 10.0, positive=True)
+    t_f = sim.get_float("t_f", positive=True) if "t_f" in sim else None
+    dt = sim.get_float("dt", positive=True) if "dt" in sim else None
     if t_f is not None and dt is not None:
         if dt > t_f:
             raise ValidationError(f"config field [simulation] dt = {dt:g} "
@@ -330,25 +331,22 @@ def parse_config(text, origin="<config>", base_dir=None):
     simulation = SimulationBlock(
         ic=ic, mode=sim.get_int("mode", 1), family=family, on=on,
         amplitude=amplitude, point=point, magnitude=magnitude, beats=beats,
-        steps_per_period=sim.get_int("steps_per_period", 100), t_f=t_f, dt=dt,
+        steps_per_period=sim.get_int("steps_per_period", 100, least=4),
+        t_f=t_f, dt=dt,
     )
-    if simulation.mode < 1:
-        raise ValidationError("[simulation] mode is 1-based (>= 1)")
     retained = n_mech if family == "mechanical" else n_elec
     if simulation.mode > retained:
         raise ValidationError(
-            f"[simulation] mode {simulation.mode} exceeds the {retained} "
-            f"retained {family} modes")
-    if simulation.steps_per_period < 4:
-        raise ValidationError("[simulation] steps_per_period must be >= 4")
+            f"config field [simulation] mode {simulation.mode} exceeds the "
+            f"{retained} retained {family} modes")
 
     search_lo = search_hi = None
     if "search" in singles:
         search = singles["search"]
-        search_lo = search.get_float("r_lo")
-        search_hi = search.get_float("r_hi")
-        if not 0 < search_lo < search_hi:
-            raise ValidationError("[search] needs 0 < r_lo < r_hi")
+        search_lo = search.get_float("r_lo", positive=True)
+        search_hi = search.get_float("r_hi", positive=True)
+        search.check("r_hi", search_hi, search_hi > search_lo,
+                     f"above r_lo = {search_lo!r}")
         if tune_mech is None:
             raise ValidationError(
                 "[search] needs a [tuning] section: the resistance search "

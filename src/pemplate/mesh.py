@@ -111,18 +111,22 @@ class Mesh:
             raise ValidationError(
                 f"triangle {e} is clockwise (signed area {area[e]:g})"
             )
-        # conforming: no edge is shared by more than two triangles; an edge
-        # is the int64 key lo * n + hi of its sorted node pair
-        pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
-        over = np.flatnonzero(keys[2:] == keys[:-2])
-        if over.size:
-            key = keys[over[0]]
-            a, b = divmod(int(key), n)
+        # conforming and unfolded: counterclockwise triangles run along an
+        # edge at most once each way, so a directed edge (the int64 key
+        # a * n + b of a -> b) occurs once. An edge of three or more
+        # triangles repeats a direction too; it is reported by its count.
+        keys = np.sort((tris * n + np.roll(tris, -1, axis=1)).ravel())
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if twice.size:
+            a, b = divmod(int(keys[twice[0]]), n)
+            shared = np.count_nonzero(np.isin(tris, (a, b)).sum(axis=1) == 2)
+            if shared > 2:
+                raise ValidationError(f"edge ({min(a, b)}, {max(a, b)}) is "
+                                      f"shared by {shared} triangles "
+                                      "(non-conforming)")
             raise ValidationError(
-                f"edge ({a}, {b}) is shared by {np.count_nonzero(keys == key)} "
-                "triangles (non-conforming)"
-            )
+                f"edge ({a}, {b}) runs the same way in two triangles: the "
+                "mesh folds over itself")
         referenced = np.zeros(n, dtype=bool)
         referenced[self.triangles.ravel()] = True
         if not referenced.all():

@@ -93,12 +93,15 @@ class TestConfigParsing:
 
     def test_zero_retained_modes_rejected(self):
         text = SMALL_CFG.replace("n_mech = 4", "n_mech = 0")
-        with pytest.raises(ValidationError, match="mode counts"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "config field [modal] n_mech must be >= 1, got 0")):
             parse_config(text)
 
     def test_tuning_target_outside_retained(self):
         text = SMALL_CFG.replace("mech_mode = 1", "mech_mode = 9")
-        with pytest.raises(ValidationError, match="tuning target"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "config field [tuning] mech_mode must be between 1 and 4, "
+                "got 9")):
             parse_config(text)
 
     def test_missing_mesh_file(self):
@@ -108,13 +111,60 @@ class TestConfigParsing:
 
     def test_unknown_bc_kind(self):
         text = SMALL_CFG.replace("simply_supported+grounded", "welded")
-        with pytest.raises(ValidationError, match="welded"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "config field [bc] kind: unknown boundary-condition kind "
+                "'welded'")):
             parse_config(text)
 
     def test_material_invariants_checked_upfront(self):
         text = SMALL_CFG.replace("inductance = 1.0", "inductance = -2.0")
-        with pytest.raises(ValidationError, match="inductance"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "config field [network] inductance must be finite and "
+                "positive, got -2.0")):
             parse_config(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("kind = structured", "kind = disc",
+         "field [mesh] kind must be 'structured' or 'file', got 'disc'"),
+        ("pattern = crossed", "pattern = star",
+         "field [mesh] pattern must be 'crossed' or 'diagonal', got 'star'"),
+        ("h = 0.001", "h = 0",
+         "field [material] h must be finite and positive, got 0.0"),
+        ("rho = 500.0", "rho = -0",
+         "field [material] rho must be finite and positive, got -0.0"),
+        ("rigidity = 1.0", "rigidity = -1",
+         "field [material] rigidity must be finite and positive, got -1.0"),
+        ("poisson = 0.3", "poisson = 1",
+         "field [material] poisson must be between -1 and 1, exclusive, "
+         "got 1.0"),
+        ("capacitance = 1.0", "capacitance = 1.0\nconductance = -1",
+         "field [network] conductance must be non-negative, got -1.0"),
+        ("capacitance = 1.0", "capacitance = -1",
+         "fields [network] capacitance = -1.0 and [material] g_ee = 0.0: the "
+         "total capacitance C_N = capacitance + g_ee must be positive, "
+         "got -1.0"),
+        ("n_elec = 4", "n_elec = -1",
+         "field [modal] n_elec must be >= 1, got -1"),
+        ("elec_mode = 1", "elec_mode = 0",
+         "field [tuning] elec_mode must be between 1 and 4, got 0"),
+        ("family = mechanical", "family = both",
+         "field [simulation] family must be 'mechanical' or 'electric', "
+         "got 'both'"),
+        ("\nmode = 1", "\nmode = 0",
+         "field [simulation] mode must be >= 1, got 0"),
+        ("steps_per_period = 60", "steps_per_period = 3",
+         "field [simulation] steps_per_period must be >= 4, got 3"),
+        ("r_hi = 2.0", "r_hi = 0.02",
+         "field [search] r_hi must be above r_lo = 0.02, got 0.02"),
+    ], ids=["mesh-kind", "pattern", "h", "rho", "rigidity", "poisson",
+            "conductance", "C_N", "n_elec", "elec_mode", "family", "mode",
+            "steps_per_period", "r_hi"])
+    def test_bad_value_names_field_and_value(self, old, new, message):
+        text = SMALL_CFG + SEARCH
+        assert text.count(old) == 1
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"config {message}")):
+            parse_config(text.replace(old, new))
 
     def test_builtin_mesh_path(self):
         cfg = parse_config("[mesh]\nkind = file\npath = builtin:l_shape.mesh\n"
@@ -565,6 +615,44 @@ class TestCommands:
         assert "[simulation] point 5 5 lies outside the mesh" in err
         assert not (tmp_path / "runs").exists()
 
+    def test_unknown_bc_group_exits_1_at_the_mesh_stage(self, tmp_path, capsys,
+                                                         monkeypatch):
+        never_assemble(monkeypatch)
+        text = SMALL_CFG.replace("group = boundary", "group = nosuch")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("[stage mesh] config field [bc] group: boundary condition "
+                "references unknown edge group 'nosuch' (the mesh's groups: "
+                "'boundary')") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_folded_mesh_file_exits_1_at_the_mesh_stage(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # node 30, the centre of cell (1, 1), moved across the cell's right
+        # side: load_mesh turns the clockwise triangle round, and the plate
+        # would read an area of 1.025
+        never_assemble(monkeypatch)
+        path = tmp_path / "plate.mesh"
+        save_mesh(generate_structured_square(4), path)
+        lines = path.read_text().splitlines()
+        assert lines[31] == "0.375 0.375"  # node 30, after the header
+        lines[31] = "0.6 0.375"
+        path.write_text("\n".join(lines) + "\n")
+        text = SMALL_CFG.replace("kind = structured\nn = 4\nside = 1.0\n"
+                                 "pattern = crossed", "kind = file\npath = "
+                                 "plate.mesh")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"[stage mesh] {path}: edge (7, 30) runs the same way in two "
+                "triangles: the mesh folds over itself") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_patch_test_exit_codes(self, capsys):
         assert main(["patch-test"]) == 0
         assert "PASSED" in capsys.readouterr().out
@@ -956,7 +1044,10 @@ class TestStageGraph:
         assert main(["pipeline", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "zero electromechanical coupling: nothing to damp" in err
+        assert ("config fields [tuning] mech_mode = 1 and elec_mode = 1: zero "
+                "electromechanical coupling: nothing to damp (the coupling "
+                "comes from [material] g_me, [network] capacitance and "
+                "[material] g_ee)") in err
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")

@@ -5,8 +5,10 @@ Fixed value mutations of the keys of ``benchmarks/tests/tiny.cfg`` run
 each through :func:`pemplate.cli.main` in this process with RuntimeWarning as
 an error. Every case must exit 0, 1 or 2 with no exception escaping; a
 failed run leaves no output directory, and a successful one no ``nan`` in
-``summary.txt``. The mesh mutations' seed is fixed, so every failure names a
-case that reruns.
+``summary.txt``. An exit 1 names where the input is bad: a config field
+(``[section] key``) or line for a config case, the mesh file for a mesh
+case. The mesh mutations' seed is fixed, so every failure names a case that
+reruns.
 """
 
 import random
@@ -31,6 +33,9 @@ VALUES = ["", "nan", "inf", "-1", "0", "-0", "0.5", "1 2", "abc", "1e-300",
 SIZE_KEYS = {"n", "n_mech", "n_elec", "mode", "mech_mode", "elec_mode",
              "beats", "steps_per_period"}
 LARGE = {"1e5", "1e300"}
+# a failure message names the config field, or the line, it comes from
+CONFIG_FIELD = (r"\[(mesh|material|network|bc|modal|tuning|simulation|search)\]"
+                r" \w+")
 SEED = 20261020
 MESH_CASES = 40
 MESH_TOKENS = ["-1", "0", "1", "2", "7", "12", "13", "nan", "inf", "1e300",
@@ -54,7 +59,7 @@ def mutated_mesh(text, where, token):
     return text[:start] + token + text[end:]
 
 
-def run_case(command, cfg, out):
+def run_case(command, cfg, out, capsys, names):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", UserWarning)
@@ -64,19 +69,22 @@ def run_case(command, cfg, out):
         assert "nan" not in (out / "summary.txt").read_text()
     else:
         assert not out.exists()
+    if code == 1:
+        assert re.search(names, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("line, key, value", config_cases())
-def test_mutated_config(tmp_path, line, key, value):
+def test_mutated_config(tmp_path, capsys, line, key, value):
     lines = TINY.splitlines()
     lines[line] = f"{key} = {value}"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n")
-    run_case("pipeline", cfg, tmp_path / "out")
+    run_case("pipeline", cfg, tmp_path / "out", capsys,
+             rf"{CONFIG_FIELD}|run\.cfg:\d+")
 
 
 @pytest.mark.parametrize("where, token", mesh_cases())
-def test_mutated_mesh(tmp_path, where, token):
+def test_mutated_mesh(tmp_path, capsys, where, token):
     path = tmp_path / "plate.mesh"
     save_mesh(generate_structured_square(2), path)
     path.write_text(mutated_mesh(path.read_text(), where, token))
@@ -85,4 +93,4 @@ def test_mutated_mesh(tmp_path, where, token):
                         "pattern = crossed\n", f"kind = file\npath = {path}\n")
     assert "kind = file" in text
     cfg.write_text(text)
-    run_case("modes", cfg, tmp_path / "out")
+    run_case("modes", cfg, tmp_path / "out", capsys, re.escape(str(path)))
