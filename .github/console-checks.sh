@@ -1,6 +1,7 @@
 # Negative controls of the `pemplate` console entry point: bad input exits
 # with the stated code, naming the field or the file, with no traceback and
-# no output directory left behind. Source it from bash, with `set -e` in
+# no output directory left behind. Then what importing `pemplate.cli` does
+# (README, "Start-up and exit"). Source it from bash, with `set -e` in
 # force, the repository root as the working directory and RUNNER_TEMP
 # naming a scratch directory:
 #
@@ -50,3 +51,13 @@ done
 fails modes "$RUNNER_TEMP/neg.cfg" 1 "neg.mesh:1: negative count in header"
 fails modes "$RUNNER_TEMP/empty.cfg" 1 "empty.mesh: mesh has no triangles"
 fails modes "$RUNNER_TEMP/folded.cfg" 1 "folded.mesh: edge (7, 30) runs the same way in two triangles"
+# a rigidity whose bending matrix underflows fails at load, naming the field
+sed 's/^rigidity = .*/rigidity = 5e-324/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/rigid.cfg"
+fails pipeline "$RUNNER_TEMP/rigid.cfg" 1 "config field [material] rigidity must be large enough"
+# importing pemplate.cli freezes the import-time objects and leaves the
+# collector as the importer had it
+python -c 'import gc, pemplate.cli; assert gc.isenabled() and gc.get_freeze_count() > 0'
+python -c 'import gc; gc.disable(); import pemplate.cli; assert not gc.isenabled()'
+# it leaves numpy's f2py unexecuted, and a deferred submodule works on first use
+python -c 'import sys, pemplate.cli; assert "numpy.f2py.crackfortran" not in sys.modules'
+python -c 'import pemplate.cli, numpy as np; np.testing.assert_array_equal(np.arange(2), [0, 1])'

@@ -29,6 +29,13 @@ moment, the caller's as well as numpy's and scipy's: the cyclic garbage
 collector never walks them again, neither in a run's collections nor at
 interpreter exit. It collects nothing while the imports run, and it is left
 enabled or disabled as the importer had it.
+
+It also defers the numpy submodules that scipy's import touches and no run
+uses (``numpy.f2py``, ``testing``, ``polynomial``, ``char``, ``strings``,
+``ctypeslib``, ``rec``): each is an
+:class:`importlib.util.LazyLoader` module, which runs its code on the first
+attribute access, so a caller that uses one gets the real module. One
+already imported is left as it is.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import partial
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from pathlib import Path
 
 # An idle OpenBLAS worker spins for 2**timeout cycles before it sleeps; the
@@ -48,7 +56,7 @@ from pathlib import Path
 # copy (numpy's, scipy's) reads the variable once, when it loads, so this
 # must come before numpy's first import. A value the user set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-# The imports below leave ~42k container objects alive for the whole run. A
+# The imports below leave ~36k container objects alive for the whole run. A
 # collection during the imports walks those made so far, and the one at
 # interpreter exit walks them all (~55 ms of a clamped-demo process). So
 # none runs while importing, and gc.freeze then moves them out of its reach.
@@ -56,6 +64,31 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 
 import numpy as np
+
+# scipy's array-API shim (scipy._lib.array_api_compat.numpy, which
+# scipy.sparse loads) clones numpy: it calls hasattr(numpy, name) for every
+# name in dir(numpy), and that imports each submodule numpy exposes lazily.
+# No run uses these, so each is registered as a LazyLoader module, which
+# runs its code on first attribute access (Python 3.11's is not safe for a
+# first access from two threads at once; pemplate runs on one). The numpy
+# attribute is set too: numpy's __getattr__ imports `numpy.x as x`, which
+# reads that attribute, and would recurse without it. Cumulative import
+# cost of each here (Python 3.11, numpy 2.4): f2py 70-90 ms, testing 18-31
+# ms, polynomial 4 ms, char and strings 1-2 ms, ctypeslib 1 ms, rec 0.1 ms.
+# Left out: numpy.random, which scipy's own import uses, and numpy.ma
+# (8-12 ms), which every dense eigh loads (scipy's _asarray_validated calls
+# np.ma.isMaskedArray), so deferring it would move its cost into the first
+# dense solve on most runs. A submodule already imported stays as it is.
+for _name in ("f2py", "testing", "polynomial", "char", "strings",
+              "ctypeslib", "rec"):
+    _qualified = f"numpy.{_name}"
+    _spec = None if _qualified in sys.modules else find_spec(_qualified)
+    if _spec is not None:
+        _spec.loader = LazyLoader(_spec.loader)
+        sys.modules[_qualified] = _module = module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(np, _name, _module)
+
 import scipy
 
 from . import __version__, dynamics, modal, reference

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .assembly import BoundaryCondition
 from .errors import ValidationError
-from .material import NetworkParams, PlateParams, build_material
+from .material import NetworkParams, PlateParams, build_material, has_cholesky
 
 
 # Every section the parser reads; any other section name is a typo.
@@ -247,17 +247,21 @@ def parse_config(text, origin="<config>", base_dir=None):
     # still runs them below, with its inertia overflow check
     m = section("material")
     poisson = m.get_float("poisson", 0.3)
+    rigidity = m.get_float("rigidity", 1.0, positive=True)
     plate = PlateParams.isotropic(
         half_thickness=m.get_float("h", 1e-3, positive=True),
         density=m.get_float("rho", 500.0, positive=True),
-        rigidity=m.get_float("rigidity", 1.0, positive=True),
+        rigidity=rigidity,
         # D [[1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]] is positive
-        # definite for D > 0 and |nu| < 1
+        # definite for D > 0 and |nu| < 1, unless an entry underflows
         poisson=m.check("poisson", poisson, -1 < poisson < 1,
                         "between -1 and 1, exclusive"),
         coupling=m.get_floats("g_me", 3, default="0.1 0.1 0.0"),
         piezo_capacitance=m.get_float("g_ee", 0.0),
     )
+    m.check("rigidity", rigidity, has_cholesky(plate.bending_stiffness),
+            "large enough that D [[1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]]"
+            " is positive definite in float64")
     nw = section("network")
     if nw.get_float("resistance", 0.0) != 0.0:
         raise ValidationError(

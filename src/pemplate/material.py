@@ -113,13 +113,20 @@ def _frozen(a, shape):
     return a
 
 
-def _check_spd(m, what):
-    if not np.allclose(m, m.T, atol=1e-12):
-        raise ValidationError(f"{what} must be symmetric")
+def has_cholesky(m):
+    """Whether the symmetric matrix ``m`` is positive definite in float64."""
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise ValidationError(f"{what} must be positive definite") from None
+        return False
+    return True
+
+
+def _check_spd(m, what):
+    if not np.allclose(m, m.T, atol=1e-12):
+        raise ValidationError(f"{what} must be symmetric")
+    if not has_cholesky(m):
+        raise ValidationError(f"{what} must be positive definite")
 
 
 def compatibility_selectors():

@@ -4,6 +4,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,10 @@ class TestConfigParsing:
          "field [material] rho must be finite and positive, got -0.0"),
         ("rigidity = 1.0", "rigidity = -1",
          "field [material] rigidity must be finite and positive, got -1.0"),
+        ("rigidity = 1.0", "rigidity = 5e-324",
+         "field [material] rigidity must be large enough that D [[1, nu, 0], "
+         "[nu, 1, 0], [0, 0, (1 - nu) / 2]] is positive definite in float64, "
+         "got 5e-324"),
         ("poisson = 0.3", "poisson = 1",
          "field [material] poisson must be between -1 and 1, exclusive, "
          "got 1.0"),
@@ -156,7 +161,8 @@ class TestConfigParsing:
          "field [simulation] steps_per_period must be >= 4, got 3"),
         ("r_hi = 2.0", "r_hi = 0.02",
          "field [search] r_hi must be above r_lo = 0.02, got 0.02"),
-    ], ids=["mesh-kind", "pattern", "h", "rho", "rigidity", "poisson",
+    ], ids=["mesh-kind", "pattern", "h", "rho", "rigidity",
+            "rigidity-underflow", "poisson",
             "conductance", "C_N", "n_elec", "elec_mode", "family", "mode",
             "steps_per_period", "r_hi"])
     def test_bad_value_names_field_and_value(self, old, new, message):
@@ -918,6 +924,54 @@ def test_import_freezes_what_is_alive(before, enabled):
     # left enabled or disabled as the importer had it
     out = run_child(GC_AFTER_IMPORT.format(before=before)).split()
     assert out == [enabled, "True", "False", "False"]
+
+
+# whether a fresh import of pemplate.cli, and then a whole pipeline run,
+# executes the numpy submodules it defers (the two modules named cost most);
+# then each deferred submodule is the real one on first use
+DEFERRED = """
+import sys
+import pemplate.cli
+import numpy as np
+NAMES = ["numpy.f2py.crackfortran", "numpy.testing._private.utils"]
+print(*[name in sys.modules for name in NAMES])
+assert pemplate.cli.main(["pipeline", "--config", {cfg!r},
+                          "--out", {out!r}]) == 0
+print(*[name in sys.modules for name in NAMES])
+np.testing.assert_array_equal(np.arange(3), [0, 1, 2])
+assert np.polynomial.Polynomial([1, 2])(3) == 7
+assert np.char.upper("ab") == "AB" and np.strings.lower("AB") == "ab"
+assert np.rec.fromarrays([[1, 2]], names="a").a.tolist() == [1, 2]
+assert np.ctypeslib.as_array(np.ctypeslib.as_ctypes(np.ones(2))).sum() == 2
+import numpy.f2py
+assert callable(numpy.f2py.run_main)
+print("used")
+"""
+
+# a submodule imported before pemplate.cli is left as it was
+IMPORTED_BEFORE = """
+import sys
+import numpy.testing, numpy.polynomial
+before = numpy.testing, numpy.polynomial, sys.modules["numpy.testing"]
+import pemplate.cli, numpy
+print(before == (numpy.testing, numpy.polynomial, sys.modules["numpy.testing"]),
+      type(numpy.testing) is type(sys))
+"""
+
+
+def test_import_defers_unused_numpy_submodules(tmp_path):
+    # scipy's array-API shim touches every lazily exposed numpy submodule;
+    # pemplate.cli leaves those no run uses unexecuted, run or no run
+    tiny = Path(__file__).resolve().parents[1] / "benchmarks/tests/tiny.cfg"
+    lines = run_child(DEFERRED.format(
+        cfg=str(tiny), out=str(tmp_path / "out"))).splitlines()
+    assert lines[0] == lines[-2] == "False False"
+    assert lines[-3].startswith("pipeline outputs in")
+    assert lines[-1] == "used"
+
+
+def test_numpy_submodules_imported_before_are_kept():
+    assert run_child(IMPORTED_BEFORE).split() == ["True", "True"]
 
 
 def run_cli(command, cfg, out):
