@@ -54,6 +54,10 @@ fails modes "$RUNNER_TEMP/folded.cfg" 1 "folded.mesh: edge (7, 30) runs the same
 # a rigidity whose bending matrix underflows fails at load, naming the field
 sed 's/^rigidity = .*/rigidity = 5e-324/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/rigid.cfg"
 fails pipeline "$RUNNER_TEMP/rigid.cfg" 1 "config field [material] rigidity must be large enough"
+# a capacitance that decouples the tuned pair fails tuning, before any
+# simulation runs
+sed 's/^capacitance = .*/capacitance = 1e300/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/cap.cfg"
+fails tune "$RUNNER_TEMP/cap.cfg" 1 "zero electromechanical coupling"
 # importing pemplate.cli freezes the import-time objects and leaves the
 # collector as the importer had it
 python -c 'import gc, pemplate.cli; assert gc.isenabled() and gc.get_freeze_count() > 0'

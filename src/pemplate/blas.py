@@ -14,7 +14,26 @@ its time in ARPACK's level-1/2 calls and SuperLU's triangular solves, where
 a second thread only spins, and its results depend on the thread count. So
 scipy's copy is pinned to one thread for each sparse solve, which makes
 that solve's output independent of the thread count. The dense solve
-keeps the default thread count: it gains wall time from the second thread.
+keeps the default thread count: it gains wall time from the second thread,
+and its results are those of ``benchmarks/reference.json``. At one thread
+paper-square's energy drift moves 2.6e-5 relative (``benchmarks/checks.py``
+allows 1e-6) and clamped-demo's zeta* 6.2% (it allows 2%).
+
+That dense solve can stall when its threads start after an idle spell (in
+about 1 of 45 fresh clamped-demo runs, for 0.8-1.3 s). A 300 x 300
+``scipy.linalg.eigh(a, b, subset_by_index=[0, 7])`` called in a loop after
+12 s idle (2-vCPU Linux machine, OPENBLAS_THREAD_TIMEOUT=20) took 264-290
+ms for each of its first four calls, ~1.1 s together, then 5-8 ms: in 3 of
+3 processes, and in 1 of 2 after 2 s idle. An external sampler of each
+thread's CPU time and CPU number (/proc/<pid>/task/*/stat fields 14-15 and
+39, every 5 ms) saw both busy threads on one CPU in every sample of the
+three 12 s stalls (39 of 39), in 9 of 10 of the 2 s one, and in none of the
+645 taken in runs that did not stall: the two threads share one CPU until
+the scheduler moves one. At OPENBLAS_NUM_THREADS=1 it never stalled (2 of
+2). On this machine it did not stall at a timeout of 24 or 28 either (0 of
+5 each), likely because the worker then spins through the gaps between
+calls instead of sleeping and being woken again; on another 2-vCPU machine
+24 and 28 stalled too, so the timeout stays 20 (below).
 
 An idle worker of either copy spins for 2**OPENBLAS_THREAD_TIMEOUT TSC
 ticks before it sleeps, once after its library loads and again after each

@@ -17,7 +17,13 @@ network), and only ``Run`` assembles or solves a network::
 
     mesh -> system(net) -> mechanical modes (one set serves every network)
                         -> modes(net) -> network (L_N tuned by [tuning])
-         -> basis -> reduced(net) -> simulation, search
+         -> basis -> reduced(net) -> tuned pair -> simulation, search
+
+The tuned pair must couple: ``tune``, a tuned simulation and the search
+fail on it before anything is integrated. The simulation is the one stage
+not kept: its trajectory and energies leave memory once ``trajectory.csv``
+and its summary line are written. Tables are written from the arrays the
+run holds, one chunk of rows at a time (:class:`.csvfmt.Columns`).
 
 Every network a run assembles is conservative (R_N = G_N = 0), made once
 from the configured one; the search scales R_N and G_N into the simulation's
@@ -95,7 +101,7 @@ from . import __version__, dynamics, modal, reference
 from .assembly import AssemblyWorkspace, assemble, build_dof_map, patch_test
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
-from .csvfmt import FMT, format_rows
+from .csvfmt import FMT, Columns, format_rows
 from .errors import (NumericalError, PemplateError, StepStabilityError,
                      ValidationError)
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
@@ -112,34 +118,38 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    """Writes ``header`` and the 2-D array ``rows``, one line per row:
-    numbers exactly as ``FMT`` writes them (:mod:`.csvfmt`), text
-    cells as they are."""
+    """Writes ``header`` and ``rows``, a 2-D array or :class:`.Columns`,
+    one line per row: numbers exactly as ``FMT`` writes them
+    (:mod:`.csvfmt`), a chunk of rows at a time, text cells as they are."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        if rows.dtype.kind == "U":
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "U":
             fh.writelines(",".join(row).encode() + b"\n" for row in rows)
         else:
             fh.writelines(format_rows(rows))
 
 
-def _stage(name):
-    """Memoizes a :class:`Run` stage per argument and prefixes its errors
-    with ``[stage name]``; an upstream stage's error keeps its own prefix."""
+def _stage(name, keep=True):
+    """Memoizes a :class:`Run` stage per argument, unless not ``keep``, and
+    prefixes its errors with ``[stage name]``; an upstream stage's error
+    keeps its own prefix."""
 
     def wrap(method):
         def staged(self, *args):
             key = (method.__name__, *args)
-            if key not in self._memo:
-                try:
-                    self._memo[key] = method(self, *args)
-                except PemplateError as exc:
-                    if getattr(exc, "stage", None):
-                        raise
-                    err = exc.__class__(f"[stage {name}] {exc}")
-                    err.stage = name
-                    raise err from exc
-            return self._memo[key]
+            if key in self._memo:
+                return self._memo[key]
+            try:
+                result = method(self, *args)
+            except PemplateError as exc:
+                if getattr(exc, "stage", None):
+                    raise
+                err = exc.__class__(f"[stage {name}] {exc}")
+                err.stage = name
+                raise err from exc
+            if keep:
+                self._memo[key] = result
+            return result
 
         return staged
 
@@ -221,9 +231,30 @@ class Run:
         """The system of ``net`` reduced on the retained basis."""
         return reduce(self.system(net), self.basis())
 
-    @_stage("simulation")
+    @_stage("tuning")
+    def tuned_pair(self):
+        """Basis indices (drive, partner) of the tuned mechanical and
+        electric modes; fails if they do not couple, since the tuned network
+        then exchanges no energy and has nothing to damp."""
+        c = self.cfg
+        basis, rs = self.basis(), self.reduced(self.network())
+        drive = basis.mechanical_indices()[c.tune_mech - 1]
+        partner = basis.electric_indices()[c.tune_elec - 1]
+        if not np.isfinite(dynamics.beat_period(rs, drive, partner)):
+            raise ValidationError(
+                f"config fields [tuning] mech_mode = {c.tune_mech} and elec_mode "
+                f"= {c.tune_elec}: zero electromechanical coupling: nothing to "
+                "damp (the coupling comes from [material] g_me, [network] "
+                "capacitance and [material] g_ee)")
+        return drive, partner
+
+    @_stage("simulation", keep=False)
     def simulation(self):
+        """(trajectory, energies); not memoized: its one reader,
+        :func:`report_simulation`, lets it go once written."""
         sim = self.cfg.simulation
+        if self.cfg.tune_mech is not None:
+            self.tuned_pair()
         net = self.network()
         basis, rs = self.basis(), self.reduced(net)
         drive = (basis.mechanical_indices() if sim.family == "mechanical"
@@ -257,15 +288,8 @@ class Run:
     def search(self):
         c = self.cfg
         net = self.network()
+        drive, partner = self.tuned_pair()
         basis, rs = self.basis(), self.reduced(net)
-        drive = basis.mechanical_indices()[c.tune_mech - 1]
-        partner = basis.electric_indices()[c.tune_elec - 1]
-        if not np.isfinite(dynamics.beat_period(rs, drive, partner)):
-            raise ValidationError(
-                f"config fields [tuning] mech_mode = {c.tune_mech} and elec_mode "
-                f"= {c.tune_elec}: zero electromechanical coupling: nothing to "
-                "damp (the coupling comes from [material] g_me, [network] "
-                "capacitance and [material] g_ee)")
         evaluate = dynamics.damping_evaluator(
             dynamics.resistance_family(rs, self.system(net).material,
                                        c.network.conductance),
@@ -296,6 +320,7 @@ def report_tuning(run, out_dir, optional=False):
     if not _configured(c.tune_mech, "tuning", optional):
         return []
     net = run.network()
+    run.tuned_pair()
     mech, elec = run.modes(net)
     wm, we = mech.omegas[c.tune_mech - 1], elec.omegas[c.tune_elec - 1]
     return [f"tuned L_N: {_fmt(c.network.inductance)} -> {_fmt(net.inductance)}",
@@ -321,18 +346,18 @@ def report_coupling(run, out_dir, tuned=True, raw=False):
     header = ["elec_mode"] + [f"mech_{j + 1}" for j in range(table.raw.shape[1])]
     index = np.arange(1, table.raw.shape[0] + 1)
     write_csv(out_dir / "coupling.csv", header,
-              np.column_stack([index, table.normalized]))
+              Columns(index, table.normalized))
     if raw:
         write_csv(out_dir / "coupling_raw.csv", header,
-                  np.column_stack([index, table.raw]))
+                  Columns(index, table.raw))
     return []
 
 
 def _write_trajectory(path, traj, en):
     header = ["t", *(f"z_{k + 1}" for k in range(traj.z.shape[1])),
               "E_mech", "E_elec", "E_total"]
-    write_csv(path, header, np.column_stack(
-        [traj.t, traj.z, en.mech, en.elec, en.total]))
+    write_csv(path, header,
+              Columns(traj.t, traj.z, en.mech, en.elec, en.total))
 
 
 def report_simulation(run, out_dir):

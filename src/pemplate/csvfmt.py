@@ -128,18 +128,34 @@ def _scaled_digits(x, t):
     return n, e + carry, fallback
 
 
+class Columns:
+    """A table given as column blocks side by side, each a 1-D array (one
+    column) or a 2-D one, all with the same number of rows; ``len`` is that
+    number. :func:`format_rows` stacks the blocks one chunk of rows at a
+    time, so the whole table is never copied."""
+
+    def __init__(self, *blocks):
+        self.blocks = blocks
+
+    def __len__(self):
+        return len(self.blocks[0])
+
+
 def format_rows(table):
-    """Yields the bytes of ``table`` (2-D, real) as CSV lines, ``CHUNK``
-    rows at a time: cells ``"%.17g" % v`` separated by ``,``, each row ended
-    by a newline."""
-    table = np.asarray(table, dtype=np.float64)
+    """Yields the bytes of ``table`` (a real 2-D array, or :class:`Columns`)
+    as CSV lines, ``CHUNK`` rows at a time: cells ``"%.17g" % v`` separated
+    by ``,``, each row ended by a newline."""
+    blocks = [np.asarray(b, dtype=np.float64) for b in
+              (table.blocks if isinstance(table, Columns) else [table])]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
     t = _tables()
-    n_cols = table.shape[1]
-    delims = np.full((min(CHUNK, len(table)), n_cols), ord(",") << 48, np.uint64)
+    n_rows, n_cols = len(blocks[0]), sum(b.shape[1] for b in blocks)
+    delims = np.full((min(CHUNK, n_rows), n_cols), ord(",") << 48, np.uint64)
     delims[:, -1] = ord("\n") << 48
     cells = np.empty((delims.size, 4), np.uint64)
-    for start in range(0, len(table), CHUNK):
-        x = table[start:start + CHUNK].ravel()
+    for start in range(0, n_rows, CHUNK):
+        x = np.concatenate([b[start:start + CHUNK] for b in blocks],
+                           axis=1).ravel()
         m = len(x)
         n, e, fallback = _scaled_digits(x, t)
         prefix, exponent = np.take(t.text, e - _E_MIN, axis=1)

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -59,6 +61,8 @@ steps_per_period = 60
 SEARCH = "\n[search]\nr_lo = 0.02\nr_hi = 2.0\n"
 UNTUNED_CFG = SMALL_CFG.replace("[tuning]\nmech_mode = 1\nelec_mode = 1\n", "")
 IMPULSE_CFG = SMALL_CFG.replace("ic = unimodal", "ic = impulse\npoint = 0.6 0.6")
+TINY_CFG = (Path(__file__).resolve().parents[1] / "benchmarks" / "tests"
+            / "tiny.cfg").read_text()
 DEMO_CFG = (resources.files("pemplate") / "presets" / "clamped-demo.cfg").read_text()
 
 
@@ -754,6 +758,55 @@ class TestWriter:
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
 
+    # values that only ``%`` formats: signed zeros, non-finite values and
+    # magnitudes outside the scaled range (the test adds an exact tie)
+    FALLBACK = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e-300,
+                -1e300]
+
+    @pytest.mark.parametrize("n_rows", [1, csvfmt.CHUNK - 1, csvfmt.CHUNK,
+                                        csvfmt.CHUNK + 1, 3 * csvfmt.CHUNK + 7])
+    def test_column_blocks_stream_the_percent_bytes(self, tmp_path, n_rows):
+        # blocks as the reports pass them: an integer index, a strided view
+        # of a state array, one-column traces; ``len`` is the row count
+        rng = np.random.default_rng(n_rows)
+        state = rng.standard_normal((n_rows, 6)) * 10.0 ** rng.integers(
+            -8, 20, (n_rows, 6))
+        fallback = np.array([*self.FALLBACK, self.exact_ties()[0]])
+        assert csvfmt._scaled_digits(fallback, csvfmt._tables())[2].all()
+        i = np.arange(len(fallback))
+        state[i * 3 % n_rows, i % 4] = fallback  # in the columns written
+        index = np.arange(1, n_rows + 1)
+        energy = rng.random(n_rows)
+        energy[-1] = fallback[-1]
+        rows = csvfmt.Columns(index, state[:, :3], energy, state[:, 3])
+        assert len(rows) == n_rows
+        cli.write_csv(tmp_path / "t.csv", list("abcdef"), rows)
+        table = np.column_stack([index, state[:, :3], energy, state[:, 3]])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b,c,d,e,f\n" + \
+            self.percent(table)
+
+    def test_trajectory_table_is_written_a_chunk_at_a_time(self, tmp_path):
+        # a 26k-step trajectory of 16 modes, as the integrator leaves it: a
+        # whole-table copy (4.3 MB) fails the bound; a chunk's temporaries
+        # take ~270 B per cell
+        rng = np.random.default_rng(5)
+        steps, n = 26652, 16
+        state = rng.standard_normal((steps + 1, 2 * n))
+        traj = dynamics.Trajectory(t=1e-3 * np.arange(steps + 1),
+                                   z=state[:, :n], zdot=state[:, n:])
+        mech, elec = rng.random((2, steps + 1))
+        en = dynamics.EnergyTraces(mech=mech, elec=elec, cross=0.0 * mech,
+                                   total=mech + elec)
+        cli._write_trajectory(tmp_path / "warm.csv", traj, en)  # the tables
+        tracemalloc.start()
+        try:
+            cli._write_trajectory(tmp_path / "t.csv", traj, en)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_cols = 1 + n + 3
+        assert peak <= 3 * csvfmt.CHUNK * n_cols * 200
+
     @staticmethod
     def percent(table):
         """The oracle: every cell through CPython's ``%``."""
@@ -1238,12 +1291,47 @@ class TestStageGraph:
         text = ref.read_text().replace("elec_mode = 1", "elec_mode = 2")
         assert "elec_mode = 2" in text
         cfg = write_cfg(tmp_path, text)
-        for command in ("optimize-r", "pipeline"):
+        for command in ("optimize-r", "pipeline", "simulate", "tune"):
             assert main([command, "--config", str(cfg),
                          "--out", str(tmp_path / command)]) == 1
             assert "nothing to damp" in capsys.readouterr().err
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "simulate")]) == 0
+
+    @pytest.mark.parametrize("command", ["tune", "simulate", "pipeline"])
+    def test_decoupling_capacitance_exits_1_before_any_simulation(
+            self, tmp_path, capsys, monkeypatch, command):
+        # C_N = 1e300 tunes L_N to ~5e-302, and the tuned pair no longer
+        # exchanges energy: every command that tunes fails at the tuning
+        # stage, naming the fields, and integrates nothing
+        def never(*args):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(dynamics, "integrate", never)
+        text = TINY_CFG.replace("capacitance = 1.0", "capacitance = 1e300")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("[stage tuning] config fields [tuning] mech_mode = 1 and "
+                "elec_mode = 1: zero electromechanical coupling") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_written_simulation_leaves_memory(self, tmp_path, monkeypatch):
+        # nothing after report_simulation reads the trajectory: once its
+        # table and summary line are written, no reference to it is left
+        states = []
+        integrate = dynamics.integrate
+
+        def recording(*args):
+            traj = integrate(*args)
+            states.append(weakref.ref(traj.z.base))
+            return traj
+
+        monkeypatch.setattr(dynamics, "integrate", recording)
+        run = cli.Run(load_config(write_cfg(tmp_path, SMALL_CFG + SEARCH)))
+        line, = cli.report_simulation(run, tmp_path)
+        assert line.startswith("simulation: ")
+        assert len(states) == 1 and states[0]() is None
 
 
 # Key numbers of `pipeline --preset paper-square` at the default OpenBLAS
