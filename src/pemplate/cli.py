@@ -102,8 +102,7 @@ from .assembly import AssemblyWorkspace, assemble, build_dof_map, patch_test
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
 from .csvfmt import FMT, Columns, format_rows
-from .errors import (NumericalError, PemplateError, StepStabilityError,
-                     ValidationError)
+from .errors import NumericalError, PemplateError, ValidationError
 from .material import NetworkParams, PlateParams, build_material, conservative_twin
 from .mesh import generate_structured_square, load_mesh, mesh_statistics
 from .modal import build_modal_basis, reduce, solve_family_modes, tune_inductance
@@ -250,8 +249,10 @@ class Run:
 
     @_stage("simulation", keep=False)
     def simulation(self):
-        """(trajectory, energies); not memoized: its one reader,
-        :func:`report_simulation`, lets it go once written."""
+        """(trajectory, energies) over ``beats`` beat periods, at the step
+        :func:`.dynamics.default_horizon` chooses from ``steps_per_period``;
+        not memoized: its one reader, :func:`report_simulation`, lets it go
+        once written."""
         sim = self.cfg.simulation
         if self.cfg.tune_mech is not None:
             self.tuned_pair()
@@ -274,14 +275,8 @@ class Run:
                 f"config field [simulation] {key} = {getattr(sim, key):g} "
                 f"gives the initial energy E_0 = {e_0:g}; it must be finite "
                 "and positive")
-        t_f, dt = dynamics.default_horizon(rs, drive, sim.beats,
-                                           sim.steps_per_period)
-        try:
-            traj = dynamics.integrate(rs, ic, sim.t_f or t_f, sim.dt or dt)
-        except StepStabilityError as exc:
-            if sim.dt is None:
-                raise
-            raise ValidationError(f"config field [simulation] dt: {exc}") from None
+        traj = dynamics.integrate(rs, ic, *dynamics.default_horizon(
+            rs, drive, sim.beats, sim.steps_per_period))
         return traj, dynamics.energies(rs, traj)
 
     @_stage("resistance-search")

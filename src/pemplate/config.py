@@ -156,10 +156,8 @@ class SimulationBlock:
     amplitude: float
     point: tuple | None
     magnitude: float
-    beats: float
-    steps_per_period: int
-    t_f: float | None
-    dt: float | None
+    beats: float            # the horizon, in beat periods of the drive
+    steps_per_period: int   # the step: the drive period over this, capped
 
 
 @dataclass(frozen=True)
@@ -318,25 +316,11 @@ def parse_config(text, origin="<config>", base_dir=None):
         magnitude = sim.get_float("magnitude", magnitude)
     for key, value in (("amplitude", amplitude), ("magnitude", magnitude)):
         sim.check(key, value, value != 0, "finite and nonzero")
-    beats = sim.get_float("beats", 10.0, positive=True)
-    t_f = sim.get_float("t_f", positive=True) if "t_f" in sim else None
-    dt = sim.get_float("dt", positive=True) if "dt" in sim else None
-    if t_f is not None and dt is not None:
-        if dt > t_f:
-            raise ValidationError(f"config field [simulation] dt = {dt:g} "
-                                  f"exceeds [simulation] t_f = {t_f:g}")
-        # a run takes whole steps; a remainder would end it past t_f (an
-        # overflowing count fails in the integration, naming both fields)
-        steps = t_f / dt
-        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValidationError(
-                f"config fields [simulation] t_f = {t_f:g} and dt = {dt:g}: "
-                f"t_f / dt = {steps:.10g} is not a whole number of steps")
     simulation = SimulationBlock(
         ic=ic, mode=sim.get_int("mode", 1), family=family, on=on,
-        amplitude=amplitude, point=point, magnitude=magnitude, beats=beats,
+        amplitude=amplitude, point=point, magnitude=magnitude,
+        beats=sim.get_float("beats", 10.0, positive=True),
         steps_per_period=sim.get_int("steps_per_period", 100, least=4),
-        t_f=t_f, dt=dt,
     )
     retained = n_mech if family == "mechanical" else n_elec
     if simulation.mode > retained:
