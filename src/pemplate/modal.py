@@ -70,7 +70,9 @@ def _solve_pencil(k0, k2, n):
     speeds it up. Its second thread sleeps within about 0.5 ms of its last
     call (``OPENBLAS_THREAD_TIMEOUT``, set by :mod:`pemplate.cli`): over a
     paper-square run that thread's CPU fell from 0.59 s to 0.31 s, the
-    solves' own work, and their wall time did not change. The Lanczos solve
+    solves' own work, and their wall time did not change. It checks the
+    entries of ``k0`` and ``k2`` for inf and nan, not scipy's n x n copies;
+    the sparse solve relies on ``assembly._require_finite``. The Lanczos solve
     runs with scipy's OpenBLAS on one thread (:mod:`pemplate.blas`): a
     second thread gains nothing in its level-1/2 calls and triangular
     solves, and one thread makes its result independent of the thread
@@ -78,12 +80,16 @@ def _solve_pencil(k0, k2, n):
     """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
+        for name, block in (("K0", k0), ("K2", k2)):
+            if not np.isfinite(block.data).all():
+                raise NumericalError(f"{name} holds an entry that is not finite")
         # eigh factors K2 itself and fails when it is not positive definite;
         # Fortran-ordered blocks are what LAPACK takes without a copy
         try:
             vals, vecs = sla.eigh(k0.toarray(order="F"), k2.toarray(order="F"),
                                   subset_by_index=[0, n - 1],
-                                  overwrite_a=True, overwrite_b=True)
+                                  overwrite_a=True, overwrite_b=True,
+                                  check_finite=False)
         except np.linalg.LinAlgError:
             raise NumericalError(
                 "K2 is not positive definite; check boundary conditions and "

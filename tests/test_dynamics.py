@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pemplate import cli, dynamics, modal
+from pemplate import blas, cli, csvfmt, dynamics, modal
 from pemplate.assembly import DOFS_PER_NODE, BoundaryCondition, assemble
 from pemplate.config import load_config
 from pemplate.dynamics import (
@@ -944,3 +945,51 @@ class TestFamilyBlocks:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert want.elec.max() > 0.0
         assert (want.cross != 0.0).any() == (resistance != 0.0)
+
+
+class TestTraceBlocks:
+    """Quadratic traces are formed a row block at a time."""
+
+    # clamped-demo's simulation: 26,652 steps of its 16 modes
+    STEPS = 26_653
+
+    def test_energies_hold_four_traces_and_one_block(self, preset_runs):
+        run = preset_runs["clamped-demo"]
+        # a resistance gives the cross trace its two products
+        rs = run.reduced(replace(run.network(), resistance=1.0))
+        n = rs.n_modes
+        assert n == 16
+        # z and z' strided views of one state array, as integrate returns them
+        y = np.random.default_rng(0).standard_normal((self.STEPS, 2 * n))
+        traj = dynamics.Trajectory(t=np.arange(self.STEPS, dtype=float),
+                                   z=y[:, :n], zdot=y[:, n:])
+        tracemalloc.start()
+        try:
+            energies(rs, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the four traces it returns and one block's product (885,664 bytes),
+        # plus 8 KiB for the n x n family forms and numpy's per-call objects
+        # (~4.6 kB); one more T-vector is 213 kB, the whole product 3.4 MB
+        block = 8 * csvfmt.CHUNK * n
+        assert peak <= 8 * 4 * self.STEPS + block + 8192
+
+    @pytest.mark.parametrize("steps", [csvfmt.CHUNK + 1, STEPS])
+    def test_blocks_equal_the_whole_array_product(self, steps):
+        # OpenBLAS's dgemm sums every row in the same order at 16 modes,
+        # whatever the row count, so the blocks keep the bits; other BLAS
+        # libraries (Accelerate on macOS) may not. A dense random form makes
+        # a reordered sum show.
+        rng = np.random.default_rng(steps)
+        y = rng.standard_normal((steps, 32))
+        z, zd = y[:, :16], y[:, 16:]
+        form = rng.standard_normal((16, 16))
+        for a, b in ((zd, zd), (zd, z)):
+            got = dynamics._quadratic_trace(a, form, b)
+            want = np.einsum("ti,ti->t", a @ form, b)
+            if blas._numpy_openblas() is not None:
+                assert np.array_equal(got, want)
+            else:
+                assert (np.abs(got - want).max()
+                        <= 1e-15 * np.abs(want).max())

@@ -185,8 +185,8 @@ def test_dense_branch_matches_copying_eigh(preset_runs, case):
 
 def test_dense_branch_holds_two_blocks():
     # the two n x n blocks are factored and reduced in place: the traced peak
-    # reads 2.13 x 8 n^2 (eigh's finiteness check adds n^2 booleans), so one
-    # more copy of either block fails the bound
+    # reads 2.05 x 8 n^2, so one more copy of either block, or an n x n
+    # boolean array for each, fails the bound
     k0, k2 = laplacian_pencil(30)
     size = k0.shape[0]
     tracemalloc.start()
@@ -195,7 +195,25 @@ def test_dense_branch_holds_two_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * size**2
+    assert peak <= 2.1 * 8 * size**2
+
+
+@pytest.mark.parametrize("family", ["mechanical", "electric"])
+@pytest.mark.parametrize("matrix", ["k0", "k2"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_dense_branch_names_a_block_that_is_not_finite(square4, family,
+                                                       matrix, value):
+    # eigh does not check its arrays; the blocks' entries are checked instead
+    mask = (square4.dof_map.mechanical_mask if family == "mechanical"
+            else square4.dof_map.electric_mask)
+    i = np.flatnonzero(mask)[0]
+    bad = getattr(square4, matrix).tolil()
+    bad[i, i] = value
+    sys = dataclasses.replace(square4, **{matrix: bad.tocsc()})
+    with pytest.raises(NumericalError,
+                       match=f"^{family} family solve: {matrix.upper()} holds "
+                             "an entry that is not finite"):
+        solve_family_modes(sys, family, 3)
 
 
 FAMILIES = ("mechanical", "electric")
