@@ -56,6 +56,15 @@ fails pipeline "$RUNNER_TEMP/rigid.cfg" 1 "config field [material] rigidity must
 # simulation runs
 sed 's/^capacitance = .*/capacitance = 1e300/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/cap.cfg"
 fails tune "$RUNNER_TEMP/cap.cfg" 1 "zero electromechanical coupling"
+# square64's electric family (8,065 DOFs) is solved sparse, which gives one
+# mode fewer than the family has DOFs: more fails at the mesh stage
+sed 's/^n_elec = .*/n_elec = 8065/' benchmarks/square64.cfg > "$RUNNER_TEMP/nelec.cfg"
+fails modes "$RUNNER_TEMP/nelec.cfg" 1 "[stage mesh] config field [modal] n_elec must be at most 8064"
+# a material whose matrices overflow exits 2 at assembly, naming the
+# matrix, with no RuntimeWarning on the way: square64's sparse size
+sed 's/^rigidity = .*/rigidity = 1e306/' benchmarks/square64.cfg > "$RUNNER_TEMP/big64.cfg"
+fails modes "$RUNNER_TEMP/big64.cfg" 2 "[stage assembly] non-finite K0 entries"
+if grep -q RuntimeWarning "$RUNNER_TEMP/fails.err"; then exit 1; fi
 # importing pemplate.cli freezes the import-time objects and leaves the
 # collector as the importer had it
 python -c 'import gc, pemplate.cli; assert gc.isenabled() and gc.get_freeze_count() > 0'

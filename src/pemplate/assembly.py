@@ -149,9 +149,18 @@ def build_dof_map(mesh, bcs=()):
     return DofMap(n_nodes=mesh.n_nodes, full_to_free=full_to_free, free_to_full=free)
 
 
+# the material blocks each matrix is formed from
+_MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
+                  ("K0", ("T", "E", "R")))
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs."""
+    """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs.
+
+    Its stored entries are finite: one that is not raises a NumericalError
+    naming the first such matrix, its material blocks' sizes and the mesh's
+    span, since their products overflow, not either alone."""
 
     k2: sp.csr_matrix
     k1: sp.csr_matrix
@@ -159,6 +168,20 @@ class AssembledSystem:
     dof_map: DofMap
     mesh: Mesh
     material: object
+
+    def __post_init__(self):
+        mat = self.material
+        for (name, blocks), m in zip(_MATRIX_BLOCKS, (self.k2, self.k1, self.k0)):
+            if not np.isfinite(m.data).all():
+                sizes = ", ".join(f"max |{b}| = {np.abs(getattr(mat, b)).max():.3g}"
+                                  for b in blocks)
+                dx, dy = np.ptp(self.mesh.nodes, axis=0)
+                raise NumericalError(
+                    f"non-finite {name} entries: the material's magnitudes "
+                    f"({sizes}) on a mesh spanning {dx:.3g} x {dy:.3g} "
+                    "overflow float64; rescale the material parameters or "
+                    "the mesh"
+                )
 
     @property
     def n_free(self):
@@ -451,35 +474,13 @@ class AssemblyWorkspace:
         return self._plans[key]
 
 
-# the material blocks each element matrix is formed from
-_MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
-                  ("K0", ("T", "E", "R")))
-
-
-def _require_finite(local, mat, mesh):
-    """Raise a NumericalError naming the first of K2, K1, K0 whose distinct
-    local matrices hold an inf or nan, its material blocks' sizes and the
-    mesh's span: their products overflow, not either alone."""
-    for (name, blocks), m in zip(_MATRIX_BLOCKS, local):
-        if not np.isfinite(m).all():
-            sizes = ", ".join(f"max |{b}| = {np.abs(getattr(mat, b)).max():.3g}"
-                              for b in blocks)
-            dx, dy = np.ptp(mesh.nodes, axis=0)
-            raise NumericalError(
-                f"non-finite {name} element matrices: the material's "
-                f"magnitudes ({sizes}) on a mesh spanning {dx:.3g} x {dy:.3g} "
-                "overflow float64; rescale the material parameters or the mesh"
-            )
-
-
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
     Pass an :class:`AssemblyWorkspace` to reuse the distinct geometries and
     the sparsity pattern across repeated assemblies of the same mesh.
     Raises ``NumericalError`` when the material's magnitudes on the mesh's
-    lengths overflow the element matrices, before their inf and nan entries
-    are summed.
+    lengths overflow the system (:class:`AssembledSystem`).
     """
     quad = el.triangle_quadrature()
     dof_map = build_dof_map(mesh, bcs)
@@ -494,14 +495,13 @@ def assemble(mesh, mat, bcs=(), workspace=None):
     # small-matrix kernels, which need not add products in index order
     n_batches = -(-len(first) // _CHUNK)
     edges = np.linspace(0, len(first), n_batches + 1).round().astype(int)
-    for part in map(slice, edges[:-1], edges[1:]):
-        chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
-        slots = _chunk_slots(chunk, quad, tables)
-        # an overflowing material is reported below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing material is reported by AssembledSystem, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in map(slice, edges[:-1], edges[1:]):
+            chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
+            slots = _chunk_slots(chunk, quad, tables)
             local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
-    _require_finite(local, mat, mesh)
-    k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
+        k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
     return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
                            material=mat)
 

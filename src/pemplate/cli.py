@@ -167,7 +167,7 @@ class Run:
     @_stage("mesh")
     def mesh(self):
         """The mesh; fails here if it does not hold the impulse point or a
-        [bc] group."""
+        [bc] group, or its families give fewer modes than [modal] keeps."""
         c = self.cfg
         if c.mesh_kind == "file":
             mesh = load_mesh(c.mesh_path)
@@ -184,9 +184,15 @@ class Run:
             raise ValidationError(f"config field [simulation] point {point[0]:g} "
                                   f"{point[1]:g} lies outside the mesh")
         try:
-            build_dof_map(mesh, c.bcs)
+            dof_map = build_dof_map(mesh, c.bcs)
         except ValidationError as exc:
             raise ValidationError(f"config field [bc] group: {exc}") from None
+        for key, n, mask in (("n_mech", c.n_mech, dof_map.mechanical_mask),
+                             ("n_elec", c.n_elec, dof_map.electric_mask)):
+            most = modal.most_modes(np.count_nonzero(mask))
+            if n > most:
+                raise ValidationError(f"config field [modal] {key} must be at "
+                                      f"most {most} on this mesh, got {n}")
         return mesh
 
     @_stage("assembly")

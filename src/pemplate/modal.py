@@ -70,9 +70,9 @@ def _solve_pencil(k0, k2, n):
     speeds it up. Its second thread sleeps within about 0.5 ms of its last
     call (``OPENBLAS_THREAD_TIMEOUT``, set by :mod:`pemplate.cli`): over a
     paper-square run that thread's CPU fell from 0.59 s to 0.31 s, the
-    solves' own work, and their wall time did not change. It checks the
-    entries of ``k0`` and ``k2`` for inf and nan, not scipy's n x n copies;
-    the sparse solve relies on ``assembly._require_finite``. The Lanczos solve
+    solves' own work, and their wall time did not change. Neither solve
+    checks for inf or nan: the entries of ``k0`` and ``k2`` must be finite,
+    as those of an :class:`~.assembly.AssembledSystem` are. The Lanczos solve
     runs with scipy's OpenBLAS on one thread (:mod:`pemplate.blas`): a
     second thread gains nothing in its level-1/2 calls and triangular
     solves, and one thread makes its result independent of the thread
@@ -80,9 +80,6 @@ def _solve_pencil(k0, k2, n):
     """
     size = k0.shape[0]
     if size <= _DENSE_LIMIT:
-        for name, block in (("K0", k0), ("K2", k2)):
-            if not np.isfinite(block.data).all():
-                raise NumericalError(f"{name} holds an entry that is not finite")
         # eigh factors K2 itself and fails when it is not positive definite;
         # Fortran-ordered blocks are what LAPACK takes without a copy
         try:
@@ -131,6 +128,12 @@ def _solve_pencil(k0, k2, n):
             "singular or indefinite (missing constraints?)"
         )
     return np.sqrt(vals), vecs
+
+
+def most_modes(size):
+    """The most modes a family of ``size`` DOFs gives: all of them when it is
+    solved dense, one fewer by shift-invert Lanczos, which needs k < N."""
+    return size if size <= _DENSE_LIMIT else size - 1
 
 
 def _clusters(omegas):
@@ -187,10 +190,10 @@ def solve_family_modes(sys, family, n):
     dm = sys.dof_map
     mask = {"mechanical": dm.mechanical_mask, "electric": dm.electric_mask}[family]
     idx = np.flatnonzero(mask)
-    if not 1 <= n <= len(idx):
+    most = most_modes(len(idx))
+    if not 1 <= n <= most:
         raise ValidationError(
-            f"retained mode count {n} out of range 1..{len(idx)} for {family}"
-        )
+            f"retained mode count {n} out of range 1..{most} for {family}")
     # CSC, the form the sparse solve factors, so no second copy of a block
     # stays alive through the solve
     try:

@@ -526,10 +526,10 @@ class TestAssemble:
             scale = max(1.0, np.abs(local).max())
             assert np.abs(full.toarray() - local).max() < 1e-14 * scale
 
-    def test_overflowing_material_raises_before_summing(self):
-        # rigidity 1e306 overflows K0's local matrices; assembly names them
-        # before the sums meet inf + -inf, and no RuntimeWarning (an error
-        # under this suite) fires on the way
+    def test_overflowing_material_raises_without_a_warning(self):
+        # rigidity 1e306 overflows K0's local matrices, and their sums meet
+        # inf + -inf; the assembled system names K0, and no RuntimeWarning
+        # (an error under this suite) fires on the way
         plate = PlateParams.isotropic(1e-3, 500.0, 1e306, 0.3,
                                       coupling=(0.1, 0.1, 0.0))
         mat = build_material(plate, NetworkParams(inductance=1.0))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pemplate
-from pemplate import cli, csvfmt, dynamics
+from pemplate import cli, csvfmt, dynamics, modal
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import StepStabilityError, ValidationError
@@ -447,8 +447,29 @@ class TestCommands:
         assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "[stage assembly] non-finite K0 element matrices" in err
+        assert "[stage assembly] non-finite K0 entries" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, count, dense_limit, most", [
+        # the n = 4 crossed square has 107 bending and 25 electric free DOFs;
+        # a dense solve gives them all, a sparse one one fewer
+        ("n_mech", 108, modal._DENSE_LIMIT, 107),
+        ("n_elec", 25, 10, 24),
+    ], ids=["mechanical-dense", "electric-sparse"])
+    def test_mode_count_the_family_cannot_give_exits_1_before_assembly(
+            self, tmp_path, capsys, monkeypatch, key, count, dense_limit,
+            most):
+        never_assemble(monkeypatch)
+        monkeypatch.setattr(modal, "_DENSE_LIMIT", dense_limit)
+        text = SMALL_CFG.replace(f"{key} = 4", f"{key} = {count}")
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"[stage mesh] config field [modal] {key} must be at most "
+                f"{most} on this mesh, got {count}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, text, code, message", [
         ("modes", SMALL_CFG.replace("h = 0.001", "h = 1e300"), 1,

@@ -203,17 +203,33 @@ def test_dense_branch_holds_two_blocks():
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_dense_branch_names_a_block_that_is_not_finite(square4, family,
                                                        matrix, value):
-    # eigh does not check its arrays; the blocks' entries are checked instead
+    # eigh does not check its arrays and the dense branch does not scan its
+    # blocks: an entry of a family's block that is not finite is named where
+    # the system is made, so no family solve can read it
+    assert square4.n_free <= modal._DENSE_LIMIT
     mask = (square4.dof_map.mechanical_mask if family == "mechanical"
             else square4.dof_map.electric_mask)
     i = np.flatnonzero(mask)[0]
     bad = getattr(square4, matrix).tolil()
     bad[i, i] = value
-    sys = dataclasses.replace(square4, **{matrix: bad.tocsc()})
     with pytest.raises(NumericalError,
-                       match=f"^{family} family solve: {matrix.upper()} holds "
-                             "an entry that is not finite"):
-        solve_family_modes(sys, family, 3)
+                       match=f"^non-finite {matrix.upper()} entries: "):
+        dataclasses.replace(square4, **{matrix: bad.tocsc()})
+
+
+@pytest.mark.parametrize("matrix", ["k2", "k1", "k0"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_system_with_an_entry_that_is_not_finite_is_not_made(square4, matrix,
+                                                             value):
+    # neither family solve checks its blocks for inf and nan, and K1 reaches
+    # the reduction unsolved: the system itself refuses the entry. A sparse
+    # solve of square4 with inf on K0's diagonal once returned wrong
+    # frequencies and no error.
+    bad = getattr(square4, matrix).tolil()
+    bad[0, 0] = value
+    with pytest.raises(NumericalError,
+                       match=f"^non-finite {matrix.upper()} entries: "):
+        dataclasses.replace(square4, **{matrix: bad.tocsr()})
 
 
 FAMILIES = ("mechanical", "electric")
@@ -267,13 +283,19 @@ class TestSolveModes:
             assert np.array_equal(a.vectors, b.vectors)
             assert np.array_equal(a.omegas, b.omegas)
 
-    def test_out_of_range(self, square8):
+    def test_out_of_range(self, square8, monkeypatch):
         dm = square8.dof_map
         for family, mask in zip(FAMILIES, (dm.mechanical_mask, dm.electric_mask)):
             with pytest.raises(ValidationError):
                 solve_family_modes(square8, family, 0)
             with pytest.raises(ValidationError):
                 solve_family_modes(square8, family, int(mask.sum()) + 1)
+        # shift-invert Lanczos needs k < N, where the dense solve takes k = N
+        monkeypatch.setattr(modal, "_DENSE_LIMIT", 10)
+        size = int(dm.electric_mask.sum())
+        with pytest.raises(ValidationError,
+                           match=rf"out of range 1\.\.{size - 1} for electric"):
+            solve_family_modes(square8, "electric", size)
 
     @pytest.mark.parametrize("family", ["mechanical", "electric"])
     def test_sparse_path_rejects_indefinite_k2(self, square4, monkeypatch,
