@@ -34,6 +34,10 @@ fails simulate "$RUNNER_TEMP/off.cfg" 1 "[simulation] point 5 5 lies outside the
 # a [bc] group the mesh does not have fails at the mesh stage
 sed 's/^group = .*/group = nosuch/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/group.cfg"
 fails pipeline "$RUNNER_TEMP/group.cfg" 1 "[stage mesh] config field [bc] group: boundary condition references unknown edge group 'nosuch'"
+# a structured n too large to allocate fails at the mesh stage, naming the
+# field: the generator's first array, 8e16 bytes, exceeds any address space
+sed 's/^n = .*/n = 100000000/' benchmarks/tests/tiny.cfg > "$RUNNER_TEMP/n.cfg"
+fails modes "$RUNNER_TEMP/n.cfg" 1 "[stage mesh] config field [mesh] n = 100000000 is too large"
 # the simulation takes its step from steps_per_period: dt is no key
 awk '{print} /^magnitude = /{print "dt = 1.0"}' src/pemplate/presets/clamped-demo.cfg > "$RUNNER_TEMP/dt.cfg"
 fails simulate "$RUNNER_TEMP/dt.cfg" 1 "unknown key 'dt' in [simulation]"

@@ -353,8 +353,9 @@ def local_matrices(geom, mat):
 
 
 @dataclass(frozen=True)
-class _ScatterPlan:
-    """Element entries -> free-DOF CSR, summed in scipy's COO -> CSR order.
+class ScatterPlan:
+    """How one mesh's element entries sum into its free-DOF CSR under one
+    boundary-condition set, in scipy's COO -> CSR order.
 
     ``first`` holds one triangle of each bit-distinct geometry; the entries
     summed are those of the local matrices of these triangles, in this order.
@@ -365,12 +366,14 @@ class _ScatterPlan:
     ``position`` puts each run's sum at its CSR slot.
     """
 
+    mesh: Mesh
+    bcs: tuple
+    dof_map: DofMap
     first: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     gather: tuple
     position: np.ndarray
-    n_free: int
 
     def collect(self, entries):
         total = entries[self.gather[0]]
@@ -378,13 +381,15 @@ class _ScatterPlan:
             total[:len(idx)] += entries[idx]
         data = np.empty_like(total)
         data[self.position] = total
+        n_free = self.dof_map.n_free
         return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.n_free, self.n_free))
+                             shape=(n_free, n_free))
 
 
-def _scatter_plan(mesh, dof_map):
-    """The distinct geometries, the CSR pattern of the free-DOF system and
-    how to sum into it.
+def scatter_plan(mesh, bcs, dof_map):
+    """The plan of ``mesh`` under ``bcs``, whose DOF map is ``dof_map``: the
+    distinct geometries, the CSR pattern of the free-DOF system and how to
+    sum into it.
 
     The summation order is the one ``coo_matrix.tocsr`` gives the full
     matrix (a stable bucket sort by row, then scipy's sort of each row by
@@ -443,50 +448,29 @@ def _scatter_plan(mesh, dof_map):
     # plan for as long as it keeps its systems
     gather = tuple(entry[first[length > i] + i].astype(np.int32)
                    for i in range(depth))
-    return _ScatterPlan(first=distinct, indptr=out_ptr,
-                        indices=free_col.astype(np.int32), gather=gather,
-                        position=by_length.astype(np.int32), n_free=n_free)
-
-
-class AssemblyWorkspace:
-    """Reuses the mesh-dependent stages of assembly across repeated calls.
-
-    One workspace serves one mesh: for each boundary-condition set it keeps
-    one triangle of each bit-distinct element geometry, the free-DOF
-    sparsity pattern and the summation plan, so a repeated assembly only
-    computes the local matrices of the distinct geometries and their sums.
-    The CLI keeps one per run (:class:`pemplate.cli.Run`), shared by every
-    network that run assembles.
-    """
-
-    def __init__(self):
-        self._mesh = None
-        self._plans = {}
-
-    def scatter_plan(self, mesh, bcs, dof_map):
-        if self._mesh is None:
-            self._mesh = mesh
-        elif mesh is not self._mesh:
-            raise ValidationError("an AssemblyWorkspace serves a single mesh")
-        key = tuple(bcs)
-        if key not in self._plans:
-            self._plans[key] = _scatter_plan(mesh, dof_map)
-        return self._plans[key]
+    return ScatterPlan(mesh=mesh, bcs=tuple(bcs), dof_map=dof_map,
+                       first=distinct, indptr=out_ptr,
+                       indices=free_col.astype(np.int32), gather=gather,
+                       position=by_length.astype(np.int32))
 
 
 def assemble(mesh, mat, bcs=(), workspace=None):
     """Assemble the global system and eliminate constrained DOFs.
 
-    Pass an :class:`AssemblyWorkspace` to reuse the distinct geometries and
-    the sparsity pattern across repeated assemblies of the same mesh.
-    Raises ``NumericalError`` when the material's magnitudes on the mesh's
-    lengths overflow the system (:class:`AssembledSystem`).
+    ``workspace`` is the :class:`ScatterPlan` of ``mesh`` under ``bcs``, for
+    callers that assemble several materials on one mesh (the CLI builds one
+    per run); without one, the plan is built here. A plan of another mesh
+    or other boundary conditions raises ``ValidationError``. Raises
+    ``NumericalError`` when the material's magnitudes on the mesh's lengths
+    overflow the system (:class:`AssembledSystem`).
     """
     quad = el.triangle_quadrature()
-    dof_map = build_dof_map(mesh, bcs)
-    if workspace is None:
-        workspace = AssemblyWorkspace()
-    plan = workspace.scatter_plan(mesh, bcs, dof_map)
+    plan = workspace
+    if plan is None:
+        plan = scatter_plan(mesh, bcs, build_dof_map(mesh, bcs))
+    elif plan.mesh is not mesh or plan.bcs != tuple(bcs):
+        raise ValidationError("a scatter plan serves the mesh and the boundary "
+                              "conditions it was built for")
     first = plan.first
 
     tables = _monomial_tables(quad)
@@ -502,8 +486,8 @@ def assemble(mesh, mat, bcs=(), workspace=None):
             slots = _chunk_slots(chunk, quad, tables)
             local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
         k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
-    return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=dof_map, mesh=mesh,
-                           material=mat)
+    return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=plan.dof_map,
+                           mesh=mesh, material=mat)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ for _name in ("f2py", "testing", "polynomial", "char", "strings",
 import scipy
 
 from . import __version__, dynamics, modal, reference
-from .assembly import AssemblyWorkspace, assemble, build_dof_map, patch_test
+from .assembly import assemble, build_dof_map, patch_test, scatter_plan
 from .blas import numpy_blas_single_thread
 from .config import load_config, package_file
 from .csvfmt import FMT, Columns, format_rows
@@ -162,12 +162,14 @@ class Run:
         self.cfg = cfg
         self.configured = conservative_twin(cfg.network)  # R_N = G_N = 0
         self._memo = {}
-        self._workspace = AssemblyWorkspace()
 
     @_stage("mesh")
-    def mesh(self):
-        """The mesh; fails here if it does not hold the impulse point or a
-        [bc] group, or its families give fewer modes than [modal] keeps."""
+    def plan(self):
+        """The scatter plan every assembly of the run shares; it holds the
+        mesh and its DOF map under [bc]. Fails here, before the plan is
+        built, if a structured [mesh] n cannot be allocated, if the mesh
+        does not hold the impulse point or a [bc] group, or if its families
+        give fewer modes than [modal] keeps."""
         c = self.cfg
         if c.mesh_kind == "file":
             mesh = load_mesh(c.mesh_path)
@@ -179,6 +181,9 @@ class Run:
             except ValidationError as exc:
                 raise ValidationError(f"config field [mesh] side = "
                                       f"{c.mesh_side:g}: {exc}") from None
+            except MemoryError as exc:
+                raise ValidationError(f"config field [mesh] n = {c.mesh_n} "
+                                      f"is too large: {exc}") from None
         point = c.simulation.point
         if point is not None and mesh.locate(*point) is None:
             raise ValidationError(f"config field [simulation] point {point[0]:g} "
@@ -193,13 +198,14 @@ class Run:
             if n > most:
                 raise ValidationError(f"config field [modal] {key} must be at "
                                       f"most {most} on this mesh, got {n}")
-        return mesh
+        return scatter_plan(mesh, c.bcs, dof_map)
 
     @_stage("assembly")
     def system(self, net):
         """The system of ``net`` as given."""
-        return assemble(self.mesh(), build_material(self.cfg.plate, net),
-                        self.cfg.bcs, workspace=self._workspace)
+        plan = self.plan()
+        return assemble(plan.mesh, build_material(self.cfg.plate, net),
+                        self.cfg.bcs, workspace=plan)
 
     @_stage("modal")
     def mechanical_modes(self):
@@ -256,9 +262,10 @@ class Run:
     @_stage("simulation", keep=False)
     def simulation(self):
         """(trajectory, energies) over ``beats`` beat periods, at the step
-        :func:`.dynamics.default_horizon` chooses from ``steps_per_period``;
-        not memoized: its one reader, :func:`report_simulation`, lets it go
-        once written."""
+        :func:`.dynamics.default_horizon` chooses: the drive period over
+        ``steps_per_period``, capped by :func:`.dynamics.step`'s stability
+        limit and by :func:`.dynamics.suggested_dt`; not memoized: its one
+        reader, :func:`report_simulation`, lets it go once written."""
         sim = self.cfg.simulation
         if self.cfg.tune_mech is not None:
             self.tuned_pair()
@@ -310,7 +317,7 @@ def _configured(value, section, optional):
 
 
 def report_mesh(run, out_dir):
-    stats = mesh_statistics(run.mesh())
+    stats = mesh_statistics(run.plan().mesh)
     return [f"mesh: {stats.n_nodes} nodes, {stats.n_triangles} triangles, "
             f"area {_fmt(stats.total_area)}, min angle {_fmt(stats.min_angle)} deg"]
 

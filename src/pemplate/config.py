@@ -158,6 +158,7 @@ class SimulationBlock:
     magnitude: float
     beats: float            # the horizon, in beat periods of the drive
     steps_per_period: int   # the step: the drive period over this, capped
+                            # by dynamics.step and dynamics.suggested_dt
 
 
 @dataclass(frozen=True)

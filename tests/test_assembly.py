@@ -10,13 +10,13 @@ import scipy.sparse as sp
 from pemplate import assembly, blas
 from pemplate import element as el
 from pemplate.assembly import (
-    AssemblyWorkspace,
     BoundaryCondition,
     assemble,
     build_dof_map,
     local_matrices,
     patch_test,
     patch_test_mesh,
+    scatter_plan,
 )
 from pemplate.element import (
     specht_shape_functions,
@@ -585,20 +585,25 @@ class TestAssemble:
 
     def test_workspace_reuse_is_exact(self):
         mesh = generate_structured_square(3, 1.0, "crossed")
-        ws = AssemblyWorkspace()
-        a = assemble(mesh, material(r_n=0.3), bcs_ss(), workspace=ws)
-        b = assemble(mesh, material(r_n=0.3), bcs_ss(), workspace=ws)
+        plan = scatter_plan(mesh, bcs_ss(), build_dof_map(mesh, bcs_ss()))
+        a = assemble(mesh, material(r_n=0.3), bcs_ss(), workspace=plan)
+        b = assemble(mesh, material(r_n=0.3), bcs_ss(), workspace=plan)
         c = assemble(mesh, material(r_n=0.3), bcs_ss())
         assert (a.k0 - b.k0).nnz == 0
         assert np.abs((b.k0 - c.k0)).max() == 0.0
+        assert a.dof_map is plan.dof_map
 
     def test_workspace_serves_one_mesh(self):
-        ws = AssemblyWorkspace()
-        assemble(generate_structured_square(2, 1.0), material(), bcs_ss(),
-                 workspace=ws)
-        with pytest.raises(ValidationError):
-            assemble(generate_structured_square(3, 1.0), material(), bcs_ss(),
-                     workspace=ws)
+        # a plan is one mesh's under one boundary-condition set
+        mesh = generate_structured_square(2, 1.0)
+        plan = scatter_plan(mesh, bcs_ss(), build_dof_map(mesh, bcs_ss()))
+        assemble(mesh, material(), bcs_ss(), workspace=plan)
+        with pytest.raises(ValidationError, match="scatter plan serves"):
+            assemble(generate_structured_square(2, 1.0), material(), bcs_ss(),
+                     workspace=plan)
+        clamped = [BoundaryCondition("boundary", "clamped")]
+        with pytest.raises(ValidationError, match="scatter plan serves"):
+            assemble(mesh, material(), clamped, workspace=plan)
 
     def test_bits_match_full_coo_assembly(self, monkeypatch):
         # element by element, summed by scipy's COO -> CSR on all DOFs, then

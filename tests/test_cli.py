@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pemplate
-from pemplate import cli, csvfmt, dynamics, modal
+from pemplate import assembly, cli, csvfmt, dynamics, modal
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
 from pemplate.errors import StepStabilityError, ValidationError
@@ -71,6 +71,13 @@ def never_assemble(monkeypatch):
         raise AssertionError("assembled")
 
     monkeypatch.setattr(cli, "assemble", fail)
+
+
+def never_plan(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("planned")
+
+    monkeypatch.setattr(cli, "scatter_plan", fail)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -459,6 +466,7 @@ class TestCommands:
     def test_mode_count_the_family_cannot_give_exits_1_before_assembly(
             self, tmp_path, capsys, monkeypatch, key, count, dense_limit,
             most):
+        never_plan(monkeypatch)
         never_assemble(monkeypatch)
         monkeypatch.setattr(modal, "_DENSE_LIMIT", dense_limit)
         text = SMALL_CFG.replace(f"{key} = 4", f"{key} = {count}")
@@ -490,8 +498,12 @@ class TestCommands:
         ("modes", SMALL_CFG.replace("side = 1.0", "side = 1e300"), 1,
          "[stage mesh] config field [mesh] side = 1e+300: the nodes span "
          "1e+300 x 1e+300"),
+        # the generator's first array, 8e16 bytes, exceeds any 64-bit
+        # address space, so it fails at once
+        ("modes", SMALL_CFG.replace("\nn = 4\n", "\nn = 100000000\n"), 1,
+         "[stage mesh] config field [mesh] n = 100000000 is too large: "),
     ], ids=["h=1e300", "rho=1e-300", "amplitude=1e-300", "amplitude=1e300",
-            "magnitude=1e300", "side=1e300"])
+            "magnitude=1e300", "side=1e300", "n=1e8"])
     def test_extreme_finite_values_fail_cleanly(self, tmp_path, capsys,
                                                 command, text, code, message):
         # each once gave a traceback, a nan summary or a misplaced blame;
@@ -619,6 +631,7 @@ class TestCommands:
 
     def test_unknown_bc_group_exits_1_at_the_mesh_stage(self, tmp_path, capsys,
                                                          monkeypatch):
+        never_plan(monkeypatch)
         never_assemble(monkeypatch)
         text = SMALL_CFG.replace("group = boundary", "group = nosuch")
         out = tmp_path / "out"
@@ -1069,7 +1082,8 @@ class TestStageGraph:
 
     def test_pipeline_assembles_and_solves_each_network_once(
             self, tmp_path, monkeypatch):
-        counts = {"assemble": 0, "solve_family_modes": 0}
+        counts = {"assemble": 0, "solve_family_modes": 0, "build_dof_map": 0,
+                  "scatter_plan": 0}
 
         def counted(name):
             fn = getattr(cli, name)
@@ -1080,14 +1094,19 @@ class TestStageGraph:
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        counted("assemble")
-        counted("solve_family_modes")
+        for name in counts:
+            counted(name)
+        # assemble builds its own DOF map and plan when it is given no plan
+        for name in ("build_dof_map", "scatter_plan"):
+            monkeypatch.setattr(assembly, name, getattr(cli, name))
         run_cli("pipeline", write_cfg(tmp_path, SMALL_CFG + SEARCH),
                 tmp_path / "out")
         # the untuned and the tuned conservative systems (the search scales
-        # R_N into the tuned one's reduction); one mechanical family for
-        # every network, one electric family each
-        assert counts == {"assemble": 2, "solve_family_modes": 3}
+        # R_N into the tuned one's reduction), both from the mesh stage's
+        # one DOF map and scatter plan; one mechanical family for every
+        # network, one electric family each
+        assert counts == {"assemble": 2, "solve_family_modes": 3,
+                          "build_dof_map": 1, "scatter_plan": 1}
 
     def test_pipeline_with_conductance_assembles_only_conservative_networks(
             self, tmp_path, monkeypatch):
