@@ -21,9 +21,11 @@ network), and only ``Run`` assembles or solves a network::
 
 The tuned pair must couple: ``tune``, a tuned simulation and the search
 fail on it before anything is integrated. The simulation is the one stage
-not kept: its trajectory and energies leave memory once ``trajectory.csv``
-and its summary line are written. Tables are written from the arrays the
-run holds, one chunk of rows at a time (:class:`.csvfmt.Columns`).
+not kept: its energy traces leave memory once ``trajectory.csv`` and its
+summary line are written. No run holds a state history: a trajectory's
+states are stepped again, a chunk of rows at a time, for each pass that
+reads them (the energies, the table). Tables are written one chunk of rows
+at a time (:class:`.csvfmt.Columns`).
 
 Every network a run assembles is conservative (R_N = G_N = 0), made once
 from the configured one; the search scales R_N and G_N into the simulation's
@@ -62,6 +64,12 @@ from pathlib import Path
 # copy (numpy's, scipy's) reads the variable once, when it loads, so this
 # must come before numpy's first import. A value the user set wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+# numpy asks for transparent huge pages on every large array it allocates,
+# so the kernel may back the heap under the dense eigh arrays with 2 MiB
+# pages, and the resident set rounds up to them (paper-square's pipeline
+# peaks ~3.5 MiB higher, for half the page faults: ~0.03 s of system time).
+# numpy reads the variable when it loads; a value the user set wins.
+os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 # The imports below leave ~36k container objects alive for the whole run. A
 # collection during the imports walks those made so far, and the one at
 # interpreter exit walks them all (~55 ms of a clamped-demo process). So
@@ -264,8 +272,10 @@ class Run:
         """(trajectory, energies) over ``beats`` beat periods, at the step
         :func:`.dynamics.default_horizon` chooses: the drive period over
         ``steps_per_period``, capped by :func:`.dynamics.step`'s stability
-        limit and by :func:`.dynamics.suggested_dt`; not memoized: its one
-        reader, :func:`report_simulation`, lets it go once written."""
+        limit and by :func:`.dynamics.suggested_dt`. The energies pass steps
+        every state, so a state that stops being finite fails here; not
+        memoized: its one reader, :func:`report_simulation`, lets it go
+        once written."""
         sim = self.cfg.simulation
         if self.cfg.tune_mech is not None:
             self.tuned_pair()
@@ -279,7 +289,8 @@ class Run:
             ic = dynamics.impulse_ic(self.system(net), basis, sim.point,
                                      sim.magnitude)
         # the drift and min E / E_0 are read against E_0
-        start = dynamics.Trajectory(np.zeros(1), ic.z0[None], ic.zdot0[None])
+        y0 = np.concatenate([ic.z0, ic.zdot0])
+        start = dynamics.Trajectory(np.zeros(1), y0, np.empty((0, len(y0))))
         with np.errstate(all="ignore"):
             e_0 = dynamics.energies(rs, start).total[0]
         if not 0.0 < e_0 < np.inf:
@@ -293,16 +304,21 @@ class Run:
         return traj, dynamics.energies(rs, traj)
 
     @_stage("resistance-search")
-    def search(self):
-        c = self.cfg
+    def evaluator(self):
+        """The search's evaluator, R_N -> :class:`.dynamics.DampingSample`."""
         net = self.network()
         drive, partner = self.tuned_pair()
         basis, rs = self.basis(), self.reduced(net)
-        evaluate = dynamics.damping_evaluator(
+        return dynamics.damping_evaluator(
             dynamics.resistance_family(rs, self.system(net).material,
-                                       c.network.conductance),
+                                       self.cfg.network.conductance),
             basis, drive, partner)
-        report = dynamics.optimize_resistance(evaluate, (c.search_lo, c.search_hi))
+
+    @_stage("resistance-search")
+    def search(self):
+        c = self.cfg
+        report = dynamics.optimize_resistance(self.evaluator(),
+                                              (c.search_lo, c.search_hi))
         if not report.best.converged:
             raise NumericalError("the damping fit did not converge at R* = "
                                  f"{_fmt(report.best.resistance)}; R* is no optimum")
@@ -361,11 +377,31 @@ def report_coupling(run, out_dir, tuned=True, raw=False):
     return []
 
 
+class _TrajectoryTable:
+    """The rows t, z, E_mech, E_elec, E_total of a trajectory, its states
+    stepped again a chunk at a time; ``len`` is the row count."""
+
+    def __init__(self, traj, en):
+        self.traj, self.en = traj, en
+
+    def __len__(self):
+        return len(self.traj.t)
+
+    def chunks(self):
+        t, en, n = self.traj.t, self.en, self.traj.n_modes
+        done = 0  # the last chunk repeats rows of the one before
+        for start, y in self.traj.chunks():
+            stop = start + len(y)
+            rows = slice(done, stop)
+            yield from Columns(t[rows], y[done - start:, :n], en.mech[rows],
+                               en.elec[rows], en.total[rows]).chunks()
+            done = stop
+
+
 def _write_trajectory(path, traj, en):
-    header = ["t", *(f"z_{k + 1}" for k in range(traj.z.shape[1])),
+    header = ["t", *(f"z_{k + 1}" for k in range(traj.n_modes)),
               "E_mech", "E_elec", "E_total"]
-    write_csv(path, header,
-              Columns(traj.t, traj.z, en.mech, en.elec, en.total))
+    write_csv(path, header, _TrajectoryTable(traj, en))
 
 
 def report_simulation(run, out_dir):
@@ -391,8 +427,9 @@ def report_search(run, out_dir, optional=False):
               np.array([[s.resistance, s.zeta, s.settling_time]
                         for s in report.samples]))
     for name, sample in report.regimes.items():
-        _write_trajectory(out_dir / f"trajectory_{name}.csv",
-                          sample.trajectory, sample.energies)
+        rs, traj = run.evaluator().run(sample)
+        _write_trajectory(out_dir / f"trajectory_{name}.csv", traj,
+                          dynamics.energies(rs, traj))
     return [f"optimal resistance R* {_fmt(report.best.resistance)}, "
             f"zeta {_fmt(report.best.zeta)}",
             *(f"warning: {w}" for w in report.warnings)]

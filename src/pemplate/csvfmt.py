@@ -131,8 +131,8 @@ def _scaled_digits(x, t):
 class Columns:
     """A table given as column blocks side by side, each a 1-D array (one
     column) or a 2-D one, all with the same number of rows; ``len`` is that
-    number. :func:`format_rows` stacks the blocks one chunk of rows at a
-    time, so the whole table is never copied."""
+    number. :meth:`chunks` stacks the blocks one chunk of rows at a time,
+    so the whole table is never copied."""
 
     def __init__(self, *blocks):
         self.blocks = blocks
@@ -140,22 +140,31 @@ class Columns:
     def __len__(self):
         return len(self.blocks[0])
 
+    def chunks(self):
+        blocks = [np.asarray(b, dtype=np.float64) for b in self.blocks]
+        blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+        for start in range(0, len(self), CHUNK):
+            yield np.concatenate([b[start:start + CHUNK] for b in blocks],
+                                 axis=1)
+
 
 def format_rows(table):
-    """Yields the bytes of ``table`` (a real 2-D array, or :class:`Columns`)
-    as CSV lines, ``CHUNK`` rows at a time: cells ``"%.17g" % v`` separated
-    by ``,``, each row ended by a newline."""
-    blocks = [np.asarray(b, dtype=np.float64) for b in
-              (table.blocks if isinstance(table, Columns) else [table])]
-    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    """Yields the bytes of ``table`` as CSV lines, ``CHUNK`` rows at a
+    time: cells ``"%.17g" % v`` separated by ``,``, each row ended by a
+    newline. ``table`` is a real 2-D array or has ``len`` and ``chunks()``,
+    which yields its rows as 2-D real arrays of ``CHUNK`` rows, the last
+    of fewer (:class:`Columns`)."""
+    if isinstance(table, np.ndarray):
+        table = Columns(table)
     t = _tables()
-    n_rows, n_cols = len(blocks[0]), sum(b.shape[1] for b in blocks)
-    delims = np.full((min(CHUNK, n_rows), n_cols), ord(",") << 48, np.uint64)
-    delims[:, -1] = ord("\n") << 48
-    cells = np.empty((delims.size, 4), np.uint64)
-    for start in range(0, n_rows, CHUNK):
-        x = np.concatenate([b[start:start + CHUNK] for b in blocks],
-                           axis=1).ravel()
+    cells = None
+    for rows in table.chunks():
+        if cells is None:
+            delims = np.full((min(CHUNK, len(table)), rows.shape[1]),
+                             ord(",") << 48, np.uint64)
+            delims[:, -1] = ord("\n") << 48
+            cells = np.empty((delims.size, 4), np.uint64)
+        x = rows.ravel()
         m = len(x)
         n, e, fallback = _scaled_digits(x, t)
         prefix, exponent = np.take(t.text, e - _E_MIN, axis=1)

@@ -14,7 +14,11 @@ The system is linear and time-invariant, so one RK4 step is exactly the
 scheme's stability polynomial in the step matrix. :func:`integrate` forms that
 increment matrix D once, and from it the increments of 1 to ``BLOCK`` steps,
 (I + D)^j - I, built by doubling; one matrix product then advances the state
-``BLOCK`` output rows at a time.
+``BLOCK`` output rows at a time. No state history is held: a
+:class:`Trajectory` steps its states again each time it is read, and hands
+them to its readers (the energy traces, the tables) ``CHUNK`` rows at a time,
+so a run holds its 1-D traces (time, energies) and a few chunks of states
+whatever its horizon.
 
 Every step the program chooses comes from :func:`step`, a share of the drive
 period capped inside RK4's stability region (Hairer & Wanner, *Solving ODEs
@@ -119,11 +123,62 @@ def impulse_ic(sys, modes, point, magnitude=1.0):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step time history of the reduced coordinates."""
+    """Fixed-step RK4 history of the reduced coordinates, stepped on demand.
+
+    ``t`` holds every output time. The states y = (z, z') are not held:
+    :meth:`chunks` steps them from ``y0`` each time it is iterated, one
+    product of the stacked ``increments`` (D_1 .. D_b, b = len / len(y0))
+    per b rows from the row before, the same bits on every pass.
+    """
 
     t: np.ndarray
-    z: np.ndarray
-    zdot: np.ndarray
+    y0: np.ndarray
+    increments: np.ndarray
+
+    @property
+    def n_modes(self):
+        return len(self.y0) // 2
+
+    def chunks(self):
+        """(start, y) for each chunk of ``CHUNK`` rows, all of them if
+        fewer: y holds the states of rows start .. start + len(y), z =
+        y[:, :n] and z' = y[:, n:]. The last chunk ends at the last row, so
+        it may start inside the one before (a quadratic trace then keeps
+        its ``CHUNK``-row products to the end). Each chunk is a buffer the
+        next one reuses: a reader uses it before asking for the next.
+        Raises :class:`IntegrationError` naming the first step whose state
+        is not finite."""
+        n_rows, m = len(self.t), len(self.y0)
+        block = len(self.increments) // m
+        size = min(CHUNK, n_rows)
+        # one chunk, with room for a block that runs past its end
+        buf = np.empty((size + block, m))
+        buf[0] = self.y0
+        first, made = 0, 1  # buf[:made] holds rows first .. first + made
+        for start in range(0, n_rows, CHUNK):
+            start = min(start, n_rows - size)
+            # the rows stepped past the chunk before start this one
+            made -= start - first
+            buf[:made] = buf[start - first:start - first + made]
+            first = start
+            # at least one row past this chunk, if there is one: the next
+            # chunk steps from it
+            stop = min(size + 1, n_rows - start)
+            # an overflowing state is reported below, by the step it is at
+            with np.errstate(over="ignore", invalid="ignore"):
+                while made < stop:
+                    b = min(block, n_rows - start - made)
+                    y = buf[made - 1]
+                    np.add(y, (self.increments[:b * m] @ y).reshape(b, m),
+                           out=buf[made:made + b])
+                    made += b
+            chunk = buf[:size]
+            finite = np.isfinite(chunk).all(axis=1)
+            if not finite.all():
+                step = start + int(np.argmin(finite))
+                raise IntegrationError(
+                    f"non-finite state at step {step} (t = {self.t[step]:g})")
+            yield start, chunk
 
 
 @dataclass(frozen=True)
@@ -135,7 +190,8 @@ class EnergyTraces:
 
 
 def integrate(rs, ic, t_f, dt):
-    """Classic RK4 with dense output at every step.
+    """Classic RK4 with dense output at every step, as a
+    :class:`Trajectory` whose states are stepped as they are read.
 
     On the first-order state y = (z, z') the reduced system reads y' = A y.
     One RK4 step of a linear system is y <- y + D y with
@@ -157,9 +213,11 @@ def integrate(rs, ic, t_f, dt):
     |omega| = |mu| / dt. An undamped mode is stable for dt |omega| up to
     2 sqrt(2).
 
-    Raises :class:`IntegrationError` naming the step if the state stops
-    being finite, and naming ``t_f``, ``dt`` and the step count if the
-    trajectory cannot be allocated.
+    Here the step is checked and the output times ``t`` are allocated:
+    raises :class:`IntegrationError` naming ``t_f``, ``dt`` and the step
+    count if they cannot be. A state that stops being finite raises
+    :class:`IntegrationError` naming its step where the trajectory is read
+    (:meth:`Trajectory.chunks`).
     """
     if dt <= 0 or t_f <= 0:
         raise ValidationError("time step and final time must be positive")
@@ -167,22 +225,19 @@ def integrate(rs, ic, t_f, dt):
         raise ValidationError(
             f"step count t_f / dt = {t_f:g} / {dt:g} is not finite")
     steps = max(1, int(round(t_f / dt)))
-    n = rs.n_modes
-    m = 2 * n
+    m = 2 * rs.n_modes
 
     with np.errstate(over="ignore"):  # an overflowing hA fails the check
         ha = dt * _rate_matrix(rs)
     _check_step(ha, dt)
-    eye = np.eye(m)
-
     try:
-        out = np.empty((steps + 1, m))
+        t = dt * np.arange(steps + 1)
     except (MemoryError, ValueError):
         raise IntegrationError(
-            f"cannot allocate {steps} steps of {m} states "
+            f"cannot allocate the times of {steps} steps "
             f"(t_f = {t_f:g}, dt = {dt:g})"
         ) from None
-    out[0] = np.concatenate([ic.z0, ic.zdot0])
+    eye = np.eye(m)
     with np.errstate(over="ignore", invalid="ignore"):
         inc = np.empty((min(BLOCK, steps), m, m))
         inc[0] = ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
@@ -191,23 +246,12 @@ def integrate(rs, ic, t_f, dt):
             h = min(j, len(inc) - j)
             inc[j:j + h] = inc[j - 1] + inc[:h] + inc[j - 1] @ inc[:h]
             j += h
-        # an overflowing increment would turn a zero state into NaN
-        finite = np.isfinite(inc).all(axis=(1, 2))
-        if not finite.all():
-            inc = inc[:max(1, int(np.argmin(finite)))]
-        block = len(inc)
-        stack = inc.reshape(block * m, m)
-        for k in range(0, steps, block):
-            b = min(block, steps - k)
-            out[k + 1:k + 1 + b] = out[k] + (stack[:b * m] @ out[k]).reshape(b, m)
-    finite = np.isfinite(out).all(axis=1)
+    # an overflowing increment would turn a zero state into NaN
+    finite = np.isfinite(inc).all(axis=(1, 2))
     if not finite.all():
-        step = int(np.argmin(finite))
-        raise IntegrationError(
-            f"non-finite state at step {step} (t = {step * dt:g})"
-        )
-    t = dt * np.arange(steps + 1)
-    return Trajectory(t=t, z=out[:, :n], zdot=out[:, n:])
+        inc = inc[:max(1, int(np.argmin(finite)))]
+    return Trajectory(t=t, y0=np.concatenate([ic.z0, ic.zdot0]),
+                      increments=inc.reshape(-1, m))
 
 
 def _rate_matrix(rs):
@@ -257,16 +301,13 @@ def _check_step(ha, dt):
 
 
 def _quadratic_trace(a, form, b):
-    """a[t] . form . b[t] for every row t (einsum "ti,ij,tj->t"), as
-    (a @ form) . b in blocks of ``CHUNK`` rows, the last ending at the last
-    row (numpy hands a one-row product to gemv). OpenBLAS's dgemm sums a row
-    alike for any block length at 16 modes, though not at every width, so
-    the presets' traces keep the bits of one T x n product."""
-    out = np.empty(len(a))
-    for start in range(0, len(a), CHUNK):
-        rows = slice(max(0, min(start, len(a) - CHUNK)), start + CHUNK)
-        np.einsum("ti,ti->t", a[rows] @ form, b[rows], out=out[rows])
-    return out
+    """a[t] . form . b[t] for every row t of a chunk (einsum "ti,ij,tj->t"),
+    as (a @ form) . b. The chunks keep ``CHUNK`` rows to the last one
+    (:meth:`Trajectory.chunks`; numpy hands a one-row product to gemv): OpenBLAS's
+    dgemm sums a row alike for any block length at 16 modes, though not at
+    every width, so the presets' traces keep the bits of one T x n
+    product."""
+    return np.einsum("ti,ti->t", a @ form, b)
 
 
 def _family_block(rs, matrix, family):
@@ -277,33 +318,47 @@ def _family_block(rs, matrix, family):
     return np.where(np.outer(inside, inside), matrix, 0.0)
 
 
+def _family_energy(rs, family):
+    """The energy of ``family`` as a function of a chunk's (z, z')."""
+    m2 = _family_block(rs, rs.k2red, family)
+    k0 = _family_block(rs, rs.k0sym, family)
+    return lambda z, zd: 0.5 * (_quadratic_trace(zd, m2, zd)
+                                + _quadratic_trace(z, k0, z))
+
+
 def mechanical_energy(rs, traj):
-    """Bending-family energy trace, the one the damping fit reads."""
-    z, zd = traj.z, traj.zdot
-    return 0.5 * (
-        _quadratic_trace(zd, _family_block(rs, rs.k2red, "mechanical"), zd)
-        + _quadratic_trace(z, _family_block(rs, rs.k0sym, "mechanical"), z))
+    """Bending-family energy trace, the one the damping fit reads; the
+    states are read a chunk at a time, as :func:`energies` reads them."""
+    mech = _family_energy(rs, "mechanical")
+    n = rs.n_modes
+    out = np.empty(len(traj.t))
+    for start, y in traj.chunks():
+        out[start:start + len(y)] = mech(y[:, :n], y[:, n:])
+    return out
 
 
 def energies(rs, traj):
-    """Per-family energy traces."""
-    z, zd = traj.z, traj.zdot
-    mech = mechanical_energy(rs, traj)
+    """Per-family energy traces. The trajectory's states are read a chunk
+    at a time (:meth:`Trajectory.chunks`): what is held is the four
+    T-vectors returned and one chunk's products."""
+    n = rs.n_modes
+    mech = _family_energy(rs, "mechanical")
+    elec = _family_energy(rs, "electric")
     m2_elec = _family_block(rs, rs.k2red, "electric")
-    elec = 0.5 * (_quadratic_trace(zd, m2_elec, zd)
-                  + _quadratic_trace(z, _family_block(rs, rs.k0sym, "electric"), z))
     r = rs.cross_ratio
-    cross = np.zeros_like(mech)
-    if r != 0.0:
-        # summed in place, with the same roundings: four T-vectors at most
-        np.multiply(r, _quadratic_trace(zd, m2_elec, z), out=cross)
-        b = _quadratic_trace(z, m2_elec, z)
-        b *= 0.5 * r * r
-        cross += b
-        del b
-    total = mech + elec
-    total += cross
-    return EnergyTraces(mech=mech, elec=elec, cross=cross, total=total)
+    en = EnergyTraces(*np.zeros((4, len(traj.t))))
+    for start, y in traj.chunks():
+        rows = slice(start, start + len(y))
+        z, zd = y[:, :n], y[:, n:]
+        en.mech[rows] = mech(z, zd)
+        en.elec[rows] = elec(z, zd)
+        if r != 0.0:
+            en.cross[rows] = r * _quadratic_trace(zd, m2_elec, z)
+            en.cross[rows] += _quadratic_trace(z, m2_elec, z) * (0.5 * r * r)
+        total = en.total[rows]
+        np.add(en.mech[rows], en.elec[rows], out=total)
+        total += en.cross[rows]
+    return en
 
 
 def beat_period(rs, index_a, index_b):
@@ -406,12 +461,15 @@ def fit_damping(traj, energy_trace, omega_ref, beat_period=None):
 
 @dataclass(frozen=True)
 class DampingSample:
+    """One search evaluation; its run was integrated to ``t_f`` at step
+    ``dt``."""
+
     resistance: float
     zeta: float
     settling_time: float
     n_peaks: int
-    trajectory: Trajectory | None = None
-    energies: EnergyTraces | None = None
+    t_f: float
+    dt: float
     converged: bool = True
 
 
@@ -471,8 +529,10 @@ def damping_evaluator(reduced, basis, mode_index, partner):
     as it is, so tb is the same for every candidate) and doubles until at
     least four envelope peaks carrying a visible secular decay (at least
     30 percent over the fit window) are available, at most
-    ``MAX_EXTENSIONS`` times (else the sample is not ``converged``). Only
-    kept trajectories get every energy trace; the fit needs E_mech alone.
+    ``MAX_EXTENSIONS`` times (else the sample is not ``converged``). An
+    evaluation computes E_mech alone, the trace the fit reads, and keeps no
+    trajectory; ``evaluate.run(sample)`` integrates a sample's run again
+    (its R_N, t_f and dt) and returns (reduced system, trajectory).
 
     A candidate whose step is capped more than ``MAX_STEP_REFINEMENT``
     times below the drive period's share raises :class:`StiffStepError`
@@ -494,12 +554,14 @@ def damping_evaluator(reduced, basis, mode_index, partner):
                 f"{MAX_STEP_REFINEMENT} the search allows")
         return rs, dt
 
-    def evaluate(resistance, keep_trajectory=False):
+    def evaluate(resistance):
         rs, dt = candidate_step(resistance)
         ic = unimodal_ic(rs, mode_index)
         tb = beat_period(rs, mode_index, partner)
         horizon = SEARCH_BEATS * tb
-        for _ in range(MAX_EXTENSIONS + 1):
+        for extension in range(MAX_EXTENSIONS + 1):
+            if extension:
+                horizon *= 2.0
             traj = integrate(rs, ic, horizon, dt)
             mech = mechanical_energy(rs, traj)
             fit = fit_damping(traj, mech, omega_ref, beat_period=tb)
@@ -507,17 +569,19 @@ def damping_evaluator(reduced, basis, mode_index, partner):
                          and fit.realized_decay < 0.7)
             if converged:
                 break
-            horizon *= 2.0
         return DampingSample(
             resistance=float(resistance), zeta=fit.zeta,
             settling_time=settling_time(traj.t, mech),
-            n_peaks=fit.n_peaks,
-            trajectory=traj if keep_trajectory else None,
-            energies=energies(rs, traj) if keep_trajectory else None,
-            converged=converged,
+            n_peaks=fit.n_peaks, t_f=horizon, dt=dt, converged=converged,
         )
 
+    def run(sample):
+        rs = reduced(sample.resistance)
+        return rs, integrate(rs, unimodal_ic(rs, mode_index), sample.t_f,
+                             sample.dt)
+
     evaluate.step = candidate_step
+    evaluate.run = run
     return evaluate
 
 
@@ -589,11 +653,11 @@ def optimize_resistance(evaluate, bracket):
                 fd = sample(math.exp(d)).zeta
         best_r = math.exp(0.5 * (a + b))
 
-    best = evaluate(best_r, keep_trajectory=True)
+    best = evaluate(best_r)
     regimes = {
-        "sub_critical": evaluate(best_r / 10.0, keep_trajectory=True),
+        "sub_critical": evaluate(best_r / 10.0),
         "critical": best,
-        "super_critical": evaluate(best_r * 10.0, keep_trajectory=True),
+        "super_critical": evaluate(best_r * 10.0),
     }
     ordered = tuple(sorted(samples.values(), key=lambda s: s.resistance))
     unconverged = sorted({s.resistance for s in (*ordered, *regimes.values())

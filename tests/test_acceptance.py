@@ -233,7 +233,7 @@ def test_criterion_8_surrogate_oracle(tuned8):
     t1 = 2 * math.pi / omega
     tb = 2 * math.pi / kappa
 
-    def evaluate(r, keep_trajectory=False):
+    def evaluate(r):
         s = two_mode_surrogate(omega, kappa, r, l_n)
         ic = dynamics.unimodal_ic(s, 0, 1.0)
         horizon = 6 * tb
@@ -247,8 +247,7 @@ def test_criterion_8_surrogate_oracle(tuned8):
         return dynamics.DampingSample(
             resistance=float(r), zeta=fit.zeta,
             settling_time=dynamics.settling_time(traj.t, en.mech),
-            n_peaks=fit.n_peaks,
-            trajectory=traj if keep_trajectory else None)
+            n_peaks=fit.n_peaks, t_f=horizon, dt=t1 / 60)
 
     rep = dynamics.optimize_resistance(evaluate, (0.02, 2.0))
     rel = abs(rep.best.resistance - r_oracle) / r_oracle

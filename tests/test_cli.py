@@ -18,6 +18,7 @@ from pemplate.config import load_config, parse_config
 from pemplate.errors import StepStabilityError, ValidationError
 from pemplate.mesh import generate_structured_square, save_mesh
 
+from oracle import HeldTrajectory, held
 from test_blas import run_child
 
 SMALL_CFG = """
@@ -791,14 +792,13 @@ class TestWriter:
             self.percent(table)
 
     def test_trajectory_table_is_written_a_chunk_at_a_time(self, tmp_path):
-        # a 26k-step trajectory of 16 modes, as the integrator leaves it: a
-        # whole-table copy (4.3 MB) fails the bound; a chunk's temporaries
-        # take ~270 B per cell
+        # a 26k-step trajectory of 16 modes, read a chunk of states at a
+        # time: a whole-table copy (4.3 MB) fails the bound; a chunk's
+        # temporaries take ~270 B per cell
         rng = np.random.default_rng(5)
         steps, n = 26652, 16
         state = rng.standard_normal((steps + 1, 2 * n))
-        traj = dynamics.Trajectory(t=1e-3 * np.arange(steps + 1),
-                                   z=state[:, :n], zdot=state[:, n:])
+        traj = HeldTrajectory(t=1e-3 * np.arange(steps + 1), y=state)
         mech, elec = rng.random((2, steps + 1))
         en = dynamics.EnergyTraces(mech=mech, elec=elec, cross=0.0 * mech,
                                    total=mech + elec)
@@ -944,6 +944,7 @@ class TestWriter:
         calls = []
         monkeypatch.setattr(csvfmt, "FMT", CountingFormat("%.17g"))
         traj, en = cli.Run(load_config(write_cfg(tmp_path, IMPULSE_CFG))).simulation()
+        traj = held(traj)
         table = np.column_stack([traj.t, traj.z, en.mech, en.elec, en.total])
         assert table.size > 10_000
         assert b"".join(csvfmt.format_rows(table)) == self.percent(table)
@@ -954,6 +955,7 @@ class TestWriter:
         cfg = write_cfg(tmp_path, SMALL_CFG)
         out = run_cli("simulate", cfg, tmp_path / "sim")
         traj, en = cli.Run(load_config(cfg)).simulation()
+        traj = held(traj)
         lines = (out / "trajectory.csv").read_text().splitlines()
         table = np.array([[float(v) for v in line.split(",")]
                           for line in lines[1:]])
@@ -1318,20 +1320,28 @@ class TestStageGraph:
 
     def test_written_simulation_leaves_memory(self, tmp_path, monkeypatch):
         # nothing after report_simulation reads the trajectory: once its
-        # table and summary line are written, no reference to it is left
+        # table and summary line are written, no reference to it, its times
+        # or its energy traces is left
         states = []
-        integrate = dynamics.integrate
+        integrate, energies = dynamics.integrate, dynamics.energies
 
         def recording(*args):
             traj = integrate(*args)
-            states.append(weakref.ref(traj.z.base))
+            states.append(weakref.ref(traj.t))
             return traj
 
+        def recording_energies(*args):
+            en = energies(*args)
+            states.append(weakref.ref(en.total.base))
+            return en
+
         monkeypatch.setattr(dynamics, "integrate", recording)
+        monkeypatch.setattr(dynamics, "energies", recording_energies)
         run = cli.Run(load_config(write_cfg(tmp_path, SMALL_CFG + SEARCH)))
         line, = cli.report_simulation(run, tmp_path)
         assert line.startswith("simulation: ")
-        assert len(states) == 1 and states[0]() is None
+        # the initial energy's one-row pass, then the simulation's
+        assert len(states) == 3 and all(ref() is None for ref in states)
 
 
 # Key numbers of `pipeline --preset paper-square` at the default OpenBLAS

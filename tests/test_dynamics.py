@@ -43,6 +43,8 @@ from pemplate.modal import (
     tune_inductance,
 )
 
+import oracle
+from oracle import HeldTrajectory, held
 from surrogate import two_mode_surrogate
 
 
@@ -92,8 +94,7 @@ def rk4_reference(rs, ic, t_f, dt):
         k4 = deriv(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
-    return dynamics.Trajectory(t=dt * np.arange(steps + 1), z=out[:, :n],
-                               zdot=out[:, n:])
+    return HeldTrajectory(t=dt * np.arange(steps + 1), y=out)
 
 
 def increment_loop(rs, ic, t_f, dt):
@@ -113,8 +114,7 @@ def increment_loop(rs, ic, t_f, dt):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             out[k + 1] = out[k] + d @ out[k]
-    return dynamics.Trajectory(t=dt * np.arange(steps + 1), z=out[:, :n],
-                               zdot=out[:, n:])
+    return HeldTrajectory(t=dt * np.arange(steps + 1), y=out)
 
 
 def first_non_finite_step(traj):
@@ -220,11 +220,11 @@ class TestIntegrate:
         rs = single_oscillator(omega=1.0)
         ic = unimodal_ic(rs, 0, 1.0)
         T = 2 * math.pi
-        traj = integrate(rs, ic, 10 * T, T / 600)
+        traj = held(integrate(rs, ic, 10 * T, T / 600))
         err = np.abs(traj.z[:, 0] - np.cos(traj.t)).max()
         assert err <= 1e-8  # RK4 phase error ~ (w dt)^5/120 per step
         # and the documented coarser-step behavior stays 4th-order small
-        traj2 = integrate(rs, ic, 10 * T, T / 100)
+        traj2 = held(integrate(rs, ic, 10 * T, T / 100))
         assert np.abs(traj2.z[:, 0] - np.cos(traj2.t)).max() <= 2e-5
 
     def test_two_mode_beating_closed_form(self):
@@ -235,7 +235,7 @@ class TestIntegrate:
         rs = two_mode_surrogate(omega, kappa, 0.0, 1.0)
         ic = unimodal_ic(rs, 0, 1.0)
         Tb = 2 * math.pi / kappa
-        traj = integrate(rs, ic, Tb, 2 * math.pi / omega / 400)
+        traj = held(integrate(rs, ic, Tb, 2 * math.pi / omega / 400))
         W = math.sqrt(omega**2 + kappa**2 / 4)
         A = (W - kappa / 2) / (2 * W)
         B = (W + kappa / 2) / (2 * W)
@@ -250,13 +250,13 @@ class TestIntegrate:
     def test_zero_everything_stays_zero(self):
         rs = single_oscillator()
         ic = unimodal_ic(rs, 0, 0.0)
-        traj = integrate(rs, ic, 5.0, 0.01)
+        traj = held(integrate(rs, ic, 5.0, 0.01))
         assert np.all(traj.z == 0.0) and np.all(traj.zdot == 0.0)
 
     def test_velocity_initial_condition(self):
         rs = single_oscillator(omega=2.0)
         ic = unimodal_ic(rs, 0, 3.0, on="velocity")
-        traj = integrate(rs, ic, 2.0, 0.001)
+        traj = held(integrate(rs, ic, 2.0, 0.001))
         expect = 1.5 * np.sin(2.0 * traj.t)
         assert np.abs(traj.z[:, 0] - expect).max() < 1e-7
 
@@ -273,8 +273,9 @@ class TestIntegrate:
     def test_blowup_names_step(self):
         rs = unstable_oscillator(-1.0)
         ic = unimodal_ic(rs, 0, 1.0)
+        traj = integrate(rs, ic, 2000.0, 1.0)  # stepped as it is read
         with pytest.raises(IntegrationError, match="step"):
-            integrate(rs, ic, 2000.0, 1.0)
+            held(traj)
 
     @pytest.mark.parametrize("amplitude", [1.0, 0.0])
     def test_step_outside_stability_region_raises(self, amplitude):
@@ -289,7 +290,7 @@ class TestIntegrate:
 
     def test_step_just_inside_stability_region_runs(self):
         rs = single_oscillator(omega=2.0)
-        traj = integrate(rs, unimodal_ic(rs, 0, 1.0), 100.0, 1.41)
+        traj = held(integrate(rs, unimodal_ic(rs, 0, 1.0), 100.0, 1.41))
         assert np.abs(traj.z).max() <= 1.0
 
     def test_overflowing_step_matrix_raises(self):
@@ -314,7 +315,7 @@ class TestIntegrate:
         ic = unimodal_ic(rs, 0, 1.0)
         with pytest.raises(StepStabilityError):
             integrate(rs, ic, 100 * share, share)
-        traj = integrate(rs, ic, 100 * share, dt)
+        traj = held(integrate(rs, ic, 100 * share, dt))
         assert np.abs(traj.z).max() <= 1.0
         # a slow system keeps the drive period's share to the bit
         rs = single_oscillator(omega=2.0)
@@ -352,7 +353,7 @@ class TestIntegrateOracle:
         T1 = 2 * math.pi / basis.omegas[m1]
         ic = unimodal_ic(rs, m1, 1.0)
         t_f, dt = 2 * beat_period(rs, m1, e1), T1 / 100
-        traj = integrate(rs, ic, t_f, dt)
+        traj = held(integrate(rs, ic, t_f, dt))
         ref = rk4_reference(rs, ic, t_f, dt)
         assert np.array_equal(traj.t, ref.t)
         assert np.abs(traj.z - ref.z).max() <= 1e-12
@@ -372,7 +373,7 @@ class TestIntegrateOracle:
         m1 = basis.mechanical_indices()[0]
         dt = 2 * math.pi / basis.omegas[m1] / 100
         ic = unimodal_ic(rs, m1, 1.0)
-        traj = integrate(rs, ic, steps * dt, dt)
+        traj = held(integrate(rs, ic, steps * dt, dt))
         assert len(traj.t) == steps + 1
         for ref in (increment_loop(rs, ic, steps * dt, dt),
                     rk4_reference(rs, ic, steps * dt, dt)):
@@ -388,27 +389,27 @@ class TestIntegrateOracle:
         assert step > 10 * dynamics.BLOCK
         with pytest.raises(IntegrationError,
                            match=rf"non-finite state at step {step} "):
-            integrate(rs, ic, 2000.0, 1.0)
+            held(integrate(rs, ic, 2000.0, 1.0))
 
     def test_overflowing_increments_match_step_loop(self):
         # one step multiplies by about 4e10, so powers beyond the 29th
         # overflow: a zero state must stay zero and a unit state must fail
         # at the step where one increment per step fails
         rs = unstable_oscillator(-1e6)
-        zero = integrate(rs, unimodal_ic(rs, 0, 0.0), 200.0, 1.0)
+        zero = held(integrate(rs, unimodal_ic(rs, 0, 0.0), 200.0, 1.0))
         assert np.all(zero.z == 0.0) and np.all(zero.zdot == 0.0)
         ic = unimodal_ic(rs, 0, 1.0)
         step = first_non_finite_step(increment_loop(rs, ic, 200.0, 1.0))
         with pytest.raises(IntegrationError,
                            match=rf"non-finite state at step {step} "):
-            integrate(rs, ic, 200.0, 1.0)
+            held(integrate(rs, ic, 200.0, 1.0))
 
     def test_coupled_pair_with_non_identity_k2(self):
         # both stiffness blocks go through K2^-1
         rs = two_mode_surrogate(1.0, 0.1, 0.3, 1.0)
         rs = replace(rs, k2red=np.array([[2.0, 0.1], [0.1, 0.5]]))
         ic = unimodal_ic(rs, 0, 1.0)
-        traj = integrate(rs, ic, 50.0, 0.02)
+        traj = held(integrate(rs, ic, 50.0, 0.02))
         ref = rk4_reference(rs, ic, 50.0, 0.02)
         assert np.abs(traj.z - ref.z).max() <= 1e-12
         assert np.abs(traj.zdot - ref.zdot).max() <= 1e-12
@@ -488,7 +489,7 @@ class TestEnergies:
             plate, replace(net, resistance=0.2)), bcs_ss()), basis)
         m1 = basis.mechanical_indices()[0]
         T1 = 2 * math.pi / basis.omegas[m1]
-        traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 10 * T1, T1 / 100)
+        traj = held(integrate(rs, unimodal_ic(rs, m1, 1.0), 10 * T1, T1 / 100))
         z, zd = traj.z, traj.zdot
 
         def form(a, m, b):
@@ -526,7 +527,7 @@ class TestEnergies:
         m1 = basis.mechanical_indices()[0]
         T1 = 2 * math.pi / basis.omegas[m1]
         dt = T1 / 400
-        traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 20 * T1, dt)
+        traj = held(integrate(rs, unimodal_ic(rs, m1, 1.0), 20 * T1, dt))
         en = energies(rs, traj)
         de = (en.total[2:] - en.total[:-2]) / (2 * dt)
         k0_elec = partition_forms(sys_d, basis)["k0_elec"]
@@ -598,7 +599,7 @@ class TestDampingMachinery:
         omega, zeta = 5.0, 0.03
         t = np.linspace(0, 40, 8001)
         energy = np.exp(-2 * zeta * omega * t) * (0.6 + 0.4 * np.cos(2 * omega * t))
-        traj = dynamics.Trajectory(t=t, z=None, zdot=None)
+        traj = HeldTrajectory(t=t, y=None)
         fit = fit_damping(traj, energy, omega)
         assert fit.zeta == pytest.approx(zeta, rel=0.05)
 
@@ -608,7 +609,7 @@ class TestDampingMachinery:
         envelope = np.cos(kappa * t / 2) ** 2
         energy = np.exp(-2 * zeta * omega * t) * envelope \
             * (0.8 + 0.2 * np.cos(2 * omega * t)) + 1e-12
-        traj = dynamics.Trajectory(t=t, z=None, zdot=None)
+        traj = HeldTrajectory(t=t, y=None)
         fit = fit_damping(traj, energy, omega, beat_period=2 * math.pi / kappa)
         assert fit.zeta == pytest.approx(zeta, rel=0.05)
 
@@ -727,20 +728,18 @@ class TestDampingMachinery:
 
     def test_optimize_bracket_validation(self):
         with pytest.raises(ValidationError):
-            optimize_resistance(lambda r, keep_trajectory=False: None, (1.0, 0.5))
+            optimize_resistance(lambda r: None, (1.0, 0.5))
 
     def test_optimize_fallback_on_bimodal(self):
         calls = []
 
-        def evaluate(r, keep_trajectory=False):
+        def evaluate(r):
             calls.append(r)
             zeta = math.exp(-(math.log(r) - math.log(0.1)) ** 2) \
                 + 0.9 * math.exp(-(math.log(r) - math.log(3.0)) ** 2 / 0.3)
             return dynamics.DampingSample(
                 resistance=r, zeta=zeta, settling_time=1.0, n_peaks=5,
-                trajectory=dynamics.Trajectory(
-                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1))),
-                energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4))
+                t_f=1.0, dt=0.1)
 
         with pytest.warns(UserWarning, match="single-peaked"):
             report = optimize_resistance(evaluate, (0.01, 10.0))
@@ -759,7 +758,7 @@ class TestDampingMachinery:
             if r > limit:
                 raise StiffStepError(f"at R_N = {r:g} too stiff")
 
-        def evaluate(r, keep_trajectory=False):
+        def evaluate(r):
             calls.append(r)
             stiff_step(r)
 
@@ -771,13 +770,11 @@ class TestDampingMachinery:
             f"config field [search] {end}: at R_N = ")
 
     def test_golden_section_finds_quadratic_peak(self):
-        def evaluate(r, keep_trajectory=False):
+        def evaluate(r):
             zeta = 1.0 / (r / 0.7 + 0.7 / r)  # peak exactly at r = 0.7
             return dynamics.DampingSample(
                 resistance=r, zeta=zeta, settling_time=1.0, n_peaks=9,
-                trajectory=dynamics.Trajectory(
-                    t=np.array([0.0]), z=np.zeros((1, 1)), zdot=np.zeros((1, 1))),
-                energies=dynamics.EnergyTraces(*(np.zeros(1),) * 4))
+                t_f=1.0, dt=0.1)
 
         report = optimize_resistance(evaluate, (0.01, 50.0))
         assert not report.warnings
@@ -841,7 +838,7 @@ class TestVectorizedFit:
 
     def test_fit_unchanged_on_beating_trace(self):
         t, energy = fit_traces()["beat"]
-        traj = dynamics.Trajectory(t=t, z=None, zdot=None)
+        traj = HeldTrajectory(t=t, y=None)
         fit = fit_damping(traj, energy, 6.0, beat_period=2 * math.pi / 0.8)
         crests = beat_crests_reference(t, energy, envelope_peaks_reference(energy),
                                        0.45 * 2 * math.pi / 0.8)
@@ -858,24 +855,29 @@ class TestSearchEnergies:
         mech = dynamics.mechanical_energy(rs, traj)
         assert np.array_equal(mech, energies(rs, traj).mech)
 
-    def test_evaluator_builds_all_traces_only_for_kept_runs(
+    def test_evaluator_builds_e_mech_only_and_reruns_a_sample(
             self, tuned_square4, monkeypatch):
         mesh, plate, net, _, basis, _ = tuned_square4
         m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
-        evaluate = dynamics.damping_evaluator(
-            affine_family(mesh, plate, net, basis), basis, m1, e1)
+        reduced = affine_family(mesh, plate, net, basis)
+        evaluate = dynamics.damping_evaluator(reduced, basis, m1, e1)
         calls = []
         full = dynamics.energies
         monkeypatch.setattr(dynamics, "energies",
                             lambda *a: calls.append(1) or full(*a))
-        plain = evaluate(0.2)
-        assert calls == [] and plain.converged
-        assert plain.trajectory is None and plain.energies is None
-        kept = evaluate(0.2, keep_trajectory=True)
-        assert calls == [1]
-        assert kept.trajectory is not None and kept.energies is not None
-        assert (kept.zeta, kept.settling_time) == (plain.zeta,
-                                                   plain.settling_time)
+        sample = evaluate(0.2)
+        assert calls == [] and sample.converged
+        assert sample.dt == dynamics.step(reduced(0.2), m1, 60)
+        # the run again, from what the sample records: the same states, so
+        # the same fit
+        rs, traj = evaluate.run(sample)
+        assert np.array_equal(rs.k1red, reduced(0.2).k1red)
+        assert len(traj.t) == round(sample.t_f / sample.dt) + 1
+        mech = dynamics.mechanical_energy(rs, traj)
+        fit = fit_damping(traj, mech, basis.omegas[m1],
+                          beat_period=beat_period(rs, m1, e1))
+        assert (fit.zeta, fit.n_peaks) == (sample.zeta, sample.n_peaks)
+        assert settling_time(traj.t, mech) == sample.settling_time
 
     @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
     def test_unconverged_fits_are_reported(self, tuned_square4, monkeypatch):
@@ -917,6 +919,61 @@ def preset_runs():
     return {name: preset_run(name) for name in ("paper-square", "clamped-demo")}
 
 
+def traced_peak(read):
+    """(result, traced peak bytes) of ``read()``."""
+    tracemalloc.start()
+    try:
+        result = read()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamMemory:
+    """No stage holds a state history: a longer horizon costs its 1-D
+    traces and nothing more (64 KiB allowed for numpy's own objects)."""
+
+    def test_simulation_memory_grows_with_the_1d_traces_only(
+            self, preset_runs, monkeypatch):
+        # clamped-demo's simulation stage at its beats and at 4 x beats. What
+        # grows is t and the four energy traces, 5 float64s a row; a held
+        # state history would add 8 * 2n = 256 bytes a row
+        run = preset_runs["clamped-demo"]
+        run.simulation()  # warm: every upstream stage, numpy's caches
+        sim = run.cfg.simulation
+        peaks, rows = [], []
+        for beats in (sim.beats, 4 * sim.beats):
+            monkeypatch.setattr(run, "cfg", replace(
+                run.cfg, simulation=replace(sim, beats=beats)))
+            (traj, _), peak = traced_peak(run.simulation)
+            peaks.append(peak)
+            rows.append(len(traj.t))
+        assert rows[1] > 3.9 * rows[0] > 100_000
+        assert peaks[1] - peaks[0] <= 5 * 8 * (rows[1] - rows[0]) + 65536
+
+    def test_evaluation_memory_grows_with_the_1d_traces_only(
+            self, preset_runs, monkeypatch):
+        # one evaluation of clamped-demo's search at a horizon and at twice
+        # it, long enough that the traces outweigh the RK4 increments. What
+        # grows is 1-D: t, E_mech, the fit's copy and masks of E_mech and
+        # the settling time's indices, under 4 float64s a row; a held state
+        # history would add 8 * 2n = 256 bytes a row
+        run = preset_runs["clamped-demo"]
+        evaluate = run.evaluator()
+        r = 0.05
+        evaluate(r)  # warm: the family's forms, numpy's caches
+        monkeypatch.setattr(dynamics, "MAX_EXTENSIONS", 0)
+        beats = dynamics.SEARCH_BEATS
+        peaks, rows = [], []
+        for scale in (4.0, 8.0):
+            monkeypatch.setattr(dynamics, "SEARCH_BEATS", scale * beats)
+            sample, peak = traced_peak(lambda: evaluate(r))
+            peaks.append(peak)
+            rows.append(round(sample.t_f / sample.dt) + 1)
+        assert rows[1] > 1.9 * rows[0] > 40_000
+        assert peaks[1] - peaks[0] <= 4 * 8 * (rows[1] - rows[0]) + 65536
+
+
 class TestFamilyBlocks:
     """The family blocks of ``k2red`` and ``k0sym`` are the per-family
     projections ``reduce`` once carried, to the last bit."""
@@ -938,7 +995,7 @@ class TestFamilyBlocks:
         drive = basis.mechanical_indices()[0]
         period = 2 * math.pi / basis.omegas[drive]
         traj = integrate(rs, unimodal_ic(rs, drive), 40 * period, period / 60)
-        want = partition_energies(forms, rs.cross_ratio, traj)
+        want = partition_energies(forms, rs.cross_ratio, held(traj))
         got = energies(rs, traj)
         assert np.array_equal(dynamics.mechanical_energy(rs, traj), want.mech)
         for field in ("mech", "elec", "cross", "total"):
@@ -948,7 +1005,7 @@ class TestFamilyBlocks:
 
 
 class TestTraceBlocks:
-    """Quadratic traces are formed a row block at a time."""
+    """States are stepped and quadratic traces formed a chunk at a time."""
 
     # clamped-demo's simulation: 26,652 steps of its 16 modes
     STEPS = 26_653
@@ -959,37 +1016,136 @@ class TestTraceBlocks:
         rs = run.reduced(replace(run.network(), resistance=1.0))
         n = rs.n_modes
         assert n == 16
-        # z and z' strided views of one state array, as integrate returns them
-        y = np.random.default_rng(0).standard_normal((self.STEPS, 2 * n))
-        traj = dynamics.Trajectory(t=np.arange(self.STEPS, dtype=float),
-                                   z=y[:, :n], zdot=y[:, n:])
-        tracemalloc.start()
-        try:
-            energies(rs, traj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the four traces it returns and one block's product (885,664 bytes),
+        drive = run.basis().mechanical_indices()[0]
+        dt = dynamics.step(rs, drive, 60)
+        traj = integrate(rs, unimodal_ic(rs, drive), (self.STEPS - 1) * dt, dt)
+        assert len(traj.t) == self.STEPS
+
+        # the stream alone: one chunk of states with room for a block past
+        # its end, the copy that moves the last chunk's kept rows, one
+        # block's product
+        stream = traced_peak(lambda: [None for _ in traj.chunks()])[1]
+        peak = traced_peak(lambda: energies(rs, traj))[1]
+        # the four traces it returns and one chunk's product (32,768 bytes),
         # plus 8 KiB for the n x n family forms and numpy's per-call objects
         # (~4.6 kB); one more T-vector is 213 kB, the whole product 3.4 MB
         block = 8 * csvfmt.CHUNK * n
-        assert peak <= 8 * 4 * self.STEPS + block + 8192
+        assert stream <= (8 * (3 * csvfmt.CHUNK + 3 * dynamics.BLOCK) * 2 * n
+                          + 8192)
+        assert peak <= stream + 8 * 4 * self.STEPS + block + 8192
 
     @pytest.mark.parametrize("steps", [csvfmt.CHUNK + 1, STEPS])
     def test_blocks_equal_the_whole_array_product(self, steps):
         # OpenBLAS's dgemm sums every row in the same order at 16 modes,
-        # whatever the row count, so the blocks keep the bits; other BLAS
+        # whatever the row count, so the chunks keep the bits; other BLAS
         # libraries (Accelerate on macOS) may not. A dense random form makes
         # a reordered sum show.
         rng = np.random.default_rng(steps)
         y = rng.standard_normal((steps, 32))
         z, zd = y[:, :16], y[:, 16:]
         form = rng.standard_normal((16, 16))
-        for a, b in ((zd, zd), (zd, z)):
-            got = dynamics._quadratic_trace(a, form, b)
-            want = np.einsum("ti,ti->t", a @ form, b)
+        for a, b in (((16, 32), (16, 32)), ((16, 32), (0, 16))):
+            got = np.empty(steps)
+            for start, c in HeldTrajectory(np.arange(steps), y).chunks():
+                got[start:start + len(c)] = dynamics._quadratic_trace(
+                    c[:, slice(*a)], form, c[:, slice(*b)])
+            want = np.einsum("ti,ti->t", y[:, slice(*a)] @ form, y[:, slice(*b)])
             if blas._numpy_openblas() is not None:
                 assert np.array_equal(got, want)
             else:
                 assert (np.abs(got - want).max()
                         <= 1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("block", [dynamics.BLOCK, 29, 15, 1])
+    def test_chunks_follow_the_schedule(self, block, monkeypatch):
+        # CHUNK-row chunks in order, the last ending at the last row, each
+        # a C-contiguous buffer holding the history's rows. A block of 64
+        # ends its steps one row past each chunk (row 0 is given); one of
+        # 15 or 1 at a chunk's last row, so the next chunk's first row is
+        # stepped ahead; one of 29 (increments cut short by an overflow)
+        # anywhere
+        monkeypatch.setattr(dynamics, "BLOCK", block)
+        rs = single_oscillator()
+        ic = unimodal_ic(rs, 0, 1.0)
+        for rows in (2, 65, 255, 256, 257, 600, 768):
+            traj = integrate(rs, ic, (rows - 1) * 0.01, 0.01)
+            ref = oracle.integrate(rs, ic, (rows - 1) * 0.01, 0.01)
+            size = min(csvfmt.CHUNK, rows)
+            starts = list(range(0, rows - size + 1, csvfmt.CHUNK))
+            if starts[-1] + size < rows:
+                starts.append(rows - size)
+            spans = []
+            for start, c in traj.chunks():
+                spans.append((start, len(c)))
+                assert c.flags.c_contiguous
+                assert np.array_equal(c, ref.y[start:start + len(c)])
+            assert spans == [(s, size) for s in starts]
+
+
+def random_system(n_modes, seed):
+    """A stable damped reduced system of ``n_modes`` modes, half of them
+    electric, with a dense K2 and a resistance (every trace non-trivial)."""
+    rng = np.random.default_rng(seed)
+    n_mech = (n_modes + 1) // 2
+    labels = ("mechanical",) * n_mech + ("electric",) * (n_modes - n_mech)
+    q = np.linalg.qr(rng.standard_normal((n_modes, n_modes)))[0]
+    k2 = np.eye(n_modes) + 0.1 * q @ np.diag(rng.random(n_modes)) @ q.T
+    omegas = np.sort(rng.uniform(1.0, 3.0, n_modes))
+    k0 = np.diag(omegas ** 2)
+    k1 = 0.05 * rng.standard_normal((n_modes, n_modes))
+    k1 = k1 - k1.T + np.diag(np.r_[np.zeros(n_mech), np.full(n_modes - n_mech, 0.3)])
+    modes = ModeSet(omegas=omegas, vectors=np.eye(n_modes), labels=labels)
+    return ReducedSystem(k2red=k2, k1red=k1, k0red=k0, k0sym=k0, modes=modes,
+                         cross_ratio=0.3)
+
+
+class TestStreamMatchesOracle:
+    """The streamed states, traces and table against the whole-array ones,
+    to the bit, around the chunk and block lengths and at mode counts where
+    dgemm's kernels differ with the row count (17 to 20). The two lay their
+    operands out alike but at other addresses; OpenBLAS sums alike at any
+    address, other BLAS libraries (Accelerate on macOS) need not."""
+
+    ROWS = [1, 2, 63, 64, 65, 255, 256, 257, 26_653]
+
+    @staticmethod
+    def assert_same(got, want, what):
+        if blas._numpy_openblas() is not None:
+            assert np.array_equal(got, want), what
+        else:
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), what
+
+    @pytest.mark.parametrize("n_modes", [4, 16, 17, 20])
+    def test_traces_and_table_bytes(self, tmp_path, n_modes):
+        rs = random_system(n_modes, n_modes)
+        dt = dynamics.step(rs, 0, 60)
+        rng = np.random.default_rng(n_modes)
+        ic = dynamics.InitialCondition(z0=rng.standard_normal(n_modes),
+                                       zdot0=rng.standard_normal(n_modes))
+        header = ["t", *(f"z_{k + 1}" for k in range(n_modes)),
+                  "E_mech", "E_elec", "E_total"]
+        for rows in self.ROWS:
+            if rows == 1:  # the initial energy's one-row trajectory
+                y0 = np.concatenate([ic.z0, ic.zdot0])
+                traj = dynamics.Trajectory(np.zeros(1), y0,
+                                           np.empty((0, len(y0))))
+                ref = HeldTrajectory(np.zeros(1), y0[None])
+            else:
+                traj = integrate(rs, ic, (rows - 1) * dt, dt)
+                ref = oracle.integrate(rs, ic, (rows - 1) * dt, dt)
+            assert len(traj.t) == rows
+            assert np.array_equal(traj.t, ref.t)
+            self.assert_same(held(traj).y, ref.y, rows)
+            en, want = energies(rs, traj), oracle.energies(rs, ref)
+            for field in ("mech", "elec", "cross", "total"):
+                self.assert_same(getattr(en, field), getattr(want, field),
+                                 (rows, field))
+            self.assert_same(dynamics.mechanical_energy(rs, traj), want.mech,
+                             rows)
+            if blas._numpy_openblas() is None:  # the writer alone
+                ref, want = held(traj), en
+            cli._write_trajectory(tmp_path / "got.csv", traj, en)
+            cli.write_csv(tmp_path / "want.csv", header, csvfmt.Columns(
+                ref.t, ref.z, want.mech, want.elec, want.total))
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes()), rows
