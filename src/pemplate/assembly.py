@@ -368,6 +368,14 @@ class ScatterPlan:
     holds those addends' indices in the distinct local matrices for the
     ``gather[i]``-long head of the runs ordered by decreasing length, and
     ``position`` puts each run's sum at its CSR slot.
+
+    ``gather`` holds the smallest unsigned type that indexes every entry of
+    the distinct local matrices (uint16 up to 455 distinct geometries, as
+    on a crossed dyadic square or the bundled L-shape; uint32 beyond);
+    ``indptr``, ``indices`` and ``position`` are int32. The build sorts
+    int32 entry tags with int32 columns: scipy sorts each CSR row by column
+    alone, so the tags' type moves no entry, and the plan is the one that
+    float64 tags and int64 keys give.
     """
 
     mesh: Mesh
@@ -409,35 +417,40 @@ def scatter_plan(mesh, bcs, dof_map):
     keys = np.column_stack([geom.b, geom.c, geom.area, geom.mu])
     _, distinct, inverse = np.unique(keys.view(np.int64), axis=0,
                                      return_index=True, return_inverse=True)
+    del geom, keys
+    # the whole-COO temporaries are int32 (the CSR indices already bound
+    # the DOF count, and an entry index is below 144 n_triangles), and each
+    # goes once it has been read
     n_full = dof_map.n_full
     gdofs = (DOFS_PER_NODE * mesh.triangles[:, :, None]
-             + np.arange(DOFS_PER_NODE, dtype=mesh.triangles.dtype)).ravel()
+             + np.arange(DOFS_PER_NODE)).astype(np.int32).ravel()
     # COO entry (e, i, j) sits at (gdofs[12 e + i], gdofs[12 e + j]) in the
     # order e, i, j; bucketing by row keeps the order of appearance
     incidence = np.argsort(gdofs, kind="stable")
     indptr = np.zeros(n_full + 1, dtype=np.int32)
     np.cumsum(12 * np.bincount(gdofs, minlength=n_full), out=indptr[1:])
-    cols = gdofs.reshape(-1, 12)[incidence // 12].ravel()
+    col = gdofs.reshape(-1, 12)[incidence // 12].ravel()
     # tag each entry with its index in the local matrices of its triangle's
     # distinct geometry, whose DOFs are stored in _FIELD_ORDER
-    pos = np.argsort(_FIELD_ORDER)
-    row_start = 12.0 * (12 * inverse[incidence // 12] + pos[incidence % 12])
-    tags = (row_start[:, None] + pos).ravel()
-    full = sp.csr_matrix((tags, cols.astype(np.int32), indptr),
-                         shape=(n_full, n_full))
-    full.sort_indices()
-    entry = full.data.astype(np.int64)
-    col = full.indices
+    pos = np.argsort(_FIELD_ORDER).astype(np.int32)
+    row_start = 12 * (12 * inverse.astype(np.int32)[incidence // 12]
+                      + pos[incidence % 12])
+    del gdofs, incidence
+    entry = (row_start[:, None] + pos).ravel()
+    del row_start
+    # sorts each row of ``col`` by column, and ``entry`` with it, in place
+    sp.csr_matrix((entry, col, indptr), shape=(n_full, n_full)).sort_indices()
 
     new_run = np.empty(len(col), dtype=bool)
     new_run[0] = True
     np.not_equal(col[1:], col[:-1], out=new_run[1:])
     new_run[indptr[1:-1]] = True
-    first = np.flatnonzero(new_run)
-    length = np.diff(np.r_[first, len(col)])
-    row = np.repeat(np.arange(n_full), np.diff(indptr))
-    free_row = dof_map.full_to_free[row[first]]
+    first = np.flatnonzero(new_run).astype(np.int32)
+    del new_run
+    length = np.diff(first, append=np.int32(len(col)))
     free_col = dof_map.full_to_free[col[first]]
+    del col
+    free_row = dof_map.full_to_free[np.searchsorted(indptr, first, "right") - 1]
     keep = (free_row >= 0) & (free_col >= 0)
     first, length = first[keep], length[keep]
     free_row, free_col = free_row[keep], free_col[keep]
@@ -445,12 +458,13 @@ def scatter_plan(mesh, bcs, dof_map):
     n_free = dof_map.n_free
     out_ptr = np.zeros(n_free + 1, dtype=np.int32)
     np.cumsum(np.bincount(free_row, minlength=n_free), out=out_ptr[1:])
+    del free_row
     by_length = np.argsort(-length.astype(np.int16), kind="stable")
     first, length = first[by_length], length[by_length]
     depth = length[0] if len(length) else 1
-    # int32 (entry indices stay below 144 n_triangles): a run keeps its
-    # plan for as long as it keeps its systems
-    gather = tuple(entry[first[length > i] + i].astype(np.int32)
+    # the smallest index type: a run keeps its plan as long as its systems
+    index_type = np.min_scalar_type(144 * len(distinct) - 1)
+    gather = tuple(entry[first[length > i] + i].astype(index_type)
                    for i in range(depth))
     return ScatterPlan(mesh=mesh, bcs=tuple(bcs), dof_map=dof_map,
                        first=distinct, indptr=out_ptr,

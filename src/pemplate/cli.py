@@ -177,7 +177,8 @@ class Run:
         mesh and its DOF map under [bc]. Fails here, before the plan is
         built, if a structured [mesh] n cannot be allocated, if the mesh
         does not hold the impulse point or a [bc] group, or if its families
-        give fewer modes than [modal] keeps."""
+        give fewer modes than [modal] keeps. A plan that cannot be
+        allocated fails here too."""
         c = self.cfg
         if c.mesh_kind == "file":
             mesh = load_mesh(c.mesh_path)
@@ -206,7 +207,13 @@ class Run:
             if n > most:
                 raise ValidationError(f"config field [modal] {key} must be at "
                                       f"most {most} on this mesh, got {n}")
-        return scatter_plan(mesh, c.bcs, dof_map)
+        try:
+            return scatter_plan(mesh, c.bcs, dof_map)
+        except MemoryError as exc:
+            size = (f"mesh file {c.mesh_path}" if c.mesh_kind == "file"
+                    else f"config field [mesh] n = {c.mesh_n}")
+            raise ValidationError(f"{size} is too large: its scatter plan "
+                                  f"cannot be allocated ({exc})") from None
 
     @_stage("assembly")
     def system(self, net):

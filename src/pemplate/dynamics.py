@@ -340,13 +340,19 @@ def mechanical_energy(rs, traj):
 def energies(rs, traj):
     """Per-family energy traces. The trajectory's states are read a chunk
     at a time (:meth:`Trajectory.chunks`): what is held is the four
-    T-vectors returned and one chunk's products."""
+    T-vectors returned and one chunk's products. Raises
+    :class:`IntegrationError` naming the step count if the traces cannot
+    be allocated."""
     n = rs.n_modes
     mech = _family_energy(rs, "mechanical")
     elec = _family_energy(rs, "electric")
     m2_elec = _family_block(rs, rs.k2red, "electric")
     r = rs.cross_ratio
-    en = EnergyTraces(*np.zeros((4, len(traj.t))))
+    try:
+        en = EnergyTraces(*np.zeros((4, len(traj.t))))
+    except MemoryError:
+        raise IntegrationError(f"cannot allocate the energy traces of "
+                               f"{len(traj.t) - 1} steps") from None
     for start, y in traj.chunks():
         rows = slice(start, start + len(y))
         z, zd = y[:, :n], y[:, n:]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -646,6 +647,41 @@ class TestAssemble:
         assert_bits_equal(assemble(mesh, mat, bcs), want)
         if distinct is not None:
             assert sum(sizes) == distinct
+
+    def test_gather_takes_the_smallest_index_type(self):
+        # 484 distinct geometries hold 69,696 entries, past uint16: the
+        # wide plan still sums to the oracle's bits
+        mesh = jittered_square(11, np.random.default_rng(7), amount=0.01)
+        mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
+        bcs = [BoundaryCondition("boundary", "clamped")]
+        plan = scatter_plan(mesh, bcs, build_dof_map(mesh, bcs))
+        assert len(plan.first) == mesh.n_triangles == 484
+        assert_bits_equal(assemble(mesh, mat, bcs, workspace=plan),
+                          coo_oracle(mesh, mat, bcs))
+        square = generate_structured_square(11, 1.0, "crossed")
+        small = scatter_plan(square, bcs, build_dof_map(square, bcs))
+        for p, dtype in ((plan, np.uint32), (small, np.uint16)):
+            assert np.min_scalar_type(144 * len(p.first) - 1) == dtype
+            assert {g.dtype for g in p.gather} == {np.dtype(dtype)}
+
+    def test_plan_build_memory(self):
+        # per COO entry (144 per triangle): the build's traced peak and the
+        # arrays the plan holds; int64 temporaries and int32 gathers took
+        # 63.7 and 7.06 bytes
+        mesh = generate_structured_square(32, 1.0, "crossed")
+        bcs = [BoundaryCondition("boundary", "simply_supported")]
+        dof_map = build_dof_map(mesh, bcs)
+        tracemalloc.start()
+        try:
+            plan = scatter_plan(mesh, bcs, dof_map)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = 144 * mesh.n_triangles
+        held = sum(a.nbytes for a in (plan.first, plan.indptr, plan.indices,
+                                      plan.position, *plan.gather))
+        assert peak <= 32 * entries
+        assert held <= 5.5 * entries
 
     def test_failing_batch_stops_assembly(self, monkeypatch):
         # batches 3 and 4 fail: batch 3's error is raised and batch 4 is

@@ -1210,6 +1210,52 @@ class TestStageGraph:
         err = capsys.readouterr().err
         assert "[stage simulation]" in err and "t_f" in err
 
+    def test_unallocatable_energy_traces_exit_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        # 2**52 output times, held as one broadcast zero: the four energy
+        # traces would take 2**57 bytes, more than any address space
+        integrate = dynamics.integrate
+
+        def endless(*args):
+            traj = integrate(*args)
+            return dynamics.Trajectory(np.broadcast_to(0.0, (2**52,)),
+                                       traj.y0, traj.increments)
+
+        monkeypatch.setattr(dynamics, "integrate", endless)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, SMALL_CFG)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("[stage simulation] cannot allocate the energy traces of "
+                f"{2**52 - 1} steps") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["structured", "file"])
+    def test_unallocatable_scatter_plan_exits_1(self, tmp_path, capsys,
+                                                monkeypatch, kind):
+        def fail(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "scatter_plan", fail)
+        never_assemble(monkeypatch)
+        text, size = SMALL_CFG, "config field [mesh] n = 4"
+        if kind == "file":
+            mesh = tmp_path / "plate.mesh"
+            save_mesh(generate_structured_square(4), mesh)
+            text = SMALL_CFG.replace("kind = structured\nn = 4\nside = 1.0\n"
+                                     "pattern = crossed",
+                                     "kind = file\npath = plate.mesh")
+            size = f"mesh file {mesh}"
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"[stage mesh] {size} is too large: its scatter plan cannot "
+                "be allocated (Unable to allocate 1.00 TiB)") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_chosen_unstable_step_exits_2(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setattr(dynamics, "default_horizon",
