@@ -23,8 +23,8 @@ The tuned pair must couple: ``tune``, a tuned simulation and the search
 fail on it before anything is integrated. The simulation is the one stage
 not kept: its energy traces leave memory once ``trajectory.csv`` and its
 summary line are written. No run holds a state history: a trajectory's
-states are stepped again, a chunk of rows at a time, for each pass that
-reads them (the energies, the table). Tables are written one chunk of rows
+states are stepped, a chunk of rows at a time, by the one pass that writes
+its table and fills its energy traces. Tables are written one chunk of rows
 at a time (:class:`.csvfmt.Columns`).
 
 Every network a run assembles is conservative (R_N = G_N = 0), made once
@@ -127,13 +127,19 @@ def _fmt(x):
 def write_csv(path, header, rows):
     """Writes ``header`` and ``rows``, a 2-D array or :class:`.Columns`,
     one line per row: numbers exactly as ``FMT`` writes them
-    (:mod:`.csvfmt`), a chunk of rows at a time, text cells as they are."""
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\n")
-        if isinstance(rows, np.ndarray) and rows.dtype.kind == "U":
-            fh.writelines(",".join(row).encode() + b"\n" for row in rows)
-        else:
-            fh.writelines(format_rows(rows))
+    (:mod:`.csvfmt`), a chunk of rows at a time, text cells as they are.
+    A write that fails (a trajectory's state stops being finite while its
+    table is written) removes the file, so no table is left half written."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode() + b"\n")
+            if isinstance(rows, np.ndarray) and rows.dtype.kind == "U":
+                fh.writelines(",".join(row).encode() + b"\n" for row in rows)
+            else:
+                fh.writelines(format_rows(rows))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _stage(name, keep=True):
@@ -279,10 +285,9 @@ class Run:
         """(trajectory, energies) over ``beats`` beat periods, at the step
         :func:`.dynamics.default_horizon` chooses: the drive period over
         ``steps_per_period``, capped by :func:`.dynamics.step`'s stability
-        limit and by :func:`.dynamics.suggested_dt`. The energies pass steps
-        every state, so a state that stops being finite fails here; not
-        memoized: its one reader, :func:`report_simulation`, lets it go
-        once written."""
+        limit and by :func:`.dynamics.suggested_dt`. The energies fill as
+        its one reader, :func:`report_simulation`, writes the trajectory,
+        and lets both go: not memoized."""
         sim = self.cfg.simulation
         if self.cfg.tune_mech is not None:
             self.tuned_pair()
@@ -306,9 +311,10 @@ class Run:
                 f"config field [simulation] {key} = {getattr(sim, key):g} "
                 f"gives the initial energy E_0 = {e_0:g}; it must be finite "
                 "and positive")
-        traj = dynamics.integrate(rs, ic, *dynamics.default_horizon(
-            rs, drive, sim.beats, sim.steps_per_period))
-        return traj, dynamics.energies(rs, traj)
+        stream = dynamics.energy_stream(rs, dynamics.integrate(
+            rs, ic, *dynamics.default_horizon(rs, drive, sim.beats,
+                                              sim.steps_per_period)))
+        return stream, stream.en
 
     @_stage("resistance-search")
     def evaluator(self):
@@ -386,7 +392,7 @@ def report_coupling(run, out_dir, tuned=True, raw=False):
 
 class _TrajectoryTable:
     """The rows t, z, E_mech, E_elec, E_total of a trajectory, its states
-    stepped again a chunk at a time; ``len`` is the row count."""
+    read a chunk at a time; ``len`` is the row count."""
 
     def __init__(self, traj, en):
         self.traj, self.en = traj, en
@@ -411,8 +417,10 @@ def _write_trajectory(path, traj, en):
     write_csv(path, header, _TrajectoryTable(traj, en))
 
 
+@_stage("simulation", keep=False)
 def report_simulation(run, out_dir):
-    """Steps, energy drift and min E / E(0) of the family the run starts in."""
+    """Steps, energy drift and min E / E(0) of the family the run starts in,
+    from the energies that writing ``trajectory.csv`` fills."""
     sim = run.cfg.simulation
     traj, en = run.simulation()
     _write_trajectory(out_dir / "trajectory.csv", traj, en)
@@ -434,9 +442,9 @@ def report_search(run, out_dir, optional=False):
               np.array([[s.resistance, s.zeta, s.settling_time]
                         for s in report.samples]))
     for name, sample in report.regimes.items():
-        rs, traj = run.evaluator().run(sample)
-        _write_trajectory(out_dir / f"trajectory_{name}.csv", traj,
-                          dynamics.energies(rs, traj))
+        stream = dynamics.energy_stream(*run.evaluator().run(sample))
+        _write_trajectory(out_dir / f"trajectory_{name}.csv", stream,
+                          stream.en)
     return [f"optimal resistance R* {_fmt(report.best.resistance)}, "
             f"zeta {_fmt(report.best.zeta)}",
             *(f"warning: {w}" for w in report.warnings)]

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 import math
 import re
@@ -15,9 +17,11 @@ import pemplate
 from pemplate import assembly, cli, csvfmt, dynamics, modal
 from pemplate.cli import main
 from pemplate.config import load_config, parse_config
-from pemplate.errors import StepStabilityError, ValidationError
+from pemplate.errors import (IntegrationError, StepStabilityError,
+                             ValidationError)
 from pemplate.mesh import generate_structured_square, save_mesh
 
+import oracle
 from oracle import HeldTrajectory, held
 from test_blas import run_child
 
@@ -1267,6 +1271,47 @@ class TestStageGraph:
         assert "[stage simulation] the RK4 step dt = 1 lies outside" in err
         assert "config field" not in err
 
+    def test_state_overflowing_in_the_table_write_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        # with the step check off, a step 3.2 / max |lambda| grows the
+        # highest mode ~3.8x a step: its state overflows partway through
+        # trajectory.csv, in the pass that also fills the energy traces
+        run = cli.Run(load_config(write_cfg(tmp_path, SMALL_CFG)))
+        rs = run.reduced(run.network())
+        dt = 3.2 / np.abs(np.linalg.eigvals(dynamics._rate_matrix(rs))).max()
+        monkeypatch.setattr(dynamics, "_check_step", lambda *args: None)
+        monkeypatch.setattr(dynamics, "default_horizon",
+                            lambda *args: (3000 * dt, dt))
+        with pytest.raises(IntegrationError) as want:
+            oracle.integrate(rs, dynamics.unimodal_ic(
+                rs, run.basis().mechanical_indices()[0]), 3000 * dt, dt)
+        step = int(re.search(r"at step (\d+) ", str(want.value)).group(1))
+        assert csvfmt.CHUNK < step < 3000  # after the table's first chunk
+        failed = []
+        write_csv = cli.write_csv
+
+        def recording(path, *args):
+            try:
+                write_csv(path, *args)
+            except IntegrationError:
+                failed.append(path.name)
+                raise
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        # into a new directory, and into one holding an earlier run's table
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "trajectory.csv").write_text("t\n0\n")
+        for out in (tmp_path / "new" / "out", kept):
+            assert main(["simulate", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"numerical failure: [stage simulation] {want.value}" in err
+            assert "Traceback" not in err
+        assert failed == ["trajectory.csv"] * 2
+        assert not (tmp_path / "new").exists()
+        assert list(kept.iterdir()) == []  # no half-written table
+
     @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
     def test_search_steps_a_stiff_candidate_stably(self, tmp_path):
         # at rho = 0.5 tuning sets L_N ~ 5e-5, so R_N = 5 adds a rate ~150x
@@ -1369,7 +1414,7 @@ class TestStageGraph:
         # table and summary line are written, no reference to it, its times
         # or its energy traces is left
         states = []
-        integrate, energies = dynamics.integrate, dynamics.energies
+        integrate, energy_stream = dynamics.integrate, dynamics.energy_stream
 
         def recording(*args):
             traj = integrate(*args)
@@ -1377,17 +1422,95 @@ class TestStageGraph:
             return traj
 
         def recording_energies(*args):
-            en = energies(*args)
-            states.append(weakref.ref(en.total.base))
-            return en
+            stream = energy_stream(*args)
+            states.append(weakref.ref(stream.en.total.base))
+            return stream
 
         monkeypatch.setattr(dynamics, "integrate", recording)
-        monkeypatch.setattr(dynamics, "energies", recording_energies)
+        monkeypatch.setattr(dynamics, "energy_stream", recording_energies)
         run = cli.Run(load_config(write_cfg(tmp_path, SMALL_CFG + SEARCH)))
         line, = cli.report_simulation(run, tmp_path)
         assert line.startswith("simulation: ")
         # the initial energy's one-row pass, then the simulation's
         assert len(states) == 3 and all(ref() is None for ref in states)
+
+
+class TestSteppedRows:
+    """The rows each pipeline steps (``Trajectory.chunks``, from the row a
+    pass starts at), by reader: a written run is stepped once for its
+    table, whose pass also fills its energy traces, and a doubled search
+    horizon steps on from the shorter run's last block, not from t = 0."""
+
+    # the rows of trajectory.csv and of the sub-critical, critical and
+    # super-critical tables
+    TABLES = {"paper-square": [26165, 4806, 2403, 2403],
+              "clamped-demo": [26653, 10662, 5331, 5331]}
+    # every row paper-square's pipeline steps, the same at one and two BLAS
+    # threads (155,660 when each written run was stepped two or three
+    # times). clamped-demo's search samples other resistances at one
+    # thread (its tied electric pair, ROADMAP S1), so its total is not
+    # pinned: 208,003 rows here at two threads, 218,702 at one
+    TOTAL = {"paper-square": 108043}
+
+    @pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+    def test_each_written_run_is_stepped_once_more(self, tmp_path,
+                                                   monkeypatch, preset):
+        passes, reader = [], ["other"]  # passes: (reader, first row, rows)
+        chunks = dynamics.Trajectory.chunks
+
+        def counted(traj):
+            passes.append((reader[-1], traj.first, len(traj.t)))
+            return chunks(traj)
+
+        def read_by(name, fn):
+            # fn, with the passes it makes counted for name(its argument)
+            def call(arg, *args):
+                reader.append(name(arg))
+                try:
+                    return fn(arg, *args)
+                finally:
+                    reader.pop()
+
+            return functools.wraps(fn)(call)  # keeps evaluate.step, .run
+
+        evaluations = itertools.count()
+        make = dynamics.damping_evaluator
+        monkeypatch.setattr(dynamics.Trajectory, "chunks", counted)
+        monkeypatch.setattr(cli, "write_csv",
+                            read_by(lambda path: path.name, cli.write_csv))
+        monkeypatch.setattr(dynamics, "damping_evaluator", lambda *args: read_by(
+            lambda r: next(evaluations), make(*args)))
+        assert main(["pipeline", "--preset", preset,
+                     "--out", str(tmp_path)]) == 0
+
+        # outside the tables and the search: the initial energy's one row
+        assert [p for p in passes if p[0] == "other"] == [("other", 0, 1)]
+        names = ["trajectory.csv", *(f"trajectory_{regime}.csv" for regime in
+                                     ("sub_critical", "critical",
+                                      "super_critical"))]
+        assert [p for p in passes if isinstance(p[0], str)
+                and p[0] != "other"] == [
+            (name, 0, rows) for name, rows in zip(names, self.TABLES[preset])]
+        runs = {}
+        for evaluation, first, rows in passes:
+            if isinstance(evaluation, int):
+                runs.setdefault(evaluation, []).append((first, rows))
+        doublings = 0
+        for horizons in runs.values():
+            assert horizons[0][0] == 0
+            for (_, shorter), (first, rows) in zip(horizons, horizons[1:]):
+                # from the first row of the block holding the shorter run's
+                # last row: at most BLOCK - 1 of its rows are stepped again
+                assert first == (shorter - 1) // dynamics.BLOCK * dynamics.BLOCK
+                assert shorter < rows
+                doublings += 1
+        assert doublings > 0
+        # each regime table's run was stepped by its own evaluation too
+        final = [horizons[-1][1] for horizons in runs.values()]
+        assert all(rows in final for rows in self.TABLES[preset][1:])
+        if preset in self.TOTAL:
+            assert sum(rows - first for _, first, rows in passes) \
+                == self.TOTAL[preset]
 
 
 # Key numbers of `pipeline --preset paper-square` at the default OpenBLAS

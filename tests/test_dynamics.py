@@ -1149,3 +1149,53 @@ class TestStreamMatchesOracle:
                 ref.t, ref.z, want.mech, want.elec, want.total))
             assert ((tmp_path / "got.csv").read_bytes()
                     == (tmp_path / "want.csv").read_bytes()), rows
+
+
+class TestStabilityPolynomial:
+    """The simulation's stream against RK4's closed form, which shares none
+    of its code. One step multiplies each eigen-component of y by the
+    stability polynomial R(mu) = 1 + mu + mu^2/2 + mu^3/6 + mu^4/24 of
+    mu = h lambda(A), so row k is V R(mu)^k V^-1 y0, and a conservative
+    run's energy after T steps is its initial modal energies weighted by
+    |R(mu)|^2T. A wrong block, chunk or increment moves the drift off the
+    prediction."""
+
+    # the relative gap between measured and predicted drift at the default
+    # thread count; paper-square's is the size of its thread-count spread
+    GAP = {"paper-square": 2.5e-5, "clamped-demo": 6.7e-8}
+
+    @pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+    def test_stream_follows_the_stability_polynomial(self, preset_runs,
+                                                     preset):
+        run = preset_runs[preset]
+        stream, en = run.simulation()
+        steps = len(stream.t) - 1
+        sampled = {0, 1, 63, 64, 65, 255, 256, 257, steps // 2, steps}
+        rows = {}
+        for start, y in stream.chunks():
+            rows.update((k, y[k - start].copy()) for k in sampled
+                        if start <= k < start + len(y))
+        assert rows.keys() == sampled
+        rs = run.reduced(run.network())
+        assert rs.cross_ratio == 0.0  # a conservative run
+        n = rs.n_modes
+        a = np.block([[np.zeros((n, n)), np.eye(n)],
+                      [-np.linalg.solve(rs.k2red, rs.k0red),
+                       -np.linalg.solve(rs.k2red, rs.k1red)]])
+        mu, v = np.linalg.eig(stream.t[1] * a)
+        r = 1 + mu + mu ** 2 / 2 + mu ** 3 / 6 + mu ** 4 / 24
+        c = np.linalg.solve(v, rows[0])
+        for k, y in rows.items():
+            closed = v @ (r ** k * c)
+            assert np.abs(closed - y).max() <= 1e-10 * np.abs(y).max(), k
+
+        # E = (z K0 z + z' K2 z') / 2, split over the eigenvectors
+        q = np.zeros((2 * n, 2 * n))
+        q[:n, :n], q[n:, n:] = rs.k0sym, rs.k2red
+        each = 0.5 * np.abs(c) ** 2 * np.einsum("ij,ik,kj->j", v.conj(), q,
+                                                v).real
+        e_0 = en.total[0]
+        assert abs(each.sum() - e_0) <= 1e-9 * e_0
+        predicted = abs(each @ (np.abs(r) ** (2 * steps) - 1.0)) / e_0
+        drift = np.abs(en.total - e_0).max() / e_0
+        assert abs(predicted - drift) <= 10 * self.GAP[preset] * drift
