@@ -31,9 +31,11 @@ order (OpenBLAS's do, except its small-matrix kernels, which the batch size
 keeps out of the way) therefore give the same matrices, to the last bit, as
 the plain padded two-field evaluation, whatever the batching. So
 triangles whose geometry (b, c, area, mu) agrees bit for bit have bit-equal
-local matrices, and assembly computes them once per distinct geometry: a
-crossed square on a dyadic grid (side 1.0, n a power of 2) has 4, whatever
-n, and a mesh of all-distinct triangles computes every one. (So few
+local matrices, and each assembly pass computes them once per distinct
+geometry: a crossed square on a dyadic grid (side 1.0, n a power of 2) has
+4, whatever n, and a mesh of all-distinct triangles computes every one.
+``assemble`` makes one pass for K2 and K0; K1, which the modal analysis
+never reads, gets its own pass on its first read. (So few
 geometries make a batch small enough for BLAS's small-matrix kernels where
 it has any; OpenBLAS's Haswell kernels give the same bits down to a single
 geometry.) Each triangle's entries are read from its geometry's local
@@ -47,6 +49,7 @@ pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,38 +157,58 @@ def build_dof_map(mesh, bcs=()):
 
 
 # the material blocks each matrix is formed from
-_MATRIX_BLOCKS = (("K2", ("G", "G_B")), ("K1", ("S", "V", "C")),
-                  ("K0", ("T", "E", "R")))
+_MATRIX_BLOCKS = {"k2": ("G", "G_B"), "k1": ("S", "V", "C"),
+                  "k0": ("T", "E", "R")}
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
     """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs.
 
+    K2 and K0 are summed when the system is made. K1, which only the
+    coupling table and the reduced dynamics read, is summed by one more
+    pass over ``plan`` on the first read of ``k1``, and kept.
+
     Its stored entries are finite: one that is not raises a NumericalError
-    naming the first such matrix, its material blocks' sizes and the mesh's
-    span, since their products overflow, not either alone."""
+    where its matrix is summed, naming the matrix, its material blocks'
+    sizes and the mesh's span, since their products overflow, not either
+    alone."""
 
     k2: sp.csr_matrix
-    k1: sp.csr_matrix
     k0: sp.csr_matrix
-    dof_map: DofMap
-    mesh: Mesh
+    plan: ScatterPlan
     material: object
 
     def __post_init__(self):
-        mat = self.material
-        for (name, blocks), m in zip(_MATRIX_BLOCKS, (self.k2, self.k1, self.k0)):
-            if not np.isfinite(m.data).all():
-                sizes = ", ".join(f"max |{b}| = {np.abs(getattr(mat, b)).max():.3g}"
-                                  for b in blocks)
-                dx, dy = np.ptp(self.mesh.nodes, axis=0)
-                raise NumericalError(
-                    f"non-finite {name} entries: the material's magnitudes "
-                    f"({sizes}) on a mesh spanning {dx:.3g} x {dy:.3g} "
-                    "overflow float64; rescale the material parameters or "
-                    "the mesh"
-                )
+        self._check_finite("k2", self.k2)
+        self._check_finite("k0", self.k0)
+
+    def _check_finite(self, name, m):
+        if not np.isfinite(m.data).all():
+            sizes = ", ".join(
+                f"max |{b}| = {np.abs(getattr(self.material, b)).max():.3g}"
+                for b in _MATRIX_BLOCKS[name])
+            dx, dy = np.ptp(self.mesh.nodes, axis=0)
+            raise NumericalError(
+                f"non-finite {name.upper()} entries: the material's magnitudes "
+                f"({sizes}) on a mesh spanning {dx:.3g} x {dy:.3g} "
+                "overflow float64; rescale the material parameters or "
+                "the mesh"
+            )
+
+    @cached_property
+    def k1(self):
+        k1, = _sum_matrices(self.plan, self.material, ("k1",))
+        self._check_finite("k1", k1)
+        return k1
+
+    @property
+    def mesh(self):
+        return self.plan.mesh
+
+    @property
+    def dof_map(self):
+        return self.plan.dof_map
 
     @property
     def n_free(self):
@@ -277,8 +300,8 @@ def _slot_contraction(coef):
     return out.reshape(k * 12, f * 12)
 
 
-def _local_matrix_batch(slots, area, mat, quad):
-    """Local K2, K1, K0 (nel, 12, 12), DOFs in ``_FIELD_ORDER``.
+def _local_matrix_batch(slots, area, mat, quad, names=("k2", "k1", "k0")):
+    """The local matrices ``names`` (nel, 12, 12), DOFs in ``_FIELD_ORDER``.
 
     Every DOF lives in one field, so the two-field shape matrix N of slot h
     is the slot's values spread over the field rows; N_eps = sum_h H_h N_h
@@ -327,16 +350,18 @@ def _local_matrix_batch(slots, area, mat, quad):
             out[:, 9:] = np.matmul(v[:, 9:], tb[:, :, 1])
         return out * area[:, None, None]
 
-    k2 = -(bilin(n, w_u @ mat.G, n)
-           + bilin(n1, w_u @ mat.G_B, n1)
-           + bilin(n2, w_u @ mat.G_B, n2))
-    k1 = -(bilin(n, w_u @ mat.S, n)
-           + bilin(n, w_u @ mat.V, neps)
-           - bilin(neps, w_eps @ mat.C, n))
-    k0 = -(bilin(n, w_u @ mat.T, n)
-           - bilin(neps, w_eps @ mat.E, neps)
-           - bilin(neps, w_eps @ mat.R, n))
-    return k2, k1, k0
+    forms = {
+        "k2": lambda: -(bilin(n, w_u @ mat.G, n)
+                        + bilin(n1, w_u @ mat.G_B, n1)
+                        + bilin(n2, w_u @ mat.G_B, n2)),
+        "k1": lambda: -(bilin(n, w_u @ mat.S, n)
+                        + bilin(n, w_u @ mat.V, neps)
+                        - bilin(neps, w_eps @ mat.C, n)),
+        "k0": lambda: -(bilin(n, w_u @ mat.T, n)
+                        - bilin(neps, w_eps @ mat.E, neps)
+                        - bilin(neps, w_eps @ mat.R, n)),
+    }
+    return tuple(forms[name]() for name in names)
 
 
 def local_matrices(geom, mat):
@@ -472,27 +497,16 @@ def scatter_plan(mesh, bcs, dof_map):
                        position=by_length.astype(np.int32))
 
 
-def assemble(mesh, mat, bcs=(), workspace=None):
-    """Assemble the global system and eliminate constrained DOFs.
-
-    ``workspace`` is the :class:`ScatterPlan` of ``mesh`` under ``bcs``, for
-    callers that assemble several materials on one mesh (the CLI builds one
-    per run); without one, the plan is built here. A plan of another mesh
-    or other boundary conditions raises ``ValidationError``. Raises
-    ``NumericalError`` when the material's magnitudes on the mesh's lengths
-    overflow the system (:class:`AssembledSystem`).
-    """
+def _sum_matrices(plan, mat, names):
+    """The free-DOF CSR matrices ``names`` of ``mat`` on ``plan``'s mesh:
+    one pass over its distinct geometries, in near-equal batches of at most
+    ``_CHUNK``, and ``plan.collect``'s sums. Each matrix's forms are
+    computed on their own, so a pass gives the same bits whatever else it
+    sums."""
     quad = el.triangle_quadrature()
-    plan = workspace
-    if plan is None:
-        plan = scatter_plan(mesh, bcs, build_dof_map(mesh, bcs))
-    elif plan.mesh is not mesh or plan.bcs != tuple(bcs):
-        raise ValidationError("a scatter plan serves the mesh and the boundary "
-                              "conditions it was built for")
-    first = plan.first
-
+    mesh, first = plan.mesh, plan.first
     tables = _monomial_tables(quad)
-    local = np.empty((3, len(first), 12, 12))
+    local = np.empty((len(names), len(first), 12, 12))
     # near-equal batches: a much smaller last batch would go through BLAS's
     # small-matrix kernels, which need not add products in index order
     n_batches = -(-len(first) // _CHUNK)
@@ -502,10 +516,30 @@ def assemble(mesh, mat, bcs=(), workspace=None):
         for part in map(slice, edges[:-1], edges[1:]):
             chunk = el.triangle_geometry(mesh.nodes[mesh.triangles[first[part]]])
             slots = _chunk_slots(chunk, quad, tables)
-            local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad)
-        k2, k1, k0 = (plan.collect(m.ravel()) for m in local)
-    return AssembledSystem(k2=k2, k1=k1, k0=k0, dof_map=plan.dof_map,
-                           mesh=mesh, material=mat)
+            local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad,
+                                                 names)
+        return tuple(plan.collect(m.ravel()) for m in local)
+
+
+def assemble(mesh, mat, bcs=(), workspace=None):
+    """Assemble the global system and eliminate constrained DOFs: K2 and K0
+    here, K1 on its first read (:class:`AssembledSystem`).
+
+    ``workspace`` is the :class:`ScatterPlan` of ``mesh`` under ``bcs``, for
+    callers that assemble several materials on one mesh (the CLI builds one
+    per run); without one, the plan is built here; the system keeps it,
+    for K1. A plan of another mesh or other boundary conditions raises
+    ``ValidationError``. Raises ``NumericalError`` when the material's
+    magnitudes on the mesh's lengths overflow K2 or K0 (K1: its first read).
+    """
+    plan = workspace
+    if plan is None:
+        plan = scatter_plan(mesh, bcs, build_dof_map(mesh, bcs))
+    elif plan.mesh is not mesh or plan.bcs != tuple(bcs):
+        raise ValidationError("a scatter plan serves the mesh and the boundary "
+                              "conditions it was built for")
+    k2, k0 = _sum_matrices(plan, mat, ("k2", "k0"))
+    return AssembledSystem(k2=k2, k0=k0, plan=plan, material=mat)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,19 @@ byte-identical bodies: :mod:`.csvfmt` formats numeric tables with array
 operations and hands the values whose last digit it cannot be sure of, and
 non-finite values and zeros, to ``%`` itself. Reports ask
 one :class:`Run`, a memoized stage graph, for what they report; a stage runs
-once per run (``system``, ``modes``, ``coupling`` and ``reduced`` once per
-network), and only ``Run`` assembles or solves a network::
+once per run (``system``, ``first_order``, ``modes``, ``coupling`` and
+``reduced`` once per network), and only ``Run`` assembles or solves a
+network::
 
     mesh -> system(net) -> mechanical modes (one set serves every network)
                         -> modes(net) -> network (L_N tuned by [tuning])
+                        -> first_order(net) -> coupling(net)
          -> basis -> reduced(net) -> tuned pair -> simulation, search
+
+``system`` sums K2 and K0, the pencil of the modal analysis; ``first_order``
+sums K1, which only ``coupling`` and ``reduced`` read. So ``modes`` sums no
+K1, ``coupling`` the configured network's, and ``tune``, ``simulate``,
+``optimize-r`` and a tuned ``pipeline`` only the tuned network's.
 
 The tuned pair must couple: ``tune``, a tuned simulation and the search
 fail on it before anything is integrated. The simulation is the one stage
@@ -228,6 +235,14 @@ class Run:
         return assemble(plan.mesh, build_material(self.cfg.plate, net),
                         self.cfg.bcs, workspace=plan)
 
+    @_stage("assembly")
+    def first_order(self, net):
+        """The system of ``net`` with its K1 summed, here so that an
+        overflowing K1 fails at this stage."""
+        sys = self.system(net)
+        sys.k1  # the first read sums it
+        return sys
+
     @_stage("modal")
     def mechanical_modes(self):
         """Bending-family modes, the same for every network: L_N, R_N and
@@ -251,7 +266,7 @@ class Run:
 
     @_stage("coupling")
     def coupling(self, net):
-        return modal.coupling_table(*self.modes(net), self.system(net))
+        return modal.coupling_table(*self.modes(net), self.first_order(net))
 
     @_stage("modal")
     def basis(self):
@@ -261,7 +276,7 @@ class Run:
     @_stage("modal")
     def reduced(self, net):
         """The system of ``net`` reduced on the retained basis."""
-        return reduce(self.system(net), self.basis())
+        return reduce(self.first_order(net), self.basis())
 
     @_stage("tuning")
     def tuned_pair(self):

@@ -27,6 +27,7 @@ from pemplate.element import (
 from pemplate.errors import NumericalError, ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
 from pemplate.mesh import Mesh, generate_structured_square
+from pemplate.modal import solve_family_modes
 
 
 def material(coupling=(0.1, 0.1, 0.0), l_n=1.0, r_n=0.0, c_n=1.0, g_n=0.0):
@@ -509,9 +510,9 @@ def count_local_batches(monkeypatch):
     sizes = []
     batch = assembly._local_matrix_batch
 
-    def counted(slots, area, mat, quad):
+    def counted(slots, area, *args):
         sizes.append(len(area))
-        return batch(slots, area, mat, quad)
+        return batch(slots, area, *args)
 
     monkeypatch.setattr(assembly, "_local_matrix_batch", counted)
     return sizes
@@ -538,6 +539,17 @@ class TestAssemble:
         with pytest.raises(NumericalError,
                            match=r"non-finite K0 .*max \|E\| = 1e\+306"):
             assemble(mesh, mat, bcs_ss())
+
+    def test_overflowing_k1_fails_on_its_first_read(self):
+        # g_me = 1e307 overflows only K1's coupling forms: the system, whose
+        # K2 and K0 the modal analysis reads, is made, and the read that
+        # sums K1 names it and its blocks
+        mesh = generate_structured_square(4, 1.0, "crossed")
+        sys = assemble(mesh, material(coupling=(1e307, 1e307, 0.0)), bcs_ss())
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=r"^non-finite K1 .*"
+                               r"max \|V\| = 1e\+307, max \|C\| = 1e\+307"):
+                sys.k1
 
     def test_overflowing_geometry_names_the_mesh_span(self):
         # a valid mesh on a unit material can still overflow K2's rotary
@@ -617,17 +629,25 @@ class TestAssemble:
         mat = material(l_n=0.37, r_n=0.3, g_n=0.2)
         bcs = [BoundaryCondition("boundary", "clamped")]
         want = coo_oracle(mesh, mat, bcs)
+        # K1 read after a family solve, as a run reads it
+        sys = assemble(mesh, mat, bcs)
+        solve_family_modes(sys, "mechanical", 2)
+        assert_bits_equal(sys, want)
         sizes = count_local_batches(monkeypatch)
-        # 36 triangles: 8 batches of 5, or one batch of 512
+        # 36 triangles: 8 batches of 5, or one batch of 512, in each pass:
+        # K2 and K0's when the system is made, K1's on its first read only
         for chunk in (5, 512):
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
             for pinned in (True, False):
                 sizes.clear()
                 with blas.numpy_blas_single_thread() if pinned else nullcontext():
                     sys = assemble(mesh, mat, bcs)
+                    one_pass = list(sizes)
+                    sys.k1
                 assert_bits_equal(sys, want)
-                assert sum(sizes) == mesh.n_triangles
-                assert len(sizes) == -(-mesh.n_triangles // chunk)
+                assert sum(one_pass) == mesh.n_triangles
+                assert len(one_pass) == -(-mesh.n_triangles // chunk)
+                assert sizes == 2 * one_pass
 
     @pytest.mark.parametrize("n, side, distinct", [
         (4, 1.0, 4),  # dyadic: every coordinate difference is exact
@@ -644,9 +664,15 @@ class TestAssemble:
         bcs = [BoundaryCondition("boundary", "clamped")]
         want = coo_oracle(mesh, mat, bcs)
         sizes = count_local_batches(monkeypatch)
-        assert_bits_equal(assemble(mesh, mat, bcs), want)
+        sys = assemble(mesh, mat, bcs)
+        made = sum(sizes)
+        assert_bits_equal(sys, want)
+        # each distinct geometry once per pass: K2 and K0's when the system
+        # is made, K1's on its first read
+        assert sum(sizes) == 2 * made == 2 * len(scatter_plan(
+            mesh, bcs, build_dof_map(mesh, bcs)).first)
         if distinct is not None:
-            assert sum(sizes) == distinct
+            assert made == distinct
 
     def test_gather_takes_the_smallest_index_type(self):
         # 484 distinct geometries hold 69,696 entries, past uint16: the

@@ -462,6 +462,27 @@ class TestCommands:
         assert "[stage assembly] non-finite K0 entries" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, code", [
+        ("modes", 0), ("coupling", 2), ("tune", 2), ("pipeline", 2)])
+    def test_overflowing_k1_fails_only_the_stages_that_read_it(
+            self, tmp_path, capsys, command, code):
+        # g_me = 1e307 overflows K1 alone: the modal analysis never sums
+        # it, and each stage that reads it fails at the assembly stage
+        # (tune and pipeline on the tuned network, whose C scales with L_N)
+        text = SMALL_CFG.replace("g_me = 0.1 0.1 0.0", "g_me = 1e307 1e307 0.0")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert ("[stage assembly] non-finite K1 entries: the material's "
+                    "magnitudes (max |S| = 0, max |V| = 1e+307, max |C| = "
+                    ) in err
+            assert not out.exists()
+        else:
+            assert (out / "modes.csv").is_file()
+
     @pytest.mark.parametrize("key, count, dense_limit, most", [
         # the n = 4 crossed square has 107 bending and 25 electric free DOFs;
         # a dense solve gives them all, a sparse one one fewer
@@ -1105,14 +1126,32 @@ class TestStageGraph:
         # assemble builds its own DOF map and plan when it is given no plan
         for name in ("build_dof_map", "scatter_plan"):
             monkeypatch.setattr(assembly, name, getattr(cli, name))
-        run_cli("pipeline", write_cfg(tmp_path, SMALL_CFG + SEARCH),
-                tmp_path / "out")
+        # the networks whose K1 is summed
+        first_order = []
+        sum_matrices = assembly._sum_matrices
+
+        def summing(plan, mat, names):
+            if "k1" in names:
+                first_order.append(mat.network)
+            return sum_matrices(plan, mat, names)
+
+        monkeypatch.setattr(assembly, "_sum_matrices", summing)
+        cfg = write_cfg(tmp_path, SMALL_CFG + SEARCH)
+        out = run_cli("pipeline", cfg, tmp_path / "out")
         # the untuned and the tuned conservative systems (the search scales
         # R_N into the tuned one's reduction), both from the mesh stage's
         # one DOF map and scatter plan; one mechanical family for every
         # network, one electric family each
         assert counts == {"assemble": 2, "solve_family_modes": 3,
                           "build_dof_map": 1, "scatter_plan": 1}
+        # K1 only for the tuned network, whose coupling and reduction read it
+        tuned = float((out / "summary.txt").read_text().split(
+            "tuned L_N: ")[1].split(" -> ")[1].split()[0])
+        assert [net.inductance for net in first_order] == [tuned]
+        # the modal analysis reads no K1
+        first_order.clear()
+        run_cli("modes", cfg, tmp_path / "modes")
+        assert first_order == []
 
     def test_pipeline_with_conductance_assembles_only_conservative_networks(
             self, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pemplate import blas, cli, modal
+from pemplate import assembly, blas, cli, modal
 from pemplate.assembly import BoundaryCondition, assemble
 from pemplate.config import load_config
 from pemplate.errors import NumericalError, ValidationError
@@ -219,17 +219,22 @@ def test_dense_branch_names_a_block_that_is_not_finite(square4, family,
 
 @pytest.mark.parametrize("matrix", ["k2", "k1", "k0"])
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_system_with_an_entry_that_is_not_finite_is_not_made(square4, matrix,
-                                                             value):
+def test_system_with_an_entry_that_is_not_finite_is_not_made(
+        square4, matrix, value, monkeypatch):
     # neither family solve checks its blocks for inf and nan, and K1 reaches
-    # the reduction unsolved: the system itself refuses the entry. A sparse
-    # solve of square4 with inf on K0's diagonal once returned wrong
-    # frequencies and no error.
+    # the reduction unsolved: the system itself refuses the entry, K1 on
+    # the read that sums it. A sparse solve of square4 with inf on K0's
+    # diagonal once returned wrong frequencies and no error.
     bad = getattr(square4, matrix).tolil()
     bad[0, 0] = value
     with pytest.raises(NumericalError,
                        match=f"^non-finite {matrix.upper()} entries: "):
-        dataclasses.replace(square4, **{matrix: bad.tocsr()})
+        if matrix == "k1":
+            monkeypatch.setattr(assembly, "_sum_matrices",
+                                lambda *args: (bad.tocsr(),))
+            dataclasses.replace(square4).k1
+        else:
+            dataclasses.replace(square4, **{matrix: bad.tocsr()})
 
 
 FAMILIES = ("mechanical", "electric")
