@@ -28,11 +28,12 @@ K1, ``coupling`` the configured network's, and ``tune``, ``simulate``,
 
 The tuned pair must couple: ``tune``, a tuned simulation and the search
 fail on it before anything is integrated. The simulation is the one stage
-not kept: its energy traces leave memory once ``trajectory.csv`` and its
-summary line are written. No run holds a state history: a trajectory's
-states are stepped, a chunk of rows at a time, by the one pass that writes
-its table and fills its energy traces. Tables are written one chunk of rows
-at a time (:class:`.csvfmt.Columns`).
+not kept: its trajectory, and the energy traces its table fills, leave
+memory once ``trajectory.csv`` and its summary line are written. No run
+holds a state history: a trajectory's states are stepped, a chunk of rows
+at a time, by the one pass that writes its table, and that table owns the
+energy traces the pass fills (:func:`.dynamics.energy_chunks`). Tables are
+written one chunk of rows at a time (:class:`.csvfmt.Columns`).
 
 Every network a run assembles is conservative (R_N = G_N = 0), made once
 from the configured one; the search scales R_N and G_N into the simulation's
@@ -297,12 +298,12 @@ class Run:
 
     @_stage("simulation", keep=False)
     def simulation(self):
-        """(trajectory, energies) over ``beats`` beat periods, at the step
-        :func:`.dynamics.default_horizon` chooses: the drive period over
-        ``steps_per_period``, capped by :func:`.dynamics.step`'s stability
-        limit and by :func:`.dynamics.suggested_dt`. The energies fill as
-        its one reader, :func:`report_simulation`, writes the trajectory,
-        and lets both go: not memoized."""
+        """(reduced system, trajectory) over ``beats`` beat periods, at
+        the step :func:`.dynamics.default_horizon` chooses: the drive
+        period over ``steps_per_period``, capped by :func:`.dynamics.step`'s
+        stability limit and by :func:`.dynamics.suggested_dt`. Its one
+        reader, :func:`report_simulation`, writes the trajectory with its
+        energies and lets both go: not memoized."""
         sim = self.cfg.simulation
         if self.cfg.tune_mech is not None:
             self.tuned_pair()
@@ -326,10 +327,9 @@ class Run:
                 f"config field [simulation] {key} = {getattr(sim, key):g} "
                 f"gives the initial energy E_0 = {e_0:g}; it must be finite "
                 "and positive")
-        stream = dynamics.energy_stream(rs, dynamics.integrate(
+        return rs, dynamics.integrate(
             rs, ic, *dynamics.default_horizon(rs, drive, sim.beats,
-                                              sim.steps_per_period)))
-        return stream, stream.en
+                                              sim.steps_per_period))
 
     @_stage("resistance-search")
     def evaluator(self):
@@ -406,30 +406,34 @@ def report_coupling(run, out_dir, tuned=True, raw=False):
 
 
 class _TrajectoryTable:
-    """The rows t, z, E_mech, E_elec, E_total of a trajectory, its states
-    read a chunk at a time; ``len`` is the row count."""
+    """The rows t, z, E_mech, E_elec, E_total of the trajectory ``traj`` of
+    ``rs``, its states read a chunk at a time; ``len`` is the row count.
+    It owns the energy traces ``en``, which the pass that reads its rows
+    fills."""
 
-    def __init__(self, traj, en):
-        self.traj, self.en = traj, en
+    def __init__(self, rs, traj):
+        self.rs, self.traj = rs, traj
+        self.en = dynamics.energy_traces(traj)
 
     def __len__(self):
         return len(self.traj.t)
 
     def chunks(self):
         t, en, n = self.traj.t, self.en, self.traj.n_modes
-        done = 0  # the last chunk repeats rows of the one before
-        for start, y in self.traj.chunks():
-            stop = start + len(y)
-            rows = slice(done, stop)
-            yield from Columns(t[rows], y[done - start:, :n], en.mech[rows],
+        for start, y in dynamics.energy_chunks(self.rs, self.traj, en):
+            rows = slice(start, start + len(y))
+            yield from Columns(t[rows], y[:, :n], en.mech[rows],
                                en.elec[rows], en.total[rows]).chunks()
-            done = stop
 
 
-def _write_trajectory(path, traj, en):
+def _write_trajectory(path, rs, traj):
+    """Writes the table of ``traj``, a trajectory of ``rs``, and returns
+    the energy traces the write filled."""
+    table = _TrajectoryTable(rs, traj)
     header = ["t", *(f"z_{k + 1}" for k in range(traj.n_modes)),
               "E_mech", "E_elec", "E_total"]
-    write_csv(path, header, _TrajectoryTable(traj, en))
+    write_csv(path, header, table)
+    return table.en
 
 
 @_stage("simulation", keep=False)
@@ -437,14 +441,13 @@ def report_simulation(run, out_dir):
     """Steps, energy drift and min E / E(0) of the family the run starts in,
     from the energies that writing ``trajectory.csv`` fills."""
     sim = run.cfg.simulation
-    traj, en = run.simulation()
-    _write_trajectory(out_dir / "trajectory.csv", traj, en)
+    en = _write_trajectory(out_dir / "trajectory.csv", *run.simulation())
     drift = float(np.abs(en.total - en.total[0]).max() / en.total[0])
     # an impulse loads the bending field whatever family sets the horizon
     family = ("elec" if sim.ic == "unimodal" and sim.family == "electric"
               else "mech")
     energy = getattr(en, family)
-    return [f"simulation: {len(traj.t) - 1} steps, drift {_fmt(drift)}, "
+    return [f"simulation: {len(en.total) - 1} steps, drift {_fmt(drift)}, "
             f"min E_{family}/E_0 {_fmt(float(energy.min() / energy[0]))}"]
 
 
@@ -457,9 +460,8 @@ def report_search(run, out_dir, optional=False):
               np.array([[s.resistance, s.zeta, s.settling_time]
                         for s in report.samples]))
     for name, sample in report.regimes.items():
-        stream = dynamics.energy_stream(*run.evaluator().run(sample))
-        _write_trajectory(out_dir / f"trajectory_{name}.csv", stream,
-                          stream.en)
+        _write_trajectory(out_dir / f"trajectory_{name}.csv",
+                          *run.evaluator().run(sample))
     return [f"optimal resistance R* {_fmt(report.best.resistance)}, "
             f"zeta {_fmt(report.best.zeta)}",
             *(f"warning: {w}" for w in report.warnings)]

@@ -17,7 +17,7 @@ increment matrix D once, and from it the increments of 1 to ``BLOCK`` steps,
 ``BLOCK`` output rows at a time. No state history is held: a
 :class:`Trajectory` steps its states each time it is read, ``CHUNK`` rows at
 a time, and a table's pass fills the energy traces as it goes
-(:class:`EnergyStream`), so a run holds its 1-D traces (time, energies) and
+(:func:`energy_chunks`), so a run holds its 1-D traces (time, energies) and
 a few chunks of states whatever its horizon, and a written run is stepped
 once, for its table.
 
@@ -44,8 +44,8 @@ import numpy as np
 from . import assembly as asm
 from .csvfmt import CHUNK
 from .element import specht_shape_functions, triangle_geometry
-from .errors import (IntegrationError, StepStabilityError, StiffStepError,
-                     ValidationError)
+from .errors import (IntegrationError, NumericalError, StepStabilityError,
+                     StiffStepError, ValidationError)
 # unused here; kept importable because benchmarks/tracer.py patches it
 from .material import build_material  # noqa: F401
 
@@ -194,9 +194,9 @@ class Trajectory:
 @dataclass(frozen=True)
 class EnergyTraces:
     mech: np.ndarray
-    elec: np.ndarray = None
-    cross: np.ndarray = None
-    total: np.ndarray = None
+    elec: np.ndarray
+    cross: np.ndarray
+    total: np.ndarray
 
 
 def integrate(rs, ic, t_f, dt):
@@ -341,66 +341,51 @@ def _family_energy(rs, family):
                                 + _quadratic_trace(z, k0, z))
 
 
-@dataclass(frozen=True)
-class EnergyStream:
-    """The trajectory ``traj`` of ``rs``, read with its energy traces
-    ``en``: each chunk is handed on once ``en`` holds its rows, so the pass
-    that serves a reader (a table) fills them. ``en`` may hold E_mech alone."""
-
-    rs: object
-    traj: object
-    en: EnergyTraces
-    t = property(lambda self: self.traj.t)
-    n_modes = property(lambda self: self.traj.n_modes)
-
-    def chunks(self):
-        rs, en, n, r = self.rs, self.en, self.rs.n_modes, self.rs.cross_ratio
-        mech = _family_energy(rs, "mechanical")
-        elec = _family_energy(rs, "electric")
-        m2_elec = _family_block(rs, rs.k2red, "electric")
-        for start, y in self.traj.chunks():
-            rows = slice(start, start + len(y))
-            z, zd = y[:, :n], y[:, n:]
-            en.mech[rows] = mech(z, zd)
-            if en.elec is not None:
-                en.elec[rows] = elec(z, zd)
-                if r != 0.0:
-                    en.cross[rows] = r * _quadratic_trace(zd, m2_elec, z)
-                    en.cross[rows] += (_quadratic_trace(z, m2_elec, z)
-                                       * (0.5 * r * r))
-                total = en.total[rows]
-                np.add(en.mech[rows], en.elec[rows], out=total)
-                total += en.cross[rows]
-            yield start, y
-
-
-def energy_stream(rs, traj):
-    """``traj`` with its four energy traces, filled as it is read. Raises
-    :class:`IntegrationError` naming the step count if the traces cannot
-    be allocated."""
+def energy_traces(traj):
+    """Zeroed energy traces, an entry per row of ``traj``. Raises
+    :class:`IntegrationError` naming the step count if they cannot be
+    allocated."""
     try:
-        en = EnergyTraces(*np.zeros((4, len(traj.t))))
+        return EnergyTraces(*np.zeros((4, len(traj.t))))
     except MemoryError:
         raise IntegrationError(f"cannot allocate the energy traces of "
                                f"{len(traj.t) - 1} steps") from None
-    return EnergyStream(rs, traj, en)
 
 
-def mechanical_energy(rs, traj):
-    """Bending-family energy trace, the one the damping fit reads."""
-    en = EnergyTraces(np.empty(len(traj.t)))
-    for _ in EnergyStream(rs, traj, en).chunks():
-        pass
-    return en.mech
+def energy_chunks(rs, traj, en):
+    """(start, y) over the rows of ``traj``, a trajectory of ``rs``, from
+    row ``first``: each row once and in order, each chunk handed on once
+    ``en`` holds its energies, so the pass that serves a reader (a table)
+    fills the traces. The traces are formed on whole chunks
+    (:meth:`Trajectory.chunks`); the last one's y is only the rows the
+    chunk before did not hold."""
+    n, r = rs.n_modes, rs.cross_ratio
+    mech = _family_energy(rs, "mechanical")
+    elec = _family_energy(rs, "electric")
+    m2_elec = _family_block(rs, rs.k2red, "electric")
+    done = traj.first
+    for start, y in traj.chunks():
+        rows = slice(start, start + len(y))
+        z, zd = y[:, :n], y[:, n:]
+        en.mech[rows] = mech(z, zd)
+        en.elec[rows] = elec(z, zd)
+        if r != 0.0:
+            en.cross[rows] = r * _quadratic_trace(zd, m2_elec, z)
+            en.cross[rows] += _quadratic_trace(z, m2_elec, z) * (0.5 * r * r)
+        total = en.total[rows]
+        np.add(en.mech[rows], en.elec[rows], out=total)
+        total += en.cross[rows]
+        yield done, y[done - start:]
+        done = rows.stop
 
 
 def energies(rs, traj):
-    """Per-family energy traces: :func:`energy_stream` read to its end.
+    """Per-family energy traces: :func:`energy_chunks` read to its end.
     What is held is the four T-vectors returned and one chunk's products."""
-    stream = energy_stream(rs, traj)
-    for _ in stream.chunks():
+    en = energy_traces(traj)
+    for _ in energy_chunks(rs, traj, en):
         pass
-    return stream.en
+    return en
 
 
 def beat_period(rs, index_a, index_b):
@@ -476,7 +461,7 @@ class DampingFit:
     realized_decay: float = 1.0
 
 
-def fit_damping(traj, energy_trace, omega_ref, beat_period=None):
+def fit_damping(t, energy_trace, omega_ref, beat_period=None):
     """Damping ratio from a least-squares line through log envelope peaks.
 
     The mechanical energy decays like exp(-2 zeta omega t), so
@@ -488,12 +473,12 @@ def fit_damping(traj, energy_trace, omega_ref, beat_period=None):
     peaks = envelope_peaks(energy_trace)
     peaks = peaks[energy_trace[peaks] > 1e-300]
     if beat_period is not None and math.isfinite(beat_period) and len(peaks) > 1:
-        crests = beat_crests(traj.t, energy_trace, peaks, 0.45 * beat_period)
+        crests = beat_crests(t, energy_trace, peaks, 0.45 * beat_period)
         if len(crests) >= 2:
             peaks = crests
     if len(peaks) < 2:
         return DampingFit(zeta=0.0, n_peaks=len(peaks))
-    tt = traj.t[peaks]
+    tt = t[peaks]
     vals = energy_trace[peaks]
     slope = np.polyfit(tt, np.log(vals), 1)[0]
     return DampingFit(zeta=max(0.0, -slope / (2.0 * omega_ref)),
@@ -603,19 +588,20 @@ def damping_evaluator(reduced, basis, mode_index, partner):
         rs, dt = candidate_step(resistance)
         ic = unimodal_ic(rs, mode_index)
         tb = beat_period(rs, mode_index, partner)
+        energy, n = _family_energy(rs, "mechanical"), rs.n_modes
         horizon = SEARCH_BEATS * tb
         for extension in range(MAX_EXTENSIONS + 1):
             if extension:
                 horizon *= 2.0
             traj = integrate(rs, ic, horizon, dt)
-            en = EnergyTraces(np.empty(len(traj.t)))
+            trace = np.empty(len(traj.t))
             if extension:  # the shorter run's rows are this one's
-                traj = traj.resumed(*last)
-                en.mech[:traj.first] = mech[:traj.first]
-            for last in EnergyStream(rs, traj, en).chunks():
-                pass
-            mech = en.mech
-            fit = fit_damping(traj, mech, omega_ref, beat_period=tb)
+                traj = traj.resumed(start, y)
+                trace[:traj.first] = mech[:traj.first]
+            mech = trace
+            for start, y in traj.chunks():
+                mech[start:start + len(y)] = energy(y[:, :n], y[:, n:])
+            fit = fit_damping(traj.t, mech, omega_ref, beat_period=tb)
             converged = (fit.n_peaks >= MIN_ENVELOPE_PEAKS
                          and fit.realized_decay < 0.7)
             if converged:
@@ -644,7 +630,9 @@ def optimize_resistance(evaluate, bracket):
     single-peaked (or peaks at an endpoint) the search falls back to a fine
     grid scan and records a warning. The report carries sub-critical,
     near-critical and super-critical sample runs at R*/10, R* and 10 R*,
-    and a warning naming every resistance whose fit did not converge.
+    and a warning naming every resistance whose fit did not converge. A
+    regime run too stiff to step, which may lie outside the bracket, raises
+    :class:`NumericalError` naming the regime, R* and its resistance.
 
     The coarse scan runs stiffest (largest R_N) first, so a bracket with a
     candidate too stiff to step (:class:`StiffStepError`) fails on its first
@@ -704,11 +692,19 @@ def optimize_resistance(evaluate, bracket):
                 fd = sample(math.exp(d)).zeta
         best_r = math.exp(0.5 * (a + b))
 
+    def regime(name, at, r):
+        try:
+            return evaluate(r)
+        except StiffStepError as exc:
+            raise NumericalError(
+                f"the {name} regime's run at {at} = {r:g} (R* = {best_r:g}) "
+                f"cannot be stepped: {exc}") from None
+
     best = evaluate(best_r)
     regimes = {
-        "sub_critical": evaluate(best_r / 10.0),
+        "sub_critical": regime("sub_critical", "R*/10", best_r / 10.0),
         "critical": best,
-        "super_critical": evaluate(best_r * 10.0),
+        "super_critical": regime("super_critical", "10 R*", best_r * 10.0),
     }
     ordered = tuple(sorted(samples.values(), key=lambda s: s.resistance))
     unconverged = sorted({s.resistance for s in (*ordered, *regimes.values())

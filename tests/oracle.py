@@ -4,7 +4,8 @@
 ``integrate`` and ``energies`` here are the forms that held the T x 2n state
 history at once; ``dynamics`` now steps the states a chunk at a time and
 holds none. :class:`HeldTrajectory` is a history held whole, which the
-package's readers take as they take a streamed one (``t`` and ``chunks()``).
+package's readers take as they take a streamed one (``t``, ``first`` and
+``chunks()``).
 """
 
 import math
@@ -18,10 +19,11 @@ from pemplate.errors import IntegrationError, ValidationError
 
 @dataclass(frozen=True)
 class HeldTrajectory:
-    """A state history y = (z, z') held as one (T, 2n) array."""
+    """A state history y = (z, z') held as one (T, 2n) array, from row 0."""
 
     t: np.ndarray
     y: np.ndarray
+    first = 0
 
     @property
     def n_modes(self):

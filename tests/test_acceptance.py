@@ -240,7 +240,7 @@ def test_criterion_8_surrogate_oracle(tuned8):
         for _ in range(4):
             traj = dynamics.integrate(s, ic, horizon, t1 / 60)
             en = dynamics.energies(s, traj)
-            fit = dynamics.fit_damping(traj, en.mech, omega, beat_period=tb)
+            fit = dynamics.fit_damping(traj.t, en.mech, omega, beat_period=tb)
             if fit.n_peaks >= 4 and fit.realized_decay < 0.7:
                 break
             horizon *= 2

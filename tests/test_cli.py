@@ -819,18 +819,21 @@ class TestWriter:
     def test_trajectory_table_is_written_a_chunk_at_a_time(self, tmp_path):
         # a 26k-step trajectory of 16 modes, read a chunk of states at a
         # time: a whole-table copy (4.3 MB) fails the bound; a chunk's
-        # temporaries take ~270 B per cell
+        # temporaries take ~270 B per cell, and the four energy traces the
+        # table fills 0.85 MB
         rng = np.random.default_rng(5)
         steps, n = 26652, 16
         state = rng.standard_normal((steps + 1, 2 * n))
         traj = HeldTrajectory(t=1e-3 * np.arange(steps + 1), y=state)
-        mech, elec = rng.random((2, steps + 1))
-        en = dynamics.EnergyTraces(mech=mech, elec=elec, cross=0.0 * mech,
-                                   total=mech + elec)
-        cli._write_trajectory(tmp_path / "warm.csv", traj, en)  # the tables
+        modes = modal.ModeSet(omegas=np.ones(n), vectors=np.eye(n),
+                              labels=("mechanical", "electric") * (n // 2))
+        rs = modal.ReducedSystem(k2red=np.eye(n), k1red=np.zeros((n, n)),
+                                 k0red=np.eye(n), k0sym=np.eye(n),
+                                 modes=modes, cross_ratio=0.0)
+        cli._write_trajectory(tmp_path / "warm.csv", rs, traj)  # the tables
         tracemalloc.start()
         try:
-            cli._write_trajectory(tmp_path / "t.csv", traj, en)
+            cli._write_trajectory(tmp_path / "t.csv", rs, traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -968,8 +971,8 @@ class TestWriter:
 
         calls = []
         monkeypatch.setattr(csvfmt, "FMT", CountingFormat("%.17g"))
-        traj, en = cli.Run(load_config(write_cfg(tmp_path, IMPULSE_CFG))).simulation()
-        traj = held(traj)
+        rs, traj = cli.Run(load_config(write_cfg(tmp_path, IMPULSE_CFG))).simulation()
+        traj, en = held(traj), dynamics.energies(rs, traj)
         table = np.column_stack([traj.t, traj.z, en.mech, en.elec, en.total])
         assert table.size > 10_000
         assert b"".join(csvfmt.format_rows(table)) == self.percent(table)
@@ -979,8 +982,8 @@ class TestWriter:
     def test_trajectory_reads_back_exactly(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CFG)
         out = run_cli("simulate", cfg, tmp_path / "sim")
-        traj, en = cli.Run(load_config(cfg)).simulation()
-        traj = held(traj)
+        rs, traj = cli.Run(load_config(cfg)).simulation()
+        traj, en = held(traj), dynamics.energies(rs, traj)
         lines = (out / "trajectory.csv").read_text().splitlines()
         table = np.array([[float(v) for v in line.split(",")]
                           for line in lines[1:]])
@@ -1198,8 +1201,10 @@ class TestStageGraph:
         cfg = write_cfg(tmp_path, text + SEARCH)
         pipe = run_cli("pipeline", cfg, tmp_path / "pipeline")
         opt = run_cli("optimize-r", cfg, tmp_path / "opt")
-        assert (pipe / "damping.csv").read_bytes() == \
-            (opt / "damping.csv").read_bytes()
+        for name in ("damping.csv", *(f"trajectory_{regime}.csv" for regime in
+                                      ("sub_critical", "critical",
+                                       "super_critical"))):
+            assert (pipe / name).read_bytes() == (opt / name).read_bytes(), name
 
     def test_pipeline_zero_coupling_fails_cleanly(self, tmp_path, capsys):
         text = SMALL_CFG.replace("g_me = 0.1 0.1 0.0", "g_me = 0 0 0")
@@ -1400,6 +1405,23 @@ class TestStageGraph:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:damping ratio not single-peaked")
+    def test_too_stiff_regime_run_exits_2_naming_it(self, tmp_path, capsys):
+        # both bracket ends step, and R* = r_lo = 25; the super-critical
+        # regime runs at 10 R* = 250, a resistance no config field holds,
+        # whose stable step is 10.2 times finer than the drive period / 60
+        text = re.sub(r"(?m)^r_lo = .*$", "r_lo = 25", TINY_CFG)
+        text = re.sub(r"(?m)^r_hi = .*$", "r_hi = 50", text)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("numerical failure: [stage resistance-search] the "
+                "super_critical regime's run at 10 R* = 250 (R* = 25) cannot "
+                "be stepped: at R_N = 250 a stable RK4 step is ") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_untuned_drive_runs_twenty_periods(self, tmp_path):
         # untuned, the driven mode's nearest electric mode does not couple to
         # it by symmetry (kappa ~ 1e-14 omega, round-off): no beat, so the
@@ -1453,7 +1475,7 @@ class TestStageGraph:
         # table and summary line are written, no reference to it, its times
         # or its energy traces is left
         states = []
-        integrate, energy_stream = dynamics.integrate, dynamics.energy_stream
+        integrate, energy_traces = dynamics.integrate, dynamics.energy_traces
 
         def recording(*args):
             traj = integrate(*args)
@@ -1461,12 +1483,12 @@ class TestStageGraph:
             return traj
 
         def recording_energies(*args):
-            stream = energy_stream(*args)
-            states.append(weakref.ref(stream.en.total.base))
-            return stream
+            en = energy_traces(*args)
+            states.append(weakref.ref(en.total.base))
+            return en
 
         monkeypatch.setattr(dynamics, "integrate", recording)
-        monkeypatch.setattr(dynamics, "energy_stream", recording_energies)
+        monkeypatch.setattr(dynamics, "energy_traces", recording_energies)
         run = cli.Run(load_config(write_cfg(tmp_path, SMALL_CFG + SEARCH)))
         line, = cli.report_simulation(run, tmp_path)
         assert line.startswith("simulation: ")

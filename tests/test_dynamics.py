@@ -505,8 +505,7 @@ class TestEnergies:
         en = energies(rs, traj)
         assert r > 0.0 and np.abs(cross).max() > 0.0
         for got, want in ((en.mech, mech), (en.elec, elec), (en.cross, cross),
-                          (en.total, mech + elec + cross),
-                          (dynamics.mechanical_energy(rs, traj), mech)):
+                          (en.total, mech + elec + cross)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_cross_term_zero_when_conservative(self, tuned_square4):
@@ -599,8 +598,7 @@ class TestDampingMachinery:
         omega, zeta = 5.0, 0.03
         t = np.linspace(0, 40, 8001)
         energy = np.exp(-2 * zeta * omega * t) * (0.6 + 0.4 * np.cos(2 * omega * t))
-        traj = HeldTrajectory(t=t, y=None)
-        fit = fit_damping(traj, energy, omega)
+        fit = fit_damping(t, energy, omega)
         assert fit.zeta == pytest.approx(zeta, rel=0.05)
 
     def test_fit_beating_with_crest_window(self):
@@ -609,8 +607,7 @@ class TestDampingMachinery:
         envelope = np.cos(kappa * t / 2) ** 2
         energy = np.exp(-2 * zeta * omega * t) * envelope \
             * (0.8 + 0.2 * np.cos(2 * omega * t)) + 1e-12
-        traj = HeldTrajectory(t=t, y=None)
-        fit = fit_damping(traj, energy, omega, beat_period=2 * math.pi / kappa)
+        fit = fit_damping(t, energy, omega, beat_period=2 * math.pi / kappa)
         assert fit.zeta == pytest.approx(zeta, rel=0.05)
 
     def test_default_horizon_spans_beats_of_nearest_partner(self, tuned_square4):
@@ -656,7 +653,7 @@ class TestDampingMachinery:
         Tb = beat_period(rs, m1, e1)
         traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 4 * Tb, T1 / 60)
         en = energies(rs, traj)
-        fit = fit_damping(traj, en.mech, basis.omegas[m1], beat_period=Tb)
+        fit = fit_damping(traj.t, en.mech, basis.omegas[m1], beat_period=Tb)
         assert fit.zeta <= 1e-6
 
     @pytest.mark.parametrize("conductance, case", FAMILY_CASES)
@@ -838,8 +835,7 @@ class TestVectorizedFit:
 
     def test_fit_unchanged_on_beating_trace(self):
         t, energy = fit_traces()["beat"]
-        traj = HeldTrajectory(t=t, y=None)
-        fit = fit_damping(traj, energy, 6.0, beat_period=2 * math.pi / 0.8)
+        fit = fit_damping(t, energy, 6.0, beat_period=2 * math.pi / 0.8)
         crests = beat_crests_reference(t, energy, envelope_peaks_reference(energy),
                                        0.45 * 2 * math.pi / 0.8)
         slope = np.polyfit(t[crests], np.log(energy[crests]), 1)[0]
@@ -848,12 +844,23 @@ class TestVectorizedFit:
 
 
 class TestSearchEnergies:
-    def test_mechanical_energy_is_the_energies_trace(self, tuned_square4):
-        *_, basis, rs = tuned_square4
-        m1 = basis.mechanical_indices()[0]
-        traj = integrate(rs, unimodal_ic(rs, m1, 1.0), 3.0, 0.01)
-        mech = dynamics.mechanical_energy(rs, traj)
-        assert np.array_equal(mech, energies(rs, traj).mech)
+    def test_mechanical_energy_is_the_energies_trace(self, tuned_square4,
+                                                     monkeypatch):
+        # the E_mech an evaluation fits, its doubled horizons' kept rows
+        # included, is the trace energies() forms on the sample's run
+        mesh, plate, net, _, basis, _ = tuned_square4
+        m1, e1 = basis.mechanical_indices()[0], basis.electric_indices()[0]
+        evaluate = dynamics.damping_evaluator(
+            affine_family(mesh, plate, net, basis), basis, m1, e1)
+        fitted = []
+        fit = dynamics.fit_damping
+        monkeypatch.setattr(dynamics, "fit_damping", lambda t, energy, *a, **k:
+                            fitted.append(energy.copy()) or fit(t, energy, *a, **k))
+        monkeypatch.setattr(dynamics, "SEARCH_BEATS", 0.25)
+        sample = evaluate(1.0)
+        assert len(fitted) == 3  # the horizon was doubled twice
+        assert np.array_equal(fitted[-1],
+                              energies(*evaluate.run(sample)).mech)
 
     def test_evaluator_builds_e_mech_only_and_reruns_a_sample(
             self, tuned_square4, monkeypatch):
@@ -873,8 +880,8 @@ class TestSearchEnergies:
         rs, traj = evaluate.run(sample)
         assert np.array_equal(rs.k1red, reduced(0.2).k1red)
         assert len(traj.t) == round(sample.t_f / sample.dt) + 1
-        mech = dynamics.mechanical_energy(rs, traj)
-        fit = fit_damping(traj, mech, basis.omegas[m1],
+        mech = energies(rs, traj).mech
+        fit = fit_damping(traj.t, mech, basis.omegas[m1],
                           beat_period=beat_period(rs, m1, e1))
         assert (fit.zeta, fit.n_peaks) == (sample.zeta, sample.n_peaks)
         assert settling_time(traj.t, mech) == sample.settling_time
@@ -936,8 +943,9 @@ class TestStreamMemory:
     def test_simulation_memory_grows_with_the_1d_traces_only(
             self, preset_runs, monkeypatch):
         # clamped-demo's simulation stage at its beats and at 4 x beats. What
-        # grows is t and the four energy traces, 5 float64s a row; a held
-        # state history would add 8 * 2n = 256 bytes a row
+        # grows is t, and the table its one reader writes adds the four
+        # energy traces: 5 float64s a row; a held state history would add
+        # 8 * 2n = 256 bytes a row
         run = preset_runs["clamped-demo"]
         run.simulation()  # warm: every upstream stage, numpy's caches
         sim = run.cfg.simulation
@@ -945,7 +953,7 @@ class TestStreamMemory:
         for beats in (sim.beats, 4 * sim.beats):
             monkeypatch.setattr(run, "cfg", replace(
                 run.cfg, simulation=replace(sim, beats=beats)))
-            (traj, _), peak = traced_peak(run.simulation)
+            (_, traj), peak = traced_peak(run.simulation)
             peaks.append(peak)
             rows.append(len(traj.t))
         assert rows[1] > 3.9 * rows[0] > 100_000
@@ -997,7 +1005,6 @@ class TestFamilyBlocks:
         traj = integrate(rs, unimodal_ic(rs, drive), 40 * period, period / 60)
         want = partition_energies(forms, rs.cross_ratio, held(traj))
         got = energies(rs, traj)
-        assert np.array_equal(dynamics.mechanical_energy(rs, traj), want.mech)
         for field in ("mech", "elec", "cross", "total"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert want.elec.max() > 0.0
@@ -1140,15 +1147,52 @@ class TestStreamMatchesOracle:
             for field in ("mech", "elec", "cross", "total"):
                 self.assert_same(getattr(en, field), getattr(want, field),
                                  (rows, field))
-            self.assert_same(dynamics.mechanical_energy(rs, traj), want.mech,
-                             rows)
             if blas._numpy_openblas() is None:  # the writer alone
                 ref, want = held(traj), en
-            cli._write_trajectory(tmp_path / "got.csv", traj, en)
+            written = cli._write_trajectory(tmp_path / "got.csv", rs, traj)
+            for field in ("mech", "elec", "cross", "total"):
+                assert np.array_equal(getattr(written, field),
+                                      getattr(en, field)), (rows, field)
             cli.write_csv(tmp_path / "want.csv", header, csvfmt.Columns(
                 ref.t, ref.z, want.mech, want.elec, want.total))
             assert ((tmp_path / "got.csv").read_bytes()
                     == (tmp_path / "want.csv").read_bytes()), rows
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_energy_chunks_hand_on_each_row_once(self, rows):
+        # from row ``first`` to the last, in order, each with its energies
+        # filled (the traces start zeroed); a run resumed past a shorter
+        # one's last block hands on its rows from there, with the energies
+        # of a run from t = 0
+        rs = random_system(16, 16)
+        dt = dynamics.step(rs, 0, 60)
+        ic = unimodal_ic(rs, 0)
+        if rows == 1:  # the initial energy's one-row trajectory
+            y0 = np.concatenate([ic.z0, ic.zdot0])
+            traj = dynamics.Trajectory(np.zeros(1), y0, np.empty((0, len(y0))))
+        else:
+            traj = integrate(rs, ic, (rows - 1) * dt, dt)
+        runs = [traj]
+        if rows // 2 > dynamics.BLOCK:
+            *_, last = integrate(rs, ic, (rows // 2 - 1) * dt, dt).chunks()
+            runs.append(traj.resumed(*last))
+            assert runs[-1].first > 0
+        want, want_en = held(traj).y, energies(rs, traj)
+        for run in runs:
+            en = dynamics.energy_traces(run)
+            done = run.first
+            for start, y in dynamics.energy_chunks(rs, run, en):
+                assert start == done and len(y) > 0
+                assert np.array_equal(y, want[start:start + len(y)])
+                assert en.total[start:start + len(y)].all()
+                done += len(y)
+            assert done == rows
+            for field in ("mech", "elec", "cross", "total"):
+                got = getattr(en, field)
+                assert not got[:run.first].any()
+                self.assert_same(got[run.first:],
+                                 getattr(want_en, field)[run.first:],
+                                 (rows, run.first, field))
 
 
 class TestStabilityPolynomial:
@@ -1168,7 +1212,8 @@ class TestStabilityPolynomial:
     def test_stream_follows_the_stability_polynomial(self, preset_runs,
                                                      preset):
         run = preset_runs[preset]
-        stream, en = run.simulation()
+        sim_rs, stream = run.simulation()
+        en = energies(sim_rs, stream)
         steps = len(stream.t) - 1
         sampled = {0, 1, 63, 64, 65, 255, 256, 257, steps // 2, steps}
         rows = {}
