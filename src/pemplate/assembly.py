@@ -39,9 +39,13 @@ never reads, gets its own pass on its first read. (So few
 geometries make a batch small enough for BLAS's small-matrix kernels where
 it has any; OpenBLAS's Haswell kernels give the same bits down to a single
 geometry.) Each triangle's entries are read from its geometry's local
-matrices, with no per-triangle copy, and summed straight into the free-DOF
-CSR pattern, in the order in which converting the full COO matrix to CSR
-would add them.
+matrices, with no per-triangle copy, and summed straight into the field
+blocks of the free-DOF matrix (bending/electric rows and columns), in the
+order in which converting the full COO matrix to CSR would add them. The
+fields couple only through K1, so K2 and the conservative K0 are
+block-diagonal and K1 holds only the off-diagonal blocks (and the electric
+one, where R_N or G_N is set): a block whose local entries are all zero is
+never summed or stored.
 Last bits matter here: the eigenvalues of the ill-conditioned bending
 pencil amplify a last-bit change of the matrices to ~1e-9 relative.
 """
@@ -126,6 +130,13 @@ class DofMap:
     def electric_mask(self):
         return self.free_components == ELEC_COMPONENT
 
+    @cached_property
+    def field_dofs(self):
+        """Free DOFs by field, "m" (bending) and "e" (electric), each in
+        ascending order: the row and column order of the field blocks."""
+        elec = self.electric_mask
+        return {"m": np.flatnonzero(~elec), "e": np.flatnonzero(elec)}
+
 
 def build_dof_map(mesh, bcs=()):
     """Eliminate constrained DOFs; free indices stay dense and ordered."""
@@ -160,31 +171,99 @@ def build_dof_map(mesh, bcs=()):
 _MATRIX_BLOCKS = {"k2": ("G", "G_B"), "k1": ("S", "V", "C"),
                   "k0": ("T", "E", "R")}
 
+# the field blocks of a free-DOF matrix: (row field, column field), "m"
+# bending and "e" electric; the local matrices' DOFs are in _FIELD_ORDER,
+# bending first
+_PARTS = ("mm", "me", "em", "ee")
+_LOCAL_PART = {"mm": np.s_[:, :9, :9], "me": np.s_[:, :9, 9:],
+               "em": np.s_[:, 9:, :9], "ee": np.s_[:, 9:, 9:]}
+
+
+@dataclass(frozen=True)
+class FieldBlocks:
+    """One free-DOF matrix held as its field blocks.
+
+    ``parts[p]`` is the CSC block of rows in field ``p[0]`` and columns in
+    field ``p[1]`` ("m" bending, "e" electric), each field's DOFs in the
+    order of ``dof_map.field_dofs``. A block whose element entries are all
+    zero is absent: it is neither summed nor stored. So K2 holds "mm" and
+    "ee"; the conservative K0 the same; K1 "me" and "em", and "ee" only
+    where S is not zero (R_N or G_N set).
+    """
+
+    dof_map: DofMap
+    parts: dict
+
+    def block(self, part):
+        """Block ``part``; an absent one is an empty CSC matrix."""
+        if part in self.parts:
+            return self.parts[part]
+        fields = self.dof_map.field_dofs
+        return sp.csc_matrix((len(fields[part[0]]), len(fields[part[1]])))
+
+    def dot(self, v):
+        """K v for the free-DOF rows ``v``, as a C-ordered (n_free, k) array.
+
+        Each row field adds its blocks' products in ``_PARTS`` order. A
+        column of ``v`` that is zero on one field (a field-pure mode) meets
+        one nonzero block per row, so its products have the bits of the
+        full CSR matrix's; another column's may differ in the last bits.
+        """
+        fields = self.dof_map.field_dofs
+        out = np.zeros((self.dof_map.n_free, v.shape[1]))
+        for part, b in self.parts.items():
+            out[fields[part[0]]] += b @ v[fields[part[1]]]
+        return out
+
+    def symmetric(self):
+        """The field blocks of (K + K^T) / 2, summed entry by entry as
+        scipy sums ``K + K.T`` (and dropping the zero sums, as it does)."""
+        return FieldBlocks(self.dof_map, {
+            p: 0.5 * (self.block(p) + self.block(p[::-1]).T)
+            for p in _PARTS if p in self.parts or p[::-1] in self.parts})
+
+    def full(self):
+        """The free-DOF CSR matrix of the blocks' stored entries."""
+        fields = self.dof_map.field_dofs
+        row, col, data = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+        for part, b in self.parts.items():
+            b = b.tocoo()
+            row.append(fields[part[0]][b.row])
+            col.append(fields[part[1]][b.col])
+            data.append(b.data)
+        n = self.dof_map.n_free
+        return sp.csr_matrix((np.concatenate(data), (np.concatenate(row),
+                                                     np.concatenate(col))),
+                             shape=(n, n))
+
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs.
+    """Reduced global system K2 q'' + K1 q' + K0 q = 0 on the free DOFs,
+    each matrix held as its :class:`FieldBlocks`.
 
     K2 and K0 are summed when the system is made. K1, which only the
     coupling table and the reduced dynamics read, is summed by one more
-    pass over ``plan`` on the first read of ``k1``, and kept.
+    pass over ``plan`` on the first read of ``k1_blocks``, and kept.
+    ``k2``, ``k1`` and ``k0`` form the full free-DOF CSR matrix from the
+    blocks on each read; no stage of a run reads them.
 
     Its stored entries are finite: one that is not raises a NumericalError
     where its matrix is summed, naming the matrix, its material blocks'
     sizes and the mesh's span, since their products overflow, not either
     alone."""
 
-    k2: sp.csr_matrix
-    k0: sp.csr_matrix
+    k2_blocks: FieldBlocks
+    k0_blocks: FieldBlocks
     plan: ScatterPlan
     material: object
 
     def __post_init__(self):
-        self._check_finite("k2", self.k2)
-        self._check_finite("k0", self.k0)
+        self._check_finite("k2", self.k2_blocks)
+        self._check_finite("k0", self.k0_blocks)
 
-    def _check_finite(self, name, m):
-        if not np.isfinite(m.data).all():
+    def _check_finite(self, name, blocks):
+        if not all(np.isfinite(b.data).all() for b in blocks.parts.values()):
             sizes = ", ".join(
                 f"max |{b}| = {np.abs(getattr(self.material, b)).max():.3g}"
                 for b in _MATRIX_BLOCKS[name])
@@ -197,10 +276,22 @@ class AssembledSystem:
             )
 
     @cached_property
-    def k1(self):
+    def k1_blocks(self):
         k1, = _sum_matrices(self.plan, self.material, ("k1",))
         self._check_finite("k1", k1)
         return k1
+
+    @property
+    def k2(self):
+        return self.k2_blocks.full()
+
+    @property
+    def k1(self):
+        return self.k1_blocks.full()
+
+    @property
+    def k0(self):
+        return self.k0_blocks.full()
 
     @property
     def mesh(self):
@@ -382,17 +473,44 @@ def local_matrices(geom, mat):
 
 
 @dataclass(frozen=True)
-class ScatterPlan:
-    """How one mesh's element entries sum into its free-DOF CSR under one
-    boundary-condition set, in scipy's COO -> CSR order.
+class BlockPlan:
+    """How one field block's element entries sum into its CSC layout.
 
-    ``first`` holds one triangle of each bit-distinct geometry; the entries
-    summed are those of the local matrices of these triangles, in this order.
-    Runs of entries that meet in one matrix position are summed left to
+    Runs of entries that meet in one block position are summed left to
     right, the i-th addend of every run of length > i at once: ``gather[i]``
     holds those addends' indices in the distinct local matrices for the
     ``gather[i]``-long head of the runs ordered by decreasing length, and
-    ``position`` puts each run's sum at its CSR slot.
+    ``position`` puts each run's sum at its slot in the CSC ``indices``
+    (rows, ascending in each column) and ``indptr``.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: tuple
+    position: np.ndarray
+
+    def collect(self, entries):
+        total = entries[self.gather[0]]
+        for idx in self.gather[1:]:
+            total[:len(idx)] += entries[idx]
+        data = np.empty_like(total)
+        data[self.position] = total
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+@dataclass(frozen=True)
+class ScatterPlan:
+    """How one mesh's element entries sum into the field blocks of its
+    free-DOF matrices under one boundary-condition set, each entry's run in
+    scipy's COO -> CSR order.
+
+    ``first`` holds one triangle of each bit-distinct geometry; the entries
+    summed are those of the local matrices of these triangles, in this order.
+    ``blocks`` holds one :class:`BlockPlan` per field block (``_PARTS``):
+    the free-DOF pattern split into its four blocks, which is all the plan
+    keeps of it, so a matrix sums only the blocks it needs.
 
     ``gather`` holds the smallest unsigned type that indexes every entry of
     the distinct local matrices (uint16 up to 455 distinct geometries, as
@@ -407,32 +525,19 @@ class ScatterPlan:
     bcs: tuple
     dof_map: DofMap
     first: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: tuple
-    position: np.ndarray
-
-    def collect(self, entries):
-        total = entries[self.gather[0]]
-        for idx in self.gather[1:]:
-            total[:len(idx)] += entries[idx]
-        data = np.empty_like(total)
-        data[self.position] = total
-        n_free = self.dof_map.n_free
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(n_free, n_free))
+    blocks: dict
 
 
 def scatter_plan(mesh, bcs, dof_map):
     """The plan of ``mesh`` under ``bcs``, whose DOF map is ``dof_map``: the
-    distinct geometries, the CSR pattern of the free-DOF system and how to
-    sum into it.
+    distinct geometries, the field blocks of the free-DOF pattern and how
+    to sum into them.
 
-    The summation order is the one ``coo_matrix.tocsr`` gives the full
-    matrix (a stable bucket sort by row, then scipy's sort of each row by
-    column, then left-to-right sums of equal columns), so the sums are the
-    same to the last bit as assembling the full matrix and slicing out the
-    free DOFs.
+    Each position's entries are summed in the order ``coo_matrix.tocsr``
+    gives the full matrix (a stable bucket sort by row, then scipy's sort of
+    each row by column, then left-to-right sums of equal columns), so each
+    block is the same to the last bit as assembling the full matrix and
+    slicing out the block's free rows and columns.
     """
     # triangles whose (b, c, area, mu) agree bit for bit have bit-equal
     # local matrices: each element entry is read from its geometry's first
@@ -480,29 +585,53 @@ def scatter_plan(mesh, bcs, dof_map):
     first, length = first[keep], length[keep]
     free_row, free_col = free_row[keep], free_col[keep]
 
-    n_free = dof_map.n_free
-    out_ptr = np.zeros(n_free + 1, dtype=np.int32)
-    np.cumsum(np.bincount(free_row, minlength=n_free), out=out_ptr[1:])
-    del free_row
-    by_length = np.argsort(-length.astype(np.int16), kind="stable")
-    first, length = first[by_length], length[by_length]
-    depth = length[0] if len(length) else 1
+    # lay the four blocks' columns side by side (mm, me, em, ee): scipy's
+    # CSR -> CSC transpose of the runs, which are in row order, then puts
+    # each block's runs in CSC order, rows ascending in each column
+    fields = dof_map.field_dofs
+    rank = np.empty(dof_map.n_free, dtype=np.int32)
+    for dofs in fields.values():
+        rank[dofs] = np.arange(len(dofs), dtype=np.int32)
+    n_free, n_m = dof_map.n_free, len(fields["m"])
+    offset = np.array([0, n_m, n_free, n_free + n_m, 2 * n_free],
+                      dtype=np.int32)
+    elec = dof_map.electric_mask
+    key = offset[2 * elec[free_row].astype(np.int8) + elec[free_col]]
+    key += rank[free_col]
+    row_ptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.bincount(free_row, minlength=n_free), out=row_ptr[1:])
+    del free_row, free_col
+    runs = sp.csr_matrix((np.arange(len(first), dtype=np.int32), key, row_ptr),
+                         shape=(n_free, 2 * n_free)).tocsc()
+    del key, row_ptr
     # the smallest index type: a run keeps its plan as long as its systems
     index_type = np.min_scalar_type(144 * len(distinct) - 1)
-    gather = tuple(entry[first[length > i] + i].astype(index_type)
-                   for i in range(depth))
+    blocks = {}
+    for k, name in enumerate(_PARTS):
+        col_ptr = runs.indptr[offset[k]:offset[k + 1] + 1]
+        span = slice(col_ptr[0], col_ptr[-1])
+        block_runs = runs.data[span]
+        by_length = np.argsort(-length[block_runs].astype(np.int16),
+                               kind="stable")
+        start = first[block_runs[by_length]]
+        size = length[block_runs[by_length]]
+        depth = size[0] if len(size) else 1
+        gather = tuple(entry[start[size > i] + i].astype(index_type)
+                       for i in range(depth))
+        blocks[name] = BlockPlan(
+            shape=tuple(len(fields[f]) for f in name),
+            indptr=col_ptr - col_ptr[0], indices=rank[runs.indices[span]],
+            gather=gather, position=by_length.astype(np.int32))
     return ScatterPlan(mesh=mesh, bcs=tuple(bcs), dof_map=dof_map,
-                       first=distinct, indptr=out_ptr,
-                       indices=free_col.astype(np.int32), gather=gather,
-                       position=by_length.astype(np.int32))
+                       first=distinct, blocks=blocks)
 
 
 def _sum_matrices(plan, mat, names):
-    """The free-DOF CSR matrices ``names`` of ``mat`` on ``plan``'s mesh:
-    one pass over its distinct geometries, in near-equal batches of at most
-    ``_CHUNK``, and ``plan.collect``'s sums. Each matrix's forms are
-    computed on their own, so a pass gives the same bits whatever else it
-    sums."""
+    """The :class:`FieldBlocks` of the matrices ``names`` of ``mat`` on
+    ``plan``'s mesh: one pass over its distinct geometries, in near-equal
+    batches of at most ``_CHUNK``, then each block's sums, for the blocks
+    whose local entries are not all zero. Each matrix's forms are computed
+    on their own, so a pass gives the same bits whatever else it sums."""
     quad = el.triangle_quadrature()
     mesh, first = plan.mesh, plan.first
     tables = _monomial_tables(quad)
@@ -518,12 +647,18 @@ def _sum_matrices(plan, mat, names):
             slots = _chunk_slots(chunk, quad, tables)
             local[:, part] = _local_matrix_batch(slots, chunk.area, mat, quad,
                                                  names)
-        return tuple(plan.collect(m.ravel()) for m in local)
+        return tuple(
+            FieldBlocks(plan.dof_map, {
+                p: plan.blocks[p].collect(m.ravel())
+                for p in _PARTS if m[_LOCAL_PART[p]].any()})
+            for m in local)
 
 
 def assemble(mesh, mat, bcs=(), workspace=None):
-    """Assemble the global system and eliminate constrained DOFs: K2 and K0
-    here, K1 on its first read (:class:`AssembledSystem`).
+    """Assemble the global system and eliminate constrained DOFs: the field
+    blocks of K2 and K0 here, K1's on their first read
+    (:class:`AssembledSystem`). Each block is summed only where its
+    material makes it nonzero, and no full free-DOF matrix is formed.
 
     ``workspace`` is the :class:`ScatterPlan` of ``mesh`` under ``bcs``, for
     callers that assemble several materials on one mesh (the CLI builds one
@@ -539,7 +674,7 @@ def assemble(mesh, mat, bcs=(), workspace=None):
         raise ValidationError("a scatter plan serves the mesh and the boundary "
                               "conditions it was built for")
     k2, k0 = _sum_matrices(plan, mat, ("k2", "k0"))
-    return AssembledSystem(k2=k2, k0=k0, plan=plan, material=mat)
+    return AssembledSystem(k2_blocks=k2, k0_blocks=k0, plan=plan, material=mat)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ class Run:
         """The system of ``net`` with its K1 summed, here so that an
         overflowing K1 fails at this stage."""
         sys = self.system(net)
-        sys.k1  # the first read sums it
+        sys.k1_blocks  # the first read sums them
         return sys
 
     @_stage("modal")

@@ -36,7 +36,6 @@ here assembles.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -670,7 +669,6 @@ def optimize_resistance(evaluate, bracket):
             "damping ratio not single-peaked on the coarse scan; "
             "falling back to a grid scan"
         )
-        _warnings.warn(notes[-1])
         grid = np.geomspace(r_lo, r_hi, FALLBACK_POINTS)
         zetas = np.array([sample(r).zeta for r in grid])
         best_r = float(grid[int(np.argmax(zetas))])

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .blas import scipy_blas_single_thread
 from .errors import NumericalError, ValidationError
@@ -186,22 +185,21 @@ def solve_family_modes(sys, family, n):
     """Eigenpairs of one decoupled field family, embedded in the free space.
 
     ``family`` is "mechanical" (the other field held to zero) or "electric".
+    The pencil is the family's diagonal field blocks of K0 and K2, read as
+    the system holds them: CSC, the form the sparse solve factors.
     """
-    dm = sys.dof_map
-    mask = {"mechanical": dm.mechanical_mask, "electric": dm.electric_mask}[family]
-    idx = np.flatnonzero(mask)
+    field = {"mechanical": "m", "electric": "e"}[family]
+    idx = sys.dof_map.field_dofs[field]
     most = most_modes(len(idx))
     if not 1 <= n <= most:
         raise ValidationError(
             f"retained mode count {n} out of range 1..{most} for {family}")
-    # CSC, the form the sparse solve factors, so no second copy of a block
-    # stays alive through the solve
     try:
-        omegas, sub = _solve_pencil(sp.csc_matrix(sys.k0.tocsr()[idx][:, idx]),
-                                    sp.csc_matrix(sys.k2.tocsr()[idx][:, idx]), n)
+        omegas, sub = _solve_pencil(sys.k0_blocks.block(2 * field),
+                                    sys.k2_blocks.block(2 * field), n)
     except NumericalError as exc:
         raise type(exc)(f"{family} family solve: {exc}") from None
-    vectors = np.zeros((dm.n_free, n))
+    vectors = np.zeros((sys.n_free, n))
     vectors[idx] = sub
     return _mode_set(sys, family, omegas, vectors)
 
@@ -259,17 +257,23 @@ class ReducedSystem:
 
 def reduce(sys, modes):
     """Project K2, K1, K0 and K0's symmetric part on the retained rows
-    (Galerkin reduction)."""
+    (Galerkin reduction).
+
+    Each K V is formed from the field blocks (``FieldBlocks.dot``) into a
+    C-ordered array, the layout of a sparse product's result, so that
+    ``V.T @ (K V)`` takes the same BLAS path; on a field-pure basis the
+    products have the bits of the full matrices'."""
     if modes.vectors.shape[0] != sys.n_free:
         raise ValidationError(
             f"mode basis has {modes.vectors.shape[0]} rows, system has "
             f"{sys.n_free} free DOFs"
         )
     v = modes.vectors
+    k0 = sys.k0_blocks
     net = sys.material.network
     return ReducedSystem(
-        k2red=v.T @ (sys.k2 @ v), k1red=v.T @ (sys.k1 @ v),
-        k0red=v.T @ (sys.k0 @ v), k0sym=v.T @ (0.5 * (sys.k0 + sys.k0.T) @ v),
+        k2red=v.T @ sys.k2_blocks.dot(v), k1red=v.T @ sys.k1_blocks.dot(v),
+        k0red=v.T @ k0.dot(v), k0sym=v.T @ k0.symmetric().dot(v),
         modes=modes, cross_ratio=net.resistance / net.inductance,
     )
 
@@ -288,7 +292,7 @@ def coupling_table(mech_modes, elec_modes, sys):
     B is the mechanical-to-electric block of K1; with field-pure embedded
     eigenvectors the product phi_e^T K1 phi_m picks exactly that block.
     """
-    raw = np.abs(elec_modes.vectors.T @ (sys.k1 @ mech_modes.vectors))
+    raw = np.abs(elec_modes.vectors.T @ sys.k1_blocks.dot(mech_modes.vectors))
     peak = raw.max()
     normalized = raw / peak if peak > 0 else raw.copy()
     return CouplingTable(raw=raw, normalized=normalized)

@@ -1,20 +1,46 @@
-"""Whole-array RK4 history and energy traces: the oracle for the streamed
-``dynamics.integrate`` and ``dynamics.energies``.
+"""Whole-array forms the package no longer computes: the oracles for the
+field blocks of an assembled system, its reduction and coupling table, and
+the streamed ``dynamics.integrate`` and ``dynamics.energies``.
 
-``integrate`` and ``energies`` here are the forms that held the T x 2n state
-history at once; ``dynamics`` now steps the states a chunk at a time and
-holds none. :class:`HeldTrajectory` is a history held whole, which the
-package's readers take as they take a streamed one (``t``, ``first`` and
-``chunks()``).
+``field_blocks`` slices a full free-DOF matrix into its field blocks as the
+family solves once did, and ``reduce`` and ``coupling_table`` project the
+full matrices. ``integrate`` and ``energies`` here are the forms that held
+the T x 2n state history at once; ``dynamics`` now steps the states a chunk
+at a time and holds none. :class:`HeldTrajectory` is a history held whole,
+which the package's readers take as they take a streamed one (``t``,
+``first`` and ``chunks()``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from pemplate import csvfmt, dynamics
 from pemplate.errors import IntegrationError, ValidationError
+
+
+def field_blocks(full, dof_map):
+    """The four field blocks of the full free-DOF matrix ``full``, CSC,
+    sliced out as the family solves sliced them (explicit zeros kept)."""
+    fields = dof_map.field_dofs
+    full = full.tocsr()
+    return {r + c: sp.csc_matrix(full[fields[r]][:, fields[c]])
+            for r in "me" for c in "me"}
+
+
+def reduce(sys, modes):
+    """``modal.reduce``'s four projections from the full CSR matrices."""
+    v = modes.vectors
+    k0 = sys.k0
+    return {"k2red": v.T @ (sys.k2 @ v), "k1red": v.T @ (sys.k1 @ v),
+            "k0red": v.T @ (k0 @ v), "k0sym": v.T @ (0.5 * (k0 + k0.T) @ v)}
+
+
+def coupling_table(mech_modes, elec_modes, sys):
+    """``modal.coupling_table``'s raw magnitudes from the full K1."""
+    return np.abs(elec_modes.vectors.T @ (sys.k1 @ mech_modes.vectors))
 
 
 @dataclass(frozen=True)

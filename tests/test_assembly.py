@@ -2,13 +2,15 @@ import dataclasses
 import math
 import tracemalloc
 from contextlib import nullcontext
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from pemplate import assembly, blas
+from pemplate import assembly, blas, cli
 from pemplate import element as el
 from pemplate.assembly import (
     BoundaryCondition,
@@ -24,10 +26,13 @@ from pemplate.element import (
     triangle_geometry,
     triangle_quadrature,
 )
+from pemplate.config import load_config
 from pemplate.errors import NumericalError, ValidationError
 from pemplate.material import NetworkParams, PlateParams, build_material
 from pemplate.mesh import Mesh, generate_structured_square
 from pemplate.modal import solve_family_modes
+
+import oracle
 
 
 def material(coupling=(0.1, 0.1, 0.0), l_n=1.0, r_n=0.0, c_n=1.0, g_n=0.0):
@@ -498,11 +503,19 @@ def coo_oracle(mesh, mat, bcs):
 
 
 def assert_bits_equal(sys, want):
+    """Each field block the system stores has the data, indices and indptr
+    of the block sliced out of the oracle, explicit zeros included; each
+    block it leaves out is all zeros in the oracle."""
     for name in ("k2", "k1", "k0"):
-        got = getattr(sys, name)
-        assert np.array_equal(got.indptr, want[name].indptr)
-        assert np.array_equal(got.indices, want[name].indices)
-        assert np.array_equal(got.data, want[name].data)
+        parts = getattr(sys, f"{name}_blocks").parts
+        for part, ref in oracle.field_blocks(want[name], sys.dof_map).items():
+            got = parts.get(part)
+            if got is None:
+                assert not ref.data.any(), (name, part)
+                continue
+            assert np.array_equal(got.indptr, ref.indptr), (name, part)
+            assert np.array_equal(got.indices, ref.indices), (name, part)
+            assert np.array_equal(got.data, ref.data), (name, part)
 
 
 def count_local_batches(monkeypatch):
@@ -587,14 +600,25 @@ class TestAssemble:
 
     def test_cross_field_blocks_of_k2_k0_are_zero(self):
         # the energy partition relies on K2 and the conservative K0 being
-        # block-diagonal across the two fields; assert rather than assume
+        # block-diagonal across the two fields; assert rather than assume:
+        # the element entries of their cross-field blocks are all zero, so
+        # the system stores none, and the oracle's are zero too
         mesh = generate_structured_square(3, 1.0, "crossed")
-        sys = assemble(mesh, material(l_n=0.37), bcs_ss())
-        mech = np.flatnonzero(sys.dof_map.mechanical_mask)
-        elec = np.flatnonzero(sys.dof_map.electric_mask)
-        for m in (sys.k2.toarray(), sys.k0.toarray()):
-            assert np.abs(m[np.ix_(mech, elec)]).max() == 0.0
-            assert np.abs(m[np.ix_(elec, mech)]).max() == 0.0
+        bcs = bcs_ss()
+        sys = assemble(mesh, material(l_n=0.37), bcs)
+        want = coo_oracle(mesh, material(l_n=0.37), bcs)
+        assert set(sys.k2_blocks.parts) == set(sys.k0_blocks.parts) \
+            == {"mm", "ee"}
+        assert set(sys.k1_blocks.parts) == {"me", "em"}
+        for name in ("k2", "k0"):
+            for part in ("me", "em"):
+                ref = oracle.field_blocks(want[name], sys.dof_map)[part]
+                assert ref.nnz and not ref.data.any()
+        # R_N fills K0's mechanical-row block, and R_N or G_N K1's electric
+        # block (S); neither fills the electric-row block of K0
+        sys = assemble(mesh, material(l_n=0.37, r_n=0.3, g_n=0.2), bcs)
+        assert set(sys.k0_blocks.parts) == {"mm", "me", "ee"}
+        assert set(sys.k1_blocks.parts) == {"me", "em", "ee"}
 
     def test_workspace_reuse_is_exact(self):
         mesh = generate_structured_square(3, 1.0, "crossed")
@@ -649,6 +673,25 @@ class TestAssemble:
                 assert len(one_pass) == -(-mesh.n_triangles // chunk)
                 assert sizes == 2 * one_pass
 
+    @pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+    @pytest.mark.parametrize("resistive", [False, True])
+    def test_preset_blocks_match_full_coo_assembly(self, preset, resistive):
+        # each preset's system as a run assembles it (conservative), and
+        # with R_N and G_N set, which fill K0's mechanical-row block and
+        # K1's electric one: every stored block is the oracle's slice, and
+        # every block left out is zero in the oracle
+        ref = resources.files("pemplate") / "presets" / f"{preset}.cfg"
+        with resources.as_file(ref) as path:
+            cfg = load_config(Path(path))
+        plan = cli.Run(cfg).plan()
+        net = cfg.network
+        if resistive:
+            net = dataclasses.replace(net, resistance=0.3, conductance=0.2)
+        mat = build_material(cfg.plate, net)
+        sys = assemble(plan.mesh, mat, cfg.bcs, workspace=plan)
+        assert_bits_equal(sys, coo_oracle(plan.mesh, mat, cfg.bcs))
+        assert len(sys.k1_blocks.parts) == 2 + resistive
+
     @pytest.mark.parametrize("n, side, distinct", [
         (4, 1.0, 4),  # dyadic: every coordinate difference is exact
         (4, 0.3, None),
@@ -688,7 +731,8 @@ class TestAssemble:
         small = scatter_plan(square, bcs, build_dof_map(square, bcs))
         for p, dtype in ((plan, np.uint32), (small, np.uint16)):
             assert np.min_scalar_type(144 * len(p.first) - 1) == dtype
-            assert {g.dtype for g in p.gather} == {np.dtype(dtype)}
+            assert {g.dtype for b in p.blocks.values()
+                    for g in b.gather} == {np.dtype(dtype)}
 
     def test_plan_build_memory(self):
         # per COO entry (144 per triangle): the build's traced peak and the
@@ -704,8 +748,9 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         entries = 144 * mesh.n_triangles
-        held = sum(a.nbytes for a in (plan.first, plan.indptr, plan.indices,
-                                      plan.position, *plan.gather))
+        held = plan.first.nbytes + sum(
+            a.nbytes for b in plan.blocks.values()
+            for a in (b.indptr, b.indices, b.position, *b.gather))
         assert peak <= 32 * entries
         assert held <= 5.5 * entries
 

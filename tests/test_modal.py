@@ -34,6 +34,8 @@ from pemplate.modal import (
     tuning_factor,
 )
 
+import oracle
+
 
 def material(coupling=(0.1, 0.1, 0.0), l_n=1.0, r_n=0.0, rho=500.0):
     plate = PlateParams.isotropic(1e-3, rho, 1.0, 0.3, coupling=coupling)
@@ -152,11 +154,22 @@ def test_dense_branch_leaves_scipy_blas(fake_scipy_blas):
 
 
 def family_blocks(sys, family):
-    """A family's K0 and K2 blocks, CSC, as solve_family_modes builds them."""
-    mask = (sys.dof_map.mechanical_mask if family == "mechanical"
-            else sys.dof_map.electric_mask)
-    idx = np.flatnonzero(mask)
-    return tuple(sp.csc_matrix(m.tocsr()[idx][:, idx]) for m in (sys.k0, sys.k2))
+    """A family's K0 and K2 blocks, CSC, as solve_family_modes reads them."""
+    part = {"mechanical": "mm", "electric": "ee"}[family]
+    return sys.k0_blocks.block(part), sys.k2_blocks.block(part)
+
+
+def with_entry(blocks, part, value):
+    """``blocks`` with the first stored entry of block ``part`` (its first
+    column's first row) set to ``value``."""
+    bad = blocks.parts[part].copy()
+    bad.data[0] = value
+    return assembly.FieldBlocks(blocks.dof_map, {**blocks.parts, part: bad})
+
+
+def negated(blocks):
+    return assembly.FieldBlocks(blocks.dof_map,
+                                {p: -b for p, b in blocks.parts.items()})
 
 
 def copying_eigh(k0, k2, n):
@@ -207,14 +220,11 @@ def test_dense_branch_names_a_block_that_is_not_finite(square4, family,
     # blocks: an entry of a family's block that is not finite is named where
     # the system is made, so no family solve can read it
     assert square4.n_free <= modal._DENSE_LIMIT
-    mask = (square4.dof_map.mechanical_mask if family == "mechanical"
-            else square4.dof_map.electric_mask)
-    i = np.flatnonzero(mask)[0]
-    bad = getattr(square4, matrix).tolil()
-    bad[i, i] = value
+    part = {"mechanical": "mm", "electric": "ee"}[family]
+    bad = with_entry(getattr(square4, f"{matrix}_blocks"), part, value)
     with pytest.raises(NumericalError,
                        match=f"^non-finite {matrix.upper()} entries: "):
-        dataclasses.replace(square4, **{matrix: bad.tocsc()})
+        dataclasses.replace(square4, **{f"{matrix}_blocks": bad})
 
 
 @pytest.mark.parametrize("matrix", ["k2", "k1", "k0"])
@@ -225,16 +235,17 @@ def test_system_with_an_entry_that_is_not_finite_is_not_made(
     # the reduction unsolved: the system itself refuses the entry, K1 on
     # the read that sums it. A sparse solve of square4 with inf on K0's
     # diagonal once returned wrong frequencies and no error.
-    bad = getattr(square4, matrix).tolil()
-    bad[0, 0] = value
+    # an off-diagonal block of K1, whose diagonal blocks are not stored
+    part = "me" if matrix == "k1" else "mm"
+    bad = with_entry(getattr(square4, f"{matrix}_blocks"), part, value)
     with pytest.raises(NumericalError,
                        match=f"^non-finite {matrix.upper()} entries: "):
         if matrix == "k1":
             monkeypatch.setattr(assembly, "_sum_matrices",
-                                lambda *args: (bad.tocsr(),))
-            dataclasses.replace(square4).k1
+                                lambda *args: (bad,))
+            dataclasses.replace(square4).k1_blocks
         else:
-            dataclasses.replace(square4, **{matrix: bad.tocsr()})
+            dataclasses.replace(square4, **{f"{matrix}_blocks": bad})
 
 
 FAMILIES = ("mechanical", "electric")
@@ -308,7 +319,7 @@ class TestSolveModes:
         # the sparse branch has no up-front factorization of K2; the failed
         # Cholesky of the Ritz Gram must surface as a NumericalError (exit 2)
         monkeypatch.setattr(modal, "_DENSE_LIMIT", 10)
-        bad = dataclasses.replace(square4, k2=-square4.k2)
+        bad = dataclasses.replace(square4, k2_blocks=negated(square4.k2_blocks))
         with pytest.raises(NumericalError, match="K2 is not positive definite"):
             solve_family_modes(bad, family, 3)
 
@@ -316,7 +327,7 @@ class TestSolveModes:
     def test_dense_path_rejects_indefinite_k2(self, square4, family):
         # the dense branch leaves the factorization of K2 to eigh; its
         # LinAlgError must surface as a NumericalError (exit 2)
-        bad = dataclasses.replace(square4, k2=-square4.k2)
+        bad = dataclasses.replace(square4, k2_blocks=negated(square4.k2_blocks))
         with pytest.raises(NumericalError, match="K2 is not positive definite"):
             solve_family_modes(bad, family, 3)
 
@@ -526,6 +537,20 @@ class TestPresetModes:
         labels = preset_runs["paper-square"].basis().labels
         assert tuple(json.loads(out)) == labels
         assert labels[:2] == ("mechanical", "electric")
+
+
+@pytest.mark.parametrize("preset", ["paper-square", "clamped-demo"])
+def test_tuned_reduction_and_coupling_match_full_products(preset_runs, preset):
+    # the block products land in C-ordered arrays, the layout of a sparse
+    # product's result, so V^T (K V) takes the full products' BLAS path and
+    # every projection has their bits
+    run = preset_runs[preset]
+    net = run.network()
+    sys, rs = run.first_order(net), run.reduced(net)
+    for name, want in oracle.reduce(sys, rs.modes).items():
+        assert np.array_equal(getattr(rs, name), want), name
+    assert np.array_equal(run.coupling(net).raw,
+                          oracle.coupling_table(*run.modes(net), sys))
 
 
 def rayleigh_quotients(k0, k2, vectors):
